@@ -7,14 +7,7 @@ fairness and efficiency notions involved and brute-force/LP reference
 oracles at desk scale.
 """
 
-from .birkhoff import (
-    birkhoff_decompose,
-    birkhoff_decompose_seeded,
-    is_bistochastic,
-    perfect_matching,
-    permutation_matrix,
-    positivity_graph,
-)
+from .birkhoff import birkhoff_decompose, is_bistochastic
 from .eps import EatingNetwork, eps_outcome, globally_unwanted, max_eating_duration
 from .fairness import (
     BudgetExceeded,
@@ -54,10 +47,13 @@ from .oracle import (
     pareto_improvement_exists,
     sd_improvement_exists,
 )
-from .ps import PsState, next_finish_time, ps_outcome
+from .ps import ps_outcome
 from .pslottery import (
     PaddedInstance,
+    Plan,
+    implement,
     pad_with_dummies,
+    plan,
     project,
     ps_lottery,
     re_eat,

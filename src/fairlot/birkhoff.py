@@ -2,12 +2,13 @@
 of permutation matrices.
 
 Matrices are sequences of sequences of Fractions.  Permutations are given
-as a tuple ``perm`` with ``perm[row] = column``; ``permutation_matrix``
-expands one into its 0/1 matrix view.  Each extraction step finds a
-perfect matching on the positivity graph (guaranteed to exist while the
-residual is a positive multiple of a bistochastic matrix), subtracts the
-smallest matched entry and repeats; at least one entry hits zero per step,
-so a k-by-k matrix needs at most k^2 - 2k + 2 steps.
+as a tuple ``perm`` with ``perm[row] = column``.  Each extraction step
+finds a perfect matching on the positivity graph (guaranteed to exist
+while the residual is a positive multiple of a bistochastic matrix;
+columns are scanned in ascending order, so decompositions are
+reproducible byte for byte), subtracts the smallest matched entry and
+repeats; at least one entry hits zero per step, so a k-by-k matrix needs
+at most k^2 - 2k + 2 steps.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ from typing import Sequence
 __all__ = [
     "is_bistochastic",
     "require_bistochastic",
-    "positivity_graph",
-    "perfect_matching",
-    "permutation_matrix",
     "birkhoff_decompose",
-    "birkhoff_decompose_seeded",
 ]
 
 Matrix = Sequence[Sequence[Fraction]]
@@ -47,14 +44,6 @@ def is_bistochastic(matrix: Matrix) -> bool:
 def require_bistochastic(matrix: Matrix) -> None:
     if not is_bistochastic(matrix):
         raise ValueError("matrix is not bistochastic")
-
-
-def positivity_graph(matrix: Matrix) -> list[list[int]]:
-    """Adjacency lists: row r is connected to every column with a positive
-    entry, columns in ascending order (the scan order is part of the
-    contract so decompositions are reproducible byte for byte).
-    """
-    return [[j for j, v in enumerate(row) if v > 0] for row in matrix]
 
 
 def _augment(adjacency: Sequence[Sequence[int]], row: int,
@@ -89,60 +78,31 @@ def _complete_matching(adjacency: Sequence[Sequence[int]], match_col: list[int],
     return True
 
 
-def perfect_matching(adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Perfect matching of rows to columns via deterministic augmenting
-    paths (rows in index order, columns in adjacency order).
+def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """Express a bistochastic matrix as sum of weight * permutation.
 
-    Raises ValueError when none exists, which for a positivity graph
-    signals that the input matrix was not bistochastic.
+    Weights are in (0, 1] and sum to exactly 1; the recomposition equals
+    the input structurally; the number of parts is at most k^2 - 2k + 2.
     """
-    k = len(adjacency)
-    match_col = [-1] * k
-    if not _complete_matching(adjacency, match_col, range(k)):
-        raise ValueError("no perfect matching: input was not bistochastic")
-    perm = [-1] * k
-    for col, row in enumerate(match_col):
-        perm[row] = col
-    return tuple(perm)
-
-
-def permutation_matrix(perm: Sequence[int]) -> tuple[tuple[Fraction, ...], ...]:
-    """0/1 matrix view of a permutation given as row -> column."""
-    k = len(perm)
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(
-        tuple(one if perm[r] == j else zero for j in range(k)) for r in range(k)
-    )
-
-
-def _decompose(residual: list[list[Fraction]],
-               seed: Sequence[int] | None) -> list[tuple[Fraction, tuple[int, ...]]]:
+    require_bistochastic(matrix)
+    residual = [list(row) for row in matrix]
     k = len(residual)
     adjacency = [sorted(j for j, v in enumerate(row) if v > 0) for row in residual]
     parts: list[tuple[Fraction, tuple[int, ...]]] = []
-    match_col: list[int] | None = None
+    match_col = [-1] * k
+    if not _complete_matching(adjacency, match_col, range(k)):
+        raise ValueError("no perfect matching: input was not bistochastic")
 
     remaining = Fraction(1)
     while remaining > 0:
-        if seed is not None:
-            perm = tuple(seed)
-            seed = None
-            match_col = [-1] * k
-            for r, c in enumerate(perm):
-                match_col[c] = r
-        else:
-            if match_col is None:
-                match_col = [-1] * k
-                if not _complete_matching(adjacency, match_col, range(k)):
-                    raise ValueError("no perfect matching: input was not bistochastic")
-            perm = [-1] * k
-            for col, row in enumerate(match_col):
-                perm[row] = col
-            perm = tuple(perm)
+        perm = [-1] * k
+        for col, row in enumerate(match_col):
+            perm[row] = col
+        perm = tuple(perm)
 
         weight = min(residual[r][perm[r]] for r in range(k))
         if weight <= 0:
-            raise ValueError("seed permutation is not consistent with the matrix")
+            raise AssertionError("matched entry is not positive")
         dead_rows = []
         for r in range(k):
             c = perm[r]
@@ -164,32 +124,3 @@ def _decompose(residual: list[list[Fraction]],
     if any(v != 0 for row in residual for v in row):
         raise AssertionError("residual nonzero after full decomposition")
     return parts
-
-
-def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """Express a bistochastic matrix as sum of weight * permutation.
-
-    Weights are in (0, 1] and sum to exactly 1; the recomposition equals
-    the input structurally; the number of parts is at most k^2 - 2k + 2.
-    """
-    require_bistochastic(matrix)
-    residual = [list(row) for row in matrix]
-    return _decompose(residual, seed=None)
-
-
-def birkhoff_decompose_seeded(
-    matrix: Matrix, seed: Sequence[int]
-) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """Same as ``birkhoff_decompose`` but extract ``seed`` first.
-
-    The seed must be consistent with the matrix (positive entry under
-    every 1 of the permutation); it becomes the first extracted part.
-    """
-    require_bistochastic(matrix)
-    k = len(matrix)
-    if sorted(seed) != list(range(k)):
-        raise ValueError("seed is not a permutation of the columns")
-    if any(matrix[r][seed[r]] <= 0 for r in range(k)):
-        raise ValueError("seed permutation is not consistent with the matrix")
-    residual = [list(row) for row in matrix]
-    return _decompose(residual, seed=tuple(seed))

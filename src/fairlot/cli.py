@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from . import fileio
-from .eps import eps_outcome, globally_unwanted
+from .eps import globally_unwanted
 from .fairness import (
     BudgetExceeded,
     check_ef,
@@ -45,8 +45,12 @@ from .oracle import (
     implementable_by,
     sd_improvement_exists,
 )
+from .pslottery import implement, plan, reduce_support, support_bound
+
+# Not called here: bound because benchmarks/spans.py looks them up on this module.
+from .eps import eps_outcome
 from .ps import ps_outcome
-from .pslottery import pad_with_dummies, ps_lottery, reduce_support, support_bound
+from .pslottery import pad_with_dummies, ps_lottery
 
 EX_OK = 0
 EX_FAIL = 1
@@ -69,23 +73,9 @@ def _load_instance(path: str) -> Instance:
     return fileio.instance_from_obj(_load_json(path, "instance file"))
 
 
-def _solve_matrix(instance: Instance, rule: str, skip_zero: bool):
-    if skip_zero:
-        if rule != "eps":
-            raise FormatError("--skip-zero requires --rule eps")
-        outcome, _ = eps_outcome(instance, mode="skip_zero")
-        return outcome
-    if rule == "ps":
-        strict = ordinal_from_utilities(instance).strictified()
-        outcome, _ = ps_outcome(instance.agents, instance.items, strict)
-        return outcome
-    outcome, _ = eps_outcome(instance, mode="standard")
-    return outcome
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
-    outcome = _solve_matrix(instance, args.rule, args.skip_zero)
+    outcome = plan(instance, args.rule, args.skip_zero).expected
     extra = {}
     if args.skip_zero:
         extra["padded_items"] = list(globally_unwanted(instance))
@@ -95,10 +85,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_lottery(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
-    lottery, expected = ps_lottery(instance, rule=args.rule, skip_zero=args.skip_zero)
+    planned = plan(instance, args.rule, args.skip_zero)
+    lottery = implement(planned)
     if args.reduce:
         lottery = reduce_support(lottery)
-    padded = pad_with_dummies(instance)
+    padded = planned.padded
     metadata = {
         "rule": args.rule,
         "skip_zero": bool(args.skip_zero),
@@ -110,7 +101,7 @@ def cmd_lottery(args: argparse.Namespace) -> int:
     }
     if args.skip_zero:
         metadata["padded_items"] = list(globally_unwanted(instance))
-    document = dumps(fileio.lottery_to_obj(lottery, expected, metadata))
+    document = dumps(fileio.lottery_to_obj(lottery, planned.expected, metadata))
     if args.out == "-":
         sys.stdout.write(document)
     else:

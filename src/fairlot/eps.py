@@ -290,18 +290,16 @@ def _run_fluid(
     dict[str, dict[str, Fraction]],
     list[tuple[str, Fraction, Fraction, dict[str, Fraction]]],
     dict[str, Fraction],
-    dict[str, Fraction],
 ]:
     """Drive the fluid eating process until no agent can eat.
 
     Returns per-agent consumption rows, the pinned fluid windows (for the
-    trace), each agent's stop time, and whatever items were left over
-    (nonempty only when agents may run out of acceptable items).
+    trace), and whatever items were left over (nonempty only when agents
+    may run out of acceptable items).
     """
     live = {o: Fraction(1) for o in items}
     rows: dict[str, dict[str, Fraction]] = {a: {} for a in agents}
     windows: list[tuple[str, Fraction, Fraction, dict[str, Fraction]]] = []
-    stopped: dict[str, Fraction] = {}
     epoch: dict[str, _Epoch] = {}
     active = [a for a in agents]
     t = Fraction(0)
@@ -319,7 +317,6 @@ def _run_fluid(
                 old = epoch.pop(a, None)
                 if old is not None and old.duration != 0:
                     raise AssertionError(f"agent {a!r} ran dry with unpinned demand")
-                stopped[a] = t
                 continue
             still_active.append(a)
             if a in epoch:
@@ -362,7 +359,7 @@ def _run_fluid(
         for o in step.tight_items:
             del live[o]
 
-    return rows, windows, stopped, live
+    return rows, windows, live
 
 
 def _trace_from_windows(
@@ -417,10 +414,11 @@ def eps_outcome(
     """Coordinated-eating outcome of an instance.
 
     In ``standard`` mode agents eat their way down the weak order derived
-    from the utilities (or an explicitly supplied ``profile`` over the
-    same agents and items) until everything is consumed; the result is an
-    SD-efficient fractional allocation that coincides exactly with the
-    serial eating rule whenever the profile is strict.
+    from the utilities (or an explicitly supplied ``profile``, whose
+    agents and items then define the outcome's universe) until everything
+    is consumed; the result is an SD-efficient fractional allocation that
+    coincides exactly with the serial eating rule whenever the profile is
+    strict.
 
     In ``skip_zero`` mode (binary utilities only) an agent eats only items
     it values at 1 and stops when those run out.  Items nobody values are
@@ -430,7 +428,8 @@ def eps_outcome(
     """
     if mode not in ("standard", "skip_zero"):
         raise ValueError(f"unknown mode {mode!r}")
-    agents, items = instance.agents, instance.items
+    source = instance if profile is None else profile
+    agents, items = source.agents, source.items
 
     if mode == "skip_zero":
         if not instance.is_binary():
@@ -447,7 +446,7 @@ def eps_outcome(
             profile = ordinal_from_utilities(instance)
         tiers = {a: tuple(frozenset(t) for t in profile.tiers[a]) for a in agents}
 
-    rows, windows, _stopped, leftovers = _run_fluid(agents, items, tiers)
+    rows, windows, leftovers = _run_fluid(agents, items, tiers)
 
     padding: dict[str, list[tuple[str, Fraction]]] = {}
     if mode == "standard":

@@ -16,6 +16,7 @@ from .model import (
     OrdinalProfile,
     RandomAllocation,
     SdRelation,
+    format_rational,
     sd_compare,
     utility_of_bundle,
 )
@@ -57,7 +58,7 @@ class Report:
     def to_json(self) -> dict:
         def encode(value):
             if isinstance(value, Fraction):
-                return str(value) if value.denominator > 1 else str(value.numerator)
+                return format_rational(value)
             if isinstance(value, dict):
                 return {str(k): encode(v) for k, v in value.items()}
             if isinstance(value, (list, tuple)):

@@ -184,21 +184,9 @@ class OrdinalProfile:
             if seen != item_set:
                 raise ValueError(f"tiers of {agent!r} do not cover the item set")
 
-    def tier_index(self, agent: str, item: str) -> int:
-        for k, tier in enumerate(self.tiers[agent]):
-            if item in tier:
-                return k
-        raise KeyError(item)
-
     def tier_rank(self, agent: str) -> dict[str, int]:
         """Item -> tier position map for one agent (0 = best)."""
         return {o: k for k, tier in enumerate(self.tiers[agent]) for o in tier}
-
-    def weakly_prefers(self, agent: str, x: str, y: str) -> bool:
-        return self.tier_index(agent, x) <= self.tier_index(agent, y)
-
-    def strictly_prefers(self, agent: str, x: str, y: str) -> bool:
-        return self.tier_index(agent, x) < self.tier_index(agent, y)
 
     def is_strict(self, agent: str | None = None) -> bool:
         """True when every tier is a singleton (for one agent or all)."""
@@ -458,9 +446,6 @@ class EatingTrace:
                 row[seg.item] = row.get(seg.item, Fraction(0)) + seg.amount
             rows[agent] = row
         return rows
-
-    def bundles(self) -> dict[str, dict[str, Fraction]]:
-        return self.integrate()
 
 
 def utility_of_bundle(

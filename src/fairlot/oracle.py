@@ -135,29 +135,33 @@ def implementable_by(
     return Lottery(entries).merged()
 
 
-def _allocation_lp_columns(instance: Instance) -> list[tuple[str, str]]:
-    return [(a, o) for a in instance.agents for o in instance.items]
+def _cells(agents: Sequence[str], items: Sequence[str]) -> list[tuple[str, str]]:
+    """LP variables of an allocation matrix, agent-major."""
+    return [(a, o) for a in agents for o in items]
 
 
-def _column_constraints(
-    instance: Instance, cells: list[tuple[str, str]], extra_vars: int
+def _item_sum_rows(
+    items: Sequence[str], cells: list[tuple[str, str]], extra_vars: int
 ) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Every item's column sums to one; ``extra_vars`` trailing variables
+    stay out of these rows."""
     rows = []
-    rhs = []
-    for o in instance.items:
-        row = [Fraction(1) if cell[1] == o else Fraction(0) for cell in cells]
+    for o in items:
+        row = [Fraction(1) if cell_o == o else Fraction(0) for _, cell_o in cells]
         rows.append(row + [Fraction(0)] * extra_vars)
-        rhs.append(Fraction(1))
-    return rows, rhs
+    return rows, [Fraction(1)] * len(items)
 
 
-def _matrix_from_x(
-    instance: Instance, cells: list[tuple[str, str]], x: Sequence[Fraction]
+def _allocation_from_x(
+    agents: Sequence[str],
+    items: Sequence[str],
+    cells: list[tuple[str, str]],
+    x: Sequence[Fraction],
 ) -> RandomAllocation:
-    data = {a: {} for a in instance.agents}
+    data = {a: {} for a in agents}
     for (a, o), v in zip(cells, x):
         data[a][o] = v
-    return RandomAllocation.from_rows(instance.agents, instance.items, data)
+    return RandomAllocation.from_rows(agents, items, data)
 
 
 def pareto_improvement_exists(
@@ -166,9 +170,8 @@ def pareto_improvement_exists(
     """Search for a fractional allocation that gives every agent at least
     its utility under p and someone strictly more; exact LP, maximizing
     the total surplus.  None means p is fractionally Pareto optimal."""
-    cells = _allocation_lp_columns(instance)
-    n = instance.n
-    ncols = len(cells) + n  # q cells, then one surplus per agent
+    cells = _cells(instance.agents, instance.items)
+    n = instance.n  # variables: q cells, then one surplus per agent
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for idx, a in enumerate(instance.agents):
@@ -180,7 +183,7 @@ def pareto_improvement_exists(
         surplus[idx] = Fraction(-1)
         rows.append(row + surplus)
         rhs.append(utility_of_bundle(instance, a, p.row(a)))
-    col_rows, col_rhs = _column_constraints(instance, cells, n)
+    col_rows, col_rhs = _item_sum_rows(instance.items, cells, n)
     rows.extend(col_rows)
     rhs.extend(col_rhs)
     objective = [Fraction(0)] * len(cells) + [Fraction(-1)] * n  # maximize surplus
@@ -189,7 +192,7 @@ def pareto_improvement_exists(
         raise AssertionError(f"improvement LP ended {result.status}")
     if result.objective == 0:
         return None
-    return _matrix_from_x(instance, cells, result.x[: len(cells)])
+    return _allocation_from_x(instance.agents, instance.items, cells, result.x)
 
 
 def sd_improvement_exists(
@@ -200,9 +203,8 @@ def sd_improvement_exists(
     is SD-efficient.  Exact LP maximizing the total prefix surplus."""
     agents = tuple(p.rows)
     items = p.items
-    cells = [(a, o) for a in agents for o in items]
+    cells = _cells(agents, items)
     prefix_ids = [(a, level) for a in agents for level in range(len(prefs.tiers[a]))]
-    ncells = len(cells)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for k, (a, level) in enumerate(prefix_ids):
@@ -216,20 +218,16 @@ def sd_improvement_exists(
         rows.append(row + slack)
         p_row = p.row(a)
         rhs.append(sum((p_row[o] for o in prefix_items), Fraction(0)))
-    for o in items:
-        row = [Fraction(1) if cell_o == o else Fraction(0) for (_, cell_o) in cells]
-        rows.append(row + [Fraction(0)] * len(prefix_ids))
-        rhs.append(Fraction(1))
-    objective = [Fraction(0)] * ncells + [Fraction(-1)] * len(prefix_ids)
+    col_rows, col_rhs = _item_sum_rows(items, cells, len(prefix_ids))
+    rows.extend(col_rows)
+    rhs.extend(col_rhs)
+    objective = [Fraction(0)] * len(cells) + [Fraction(-1)] * len(prefix_ids)
     result = solve_lp(objective, rows, rhs)
     if result.status != "optimal":
         raise AssertionError(f"SD improvement LP ended {result.status}")
     if result.objective == 0:
         return None
-    data: dict[str, dict[str, Fraction]] = {a: {} for a in agents}
-    for (a, o), v in zip(cells, result.x[:ncells]):
-        data[a][o] = v
-    return RandomAllocation.from_rows(agents, items, data)
+    return _allocation_from_x(agents, items, cells, result.x)
 
 
 def leximin_bruteforce(
@@ -244,8 +242,8 @@ def leximin_bruteforce(
     """
     if not instance.is_binary():
         raise ValueError("leximin reference requires binary (0/1) utilities")
-    cells = _allocation_lp_columns(instance)
     agents = instance.agents
+    cells = _cells(agents, instance.items)
 
     def utility_row(a: str, t_coeff: Fraction, slack_pos: int | None,
                     nslack: int) -> list[Fraction]:
@@ -279,10 +277,9 @@ def leximin_bruteforce(
                 rows.append(utility_row(a, Fraction(-1), k, nslack))
                 rhs.append(Fraction(0))
         width = len(cells) + 1 + nslack
-        for o in instance.items:
-            row = [Fraction(1) if cell_o == o else Fraction(0) for (_, cell_o) in cells]
-            rows.append(row + [Fraction(0)] * (1 + nslack))
-            rhs.append(Fraction(1))
+        col_rows, col_rhs = _item_sum_rows(instance.items, cells, 1 + nslack)
+        rows.extend(col_rows)
+        rhs.extend(col_rhs)
         objective = [Fraction(0)] * width
         if maximize_agent is None:
             objective[len(cells)] = Fraction(-1)  # maximize t
@@ -310,6 +307,6 @@ def leximin_bruteforce(
             fixed[a] = t_star
         free = [a for a in free if a not in stuck]
 
-    witness = _matrix_from_x(instance, cells, last_x[: len(cells)])
+    witness = _allocation_from_x(agents, instance.items, cells, last_x)
     vector = tuple(sorted(fixed[a] for a in agents))
     return vector, witness

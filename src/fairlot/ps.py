@@ -9,13 +9,12 @@ run takes at most n*m stage updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .model import EatingTrace, OrdinalProfile, RandomAllocation, TraceSegment
 
-__all__ = ["PsState", "next_finish_time", "ps_outcome"]
+__all__ = ["ps_outcome"]
 
 PrefsLike = Union[OrdinalProfile, Mapping[str, Sequence[str]]]
 
@@ -30,47 +29,6 @@ def _strict_orders(agents: Sequence[str], items: Sequence[str], prefs: PrefsLike
         if set(orders[agent]) != item_set or len(orders[agent]) != len(item_set):
             raise ValueError(f"preferences of {agent!r} are not a strict order over the items")
     return orders
-
-
-@dataclass
-class PsState:
-    """Snapshot of one eating stage.
-
-    ``eaten[o]`` is the total mass of item o consumed so far and
-    ``eaters[o]`` the agents currently eating o (their most preferred
-    remaining item).  ``remaining`` shrinks strictly from stage to stage.
-    """
-
-    stage: int
-    time: Fraction
-    remaining: frozenset[str]
-    eaten: Mapping[str, Fraction]
-    eaters: Mapping[str, tuple[str, ...]]
-
-
-def next_finish_time(state: PsState) -> tuple[Fraction, tuple[str, ...]]:
-    """Earliest moment at which some currently-eaten item is used up.
-
-    Each item being eaten finishes at ``time + (1 - eaten) / #eaters``;
-    the stage ends at the minimum of those, and all items attaining it
-    are removed together.  Returns that time and the argmin set.
-    """
-    if not state.remaining:
-        raise ValueError("no items remain")
-    best: Fraction | None = None
-    finishing: list[str] = []
-    for item, eaters in state.eaters.items():
-        if not eaters:
-            continue
-        finish = state.time + (1 - state.eaten[item]) / len(eaters)
-        if best is None or finish < best:
-            best = finish
-            finishing = [item]
-        elif finish == best:
-            finishing.append(item)
-    if best is None:
-        raise ValueError("no item is being eaten")
-    return best, tuple(sorted(finishing))
 
 
 def ps_outcome(
@@ -94,11 +52,10 @@ def ps_outcome(
     eaten: dict[str, Fraction] = {o: Fraction(0) for o in items}
     shares: dict[str, dict[str, Fraction]] = {a: {} for a in agents}
     segments: dict[str, list[TraceSegment]] = {a: [] for a in agents}
-    # next_choice[a] scans the agent's order left to right; preferences are
+    # cursor[a] scans the agent's order left to right; preferences are
     # consumed monotonically so the total scan cost is O(nm).
     cursor = {a: 0 for a in agents}
     time = Fraction(0)
-    stage = 0
 
     while remaining:
         eaters: dict[str, list[str]] = {}
@@ -110,14 +67,13 @@ def ps_outcome(
             cursor[a] = k
             eaters.setdefault(order[k], []).append(a)
 
-        state = PsState(
-            stage=stage,
-            time=time,
-            remaining=frozenset(remaining),
-            eaten=eaten,
-            eaters={o: tuple(v) for o, v in eaters.items()},
-        )
-        finish, finishing = next_finish_time(state)
+        # The stage ends when the first item being eaten runs out; every
+        # item finishing at that moment leaves together.
+        finish_of = {
+            item: time + (1 - eaten[item]) / len(group) for item, group in eaters.items()
+        }
+        finish = min(finish_of.values())
+        finishing = [item for item, t in finish_of.items() if t == finish]
         span = finish - time
         for item, group in eaters.items():
             for a in group:
@@ -133,7 +89,6 @@ def ps_outcome(
                 raise AssertionError(f"item {item!r} finished with mass {eaten[item]}")
             remaining.discard(item)
         time = finish
-        stage += 1
 
     horizon = Fraction(len(items), len(agents))
     entries = tuple(

@@ -11,6 +11,7 @@ stochastic-dominance senses.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
@@ -29,6 +30,9 @@ from .ps import ps_outcome
 
 __all__ = [
     "PaddedInstance",
+    "Plan",
+    "plan",
+    "implement",
     "pad_with_dummies",
     "re_eat",
     "project",
@@ -44,7 +48,8 @@ def _fresh_dummy_ids(items: Sequence[str], count: int) -> tuple[str, ...]:
     prefix = "zz-dummy-"
     while any(o.startswith(prefix) for o in taken):
         prefix = "z" + prefix
-    return tuple(f"{prefix}{k:03d}" for k in range(1, count + 1))
+    width = max(3, len(str(count)))
+    return tuple(f"{prefix}{k:0{width}d}" for k in range(1, count + 1))
 
 
 class PaddedInstance:
@@ -82,9 +87,6 @@ class PaddedInstance:
             weak_tiers[agent] = tuple(tuple(t) for t in real) + dummy_tail
         self.prefs_strict = OrdinalProfile(instance.agents, self.items, strict_tiers)
         self.prefs_weak = OrdinalProfile(instance.agents, self.items, weak_tiers)
-
-    def representative_of(self, agent: str, k: int) -> tuple[str, int]:
-        return (agent, k)
 
 
 def pad_with_dummies(instance: Instance, c: int | None = None) -> PaddedInstance:
@@ -161,36 +163,80 @@ def support_bound(c: int, n: int) -> int:
     return k * k - 2 * k + 2
 
 
-def _skip_zero_bundles(
-    instance: Instance, outcome: RandomAllocation
-) -> tuple[int, dict[str, dict[str, Fraction]], dict[str, list[tuple[str, Fraction]]]]:
+@dataclass(frozen=True)
+class Plan:
+    """One eating run, ready to be implemented as a lottery.
+
+    ``expected`` is the eating outcome over the real items, ``padded`` the
+    instance padded with the c the bundles actually fill, and ``bundles``
+    what each agent re-eats (real items plus dummy mass, c in total).
+    """
+
+    expected: RandomAllocation
+    padded: PaddedInstance
+    bundles: Mapping[str, Mapping[str, Fraction]]
+
+
+def _skip_zero_plan(instance: Instance) -> Plan:
     """Pad binary-mode bundles (which include the uniform slivers of
     unwanted items) with dummy mass up to a common size c, enlarging c when
     some agent ate more than ceil(m/n).  Dummy mass is dealt out in one
     sweep over agents so dummy columns still sum to one.
     """
+    outcome, _trace = eps_outcome(instance, mode="skip_zero")
     n, m = instance.n, instance.m
     rows = {a: {o: v for o, v in outcome.row(a).items() if v > 0} for a in instance.agents}
     loads = {a: sum(rows[a].values(), Fraction(0)) for a in instance.agents}
     c = max(-(-m // n), max(-(-load.numerator // load.denominator) for load in loads.values()))
-    dummy_count = c * n - m
-    dummy_ids = _fresh_dummy_ids(instance.items, dummy_count)
-    dummy_slices: dict[str, list[tuple[str, Fraction]]] = {a: [] for a in instance.agents}
+    padded = pad_with_dummies(instance, c)
     pos = 0  # index into the concatenated unit-mass dummy line
     offset = Fraction(0)
     for agent in instance.agents:
         need = c - loads[agent]
         while need > 0:
-            room = 1 - offset
-            bite = min(need, room)
-            dummy_slices[agent].append((dummy_ids[pos], bite))
-            rows[agent][dummy_ids[pos]] = rows[agent].get(dummy_ids[pos], Fraction(0)) + bite
+            bite = min(need, 1 - offset)
+            dummy = padded.dummies[pos]
+            rows[agent][dummy] = rows[agent].get(dummy, Fraction(0)) + bite
             need -= bite
             offset += bite
             if offset == 1:
                 offset = Fraction(0)
                 pos += 1
-    return c, rows, dummy_slices
+    return Plan(outcome, padded, rows)
+
+
+def plan(instance: Instance, rule: str = "ps", skip_zero: bool = False) -> Plan:
+    """Run the eating rule once and pad the instance to match.
+
+    rule="ps" breaks all preference ties lexicographically and runs the
+    serial eating rule; rule="eps" keeps real ties and runs coordinated
+    eating (the outcome is then SD-efficient).  ``skip_zero`` (binary
+    utilities, rule="eps" only) makes agents ignore zero-valued items.
+    Dummies sit below every real item, so eating the padded instance
+    leaves the outcome over the real items unchanged.
+    """
+    if rule not in ("ps", "eps"):
+        raise ValueError(f"unknown rule {rule!r}")
+    if skip_zero and rule != "eps":
+        raise ValueError("skip_zero is only available with rule='eps'")
+    if skip_zero:
+        return _skip_zero_plan(instance)
+    padded = pad_with_dummies(instance)
+    if rule == "ps":
+        outcome, _trace = ps_outcome(instance.agents, padded.items, padded.prefs_strict)
+    else:
+        outcome, _trace = eps_outcome(instance, profile=padded.prefs_weak)
+    bundles = {a: outcome.row(a) for a in instance.agents}
+    return Plan(outcome.restrict_items(instance.items), padded, bundles)
+
+
+def implement(planned: Plan) -> Lottery:
+    """Re-eat the planned bundles, decompose, project and merge: a lottery
+    whose expectation is exactly ``planned.expected``."""
+    padded = planned.padded
+    parts = birkhoff_decompose(re_eat(planned.bundles, padded))
+    entries = tuple((weight, project(perm, padded)) for weight, perm in parts)
+    return Lottery(entries).merged()
 
 
 def ps_lottery(
@@ -199,57 +245,14 @@ def ps_lottery(
     skip_zero: bool = False,
 ) -> tuple[Lottery, RandomAllocation]:
     """Compute a lottery over deterministic allocations whose expectation
-    equals, exactly, the eating outcome of the instance.
-
-    rule="ps" breaks all preference ties lexicographically and runs the
-    serial eating rule; rule="eps" keeps real ties and runs coordinated
-    eating (the outcome is then SD-efficient).  ``skip_zero`` (binary
-    utilities, rule="eps" only) makes agents ignore zero-valued items.
+    equals, exactly, the eating outcome of the instance (see ``plan`` for
+    the rules).
 
     Returns the lottery (duplicate support allocations merged) and the
     expected allocation over the original agents and items.
     """
-    if rule not in ("ps", "eps"):
-        raise ValueError(f"unknown rule {rule!r}")
-    if skip_zero and rule != "eps":
-        raise ValueError("skip_zero is only available with rule='eps'")
-
-    if skip_zero:
-        outcome, _trace = eps_outcome(instance, mode="skip_zero")
-        c, bundles, _slices = _skip_zero_bundles(instance, outcome)
-        padded = pad_with_dummies(instance, c)
-        expected = outcome
-    else:
-        padded = pad_with_dummies(instance)
-        if rule == "ps":
-            padded_outcome, _trace = ps_outcome(
-                instance.agents, padded.items, padded.prefs_strict
-            )
-        else:
-            dummy_values = {
-                a: {d: Fraction(0) for d in padded.dummies} for a in instance.agents
-            }
-            padded_instance = Instance.from_utilities(
-                {
-                    a: {**instance.utility_row(a), **dummy_values[a]}
-                    for a in instance.agents
-                },
-                agents=instance.agents,
-                items=padded.items,
-            )
-            padded_outcome, _trace = eps_outcome(
-                padded_instance, mode="standard", profile=padded.prefs_weak
-            )
-        bundles = {a: padded_outcome.row(a) for a in instance.agents}
-        expected = padded_outcome.restrict_items(instance.items)
-
-    matrix = re_eat(bundles, padded)
-    parts = birkhoff_decompose(matrix)
-    entries = tuple(
-        (weight, project(perm, padded)) for weight, perm in parts
-    )
-    lottery = Lottery(entries).merged()
-    return lottery, expected
+    planned = plan(instance, rule, skip_zero)
+    return implement(planned), planned.expected
 
 
 def _find_affine_dependency(vectors: list[tuple[int, ...]]) -> list[Fraction] | None:

@@ -3,14 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fairlot import (
-    birkhoff_decompose,
-    birkhoff_decompose_seeded,
-    is_bistochastic,
-    perfect_matching,
-    permutation_matrix,
-    positivity_graph,
-)
+from fairlot import birkhoff_decompose, is_bistochastic
 
 IDENTITY_3 = tuple(
     tuple(F(1) if i == j else F(0) for j in range(3)) for i in range(3)
@@ -42,24 +35,6 @@ def test_is_bistochastic():
     assert not is_bistochastic(((F(1), F(0)),))
 
 
-def test_perfect_matching_identity():
-    assert perfect_matching(positivity_graph(IDENTITY_3)) == (0, 1, 2)
-
-
-def test_perfect_matching_halves_prefers_lexicographic():
-    assert perfect_matching(positivity_graph(HALVES_2)) == (0, 1)
-
-
-def test_perfect_matching_example_matrix():
-    # 1_1 -> a, 1_2 -> b, 2_1 -> c, 2_2 -> d
-    assert perfect_matching(positivity_graph(EXAMPLE_Q)) == (0, 1, 2, 3)
-
-
-def test_perfect_matching_failure_signals_bad_input():
-    with pytest.raises(ValueError):
-        perfect_matching([[0], [0]])
-
-
 def test_decompose_identity():
     parts = birkhoff_decompose(IDENTITY_3)
     assert parts == [(F(1), (0, 1, 2))]
@@ -79,32 +54,6 @@ def test_decompose_example_matrix():
 def test_decompose_rejects_non_bistochastic():
     with pytest.raises(ValueError):
         birkhoff_decompose(((F(1), F(0)), (F(1), F(0))))
-
-
-def test_seeded_identity():
-    assert birkhoff_decompose_seeded(IDENTITY_3, (0, 1, 2)) == [(F(1), (0, 1, 2))]
-
-
-def test_seeded_halves_swap_first():
-    parts = birkhoff_decompose_seeded(HALVES_2, (1, 0))
-    assert parts == [(F(1, 2), (1, 0)), (F(1, 2), (0, 1))]
-
-
-def test_seeded_example_second_matrix_first():
-    parts = birkhoff_decompose_seeded(EXAMPLE_Q, (1, 3, 0, 2))
-    assert parts[0] == (F(1, 2), (1, 3, 0, 2))
-    assert recompose(parts, 4) == EXAMPLE_Q
-
-
-def test_seeded_rejects_inconsistent_seed():
-    with pytest.raises(ValueError):
-        birkhoff_decompose_seeded(EXAMPLE_Q, (2, 3, 0, 1))  # 1_1 -> c has mass 0
-    with pytest.raises(ValueError):
-        birkhoff_decompose_seeded(EXAMPLE_Q, (0, 0, 1, 2))  # not a permutation
-
-
-def test_permutation_matrix_view():
-    assert permutation_matrix((1, 0)) == ((F(0), F(1)), (F(1), F(0)))
 
 
 def test_residual_invariant_stepwise():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fairlot import PsState, next_finish_time, ordinal_from_utilities, ps_outcome
+from fairlot import ordinal_from_utilities, ps_outcome
 from conftest import strict_instance
 
 
@@ -36,34 +36,23 @@ def test_rejects_ties():
         ps_outcome(["1", "2"], ["a", "b"], inst_prefs)
 
 
-def test_next_finish_time_fresh_shared_item():
-    state = PsState(
-        stage=0, time=F(0), remaining=frozenset({"a", "b"}),
-        eaten={"a": F(0), "b": F(0)}, eaters={"a": ("1", "2")},
+def test_example_trace_stages():
+    # Both agents eat a, which runs out at 1/2; then agent 1 eats b and
+    # agent 2 eats c, and both finish together at 3/2; d is shared last.
+    _, trace = ps_outcome(
+        ["1", "2"], ["a", "b", "c", "d"],
+        {"1": ["a", "b", "c", "d"], "2": ["a", "c", "b", "d"]},
     )
-    t, finishing = next_finish_time(state)
-    assert t == F(1, 2) and finishing == ("a",)
-
-
-def test_next_finish_time_single_eater_advances_by_one():
-    state = PsState(
-        stage=3, time=F(7, 3), remaining=frozenset({"z"}),
-        eaten={"z": F(0)}, eaters={"z": ("1",)},
+    assert trace.segments["1"] == (
+        ("a", F(0), F(1, 2), F(1, 2)),
+        ("b", F(1, 2), F(3, 2), F(1)),
+        ("d", F(3, 2), F(2), F(1, 2)),
     )
-    t, finishing = next_finish_time(state)
-    assert t == F(7, 3) + 1 and finishing == ("z",)
-
-
-def test_next_finish_time_example_second_stage():
-    # After a is gone (each ate 1/2), agent 1 eats b and agent 2 eats c;
-    # both finish together at 3/2.
-    state = PsState(
-        stage=1, time=F(1, 2), remaining=frozenset({"b", "c", "d"}),
-        eaten={"b": F(0), "c": F(0), "d": F(0)},
-        eaters={"b": ("1",), "c": ("2",)},
+    assert trace.segments["2"] == (
+        ("a", F(0), F(1, 2), F(1, 2)),
+        ("c", F(1, 2), F(3, 2), F(1)),
+        ("d", F(3, 2), F(2), F(1, 2)),
     )
-    t, finishing = next_finish_time(state)
-    assert t == F(3, 2) and finishing == ("b", "c")
 
 
 def test_conservation_and_trace_fuzz():

@@ -45,6 +45,15 @@ def test_padding_counts(example_instance):
     assert list(padded.dummies) == sorted(padded.dummies)
 
 
+def test_dummy_ids_sort_in_creation_order_past_999():
+    inst = Instance.from_utilities({"1": {"a": 1}}, agents=["1"], items=["a"])
+    assert pad_with_dummies(inst, c=3).dummies == ("zz-dummy-001", "zz-dummy-002")
+    dummies = pad_with_dummies(inst, c=1001).dummies
+    assert len(dummies) == 1000
+    assert dummies[0] == "zz-dummy-0001" and dummies[-1] == "zz-dummy-1000"
+    assert list(dummies) == sorted(dummies)
+
+
 def test_padded_preferences():
     inst = Instance.from_utilities(
         {"1": {"x": 2, "a": 2, "z": 1}}, agents=["1"], items=["x", "a", "z"]
