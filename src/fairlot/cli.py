@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import random
 import sys
 from typing import Sequence
@@ -31,14 +32,10 @@ from .fairness import (
     check_sd_ef1,
     check_sd_efficient,
     check_strong_ef1,
+    utility_vectors,
 )
 from .fileio import FormatError, dumps
-from .model import (
-    Instance,
-    format_rational,
-    ordinal_from_utilities,
-    utility_of_bundle,
-)
+from .model import Instance, format_rational, ordinal_from_utilities
 from .oracle import (
     InfeasibilityCertificate,
     enumerate_allocations,
@@ -124,6 +121,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lottery, expected, _meta = fileio.lottery_from_obj(
         _load_json(args.lottery, "lottery file")
     )
+    if set(lottery.agents) != set(instance.agents) or set(lottery.items) != set(instance.items):
+        raise FormatError("lottery universe does not match the instance")
 
     if prop in _EX_ANTE:
         if prop == "ef":
@@ -173,26 +172,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _pareto_flags(instance: Instance, allocations) -> list[bool]:
     """True per allocation iff no other allocation Pareto-dominates it."""
-    vectors = [
-        tuple(utility_of_bundle(instance, a, alloc.row(a)) for a in instance.agents)
-        for alloc in allocations
-    ]
-    distinct = sorted(set(vectors), key=lambda v: (sum(v), v), reverse=True)
-    sums = [sum(v) for v in distinct]
-    dominated: dict[tuple, bool] = {}
-    for k, v in enumerate(distinct):
-        total = sums[k]
-        dom = False
-        # A dominator is >= componentwise and > somewhere, so its sum is
-        # strictly larger: only scan the strictly-larger-sum prefix.
-        for w, sw in zip(distinct, sums):
-            if sw <= total:
-                break
-            if all(wi >= vi for wi, vi in zip(w, v)):
-                dom = True
-                break
-        dominated[v] = dom
-    return [not dominated[v] for v in vectors]
+    vectors = list(utility_vectors(instance, allocations))
+    # A dominator has a strictly larger sum, so in descending-sum order
+    # every maximal vector is met before the vectors it dominates; and a
+    # dominated vector is always dominated by a maximal one, so each
+    # vector is tested against the maxima found so far alone.
+    maxima: list[tuple[int, ...]] = []
+    for v in sorted(set(vectors), key=sum, reverse=True):
+        if not any(all(map(operator.ge, w, v)) for w in maxima):
+            maxima.append(v)
+    maximal = set(maxima)
+    return [v in maximal for v in vectors]
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -6,9 +6,11 @@ that re-fails when replayed in isolation.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .model import (
     DeterministicAllocation,
@@ -16,8 +18,9 @@ from .model import (
     OrdinalProfile,
     RandomAllocation,
     SdRelation,
+    _sd_relation,
+    _tier_prefixes,
     format_rational,
-    sd_compare,
     utility_of_bundle,
 )
 
@@ -33,6 +36,7 @@ __all__ = [
     "check_rb",
     "check_sd_efficient",
     "check_po_bruteforce",
+    "utility_vectors",
 ]
 
 
@@ -102,13 +106,22 @@ def check_ef(p: RandomAllocation | DeterministicAllocation, instance: Instance) 
 
 def check_sd_ef(p: RandomAllocation | DeterministicAllocation, prefs: OrdinalProfile) -> Report:
     """Stochastic-dominance envy-freeness: own row weakly SD-dominates
-    every other row, agent by agent."""
+    every other row, agent by agent.
+
+    Entries are scaled to integers by one common positive factor, which
+    preserves every comparison of prefix sums; each envier then computes
+    the prefix sums of every row once, in its own tier order.
+    """
     agents, rows = _rows_of(p)
+    scale = math.lcm(*(v.denominator for row in rows.values() for v in row.values()))
+    scaled = {a: {o: int(row.get(o, 0) * scale) for o in prefs.items} for a, row in rows.items()}
     for i in agents:
+        tiers = prefs.tiers[i]
+        prefixes = {a: _tier_prefixes(tiers, scaled[a]) for a in agents}
         for j in agents:
             if i == j:
                 continue
-            rel = sd_compare(prefs, i, rows[i], rows[j])
+            rel = _sd_relation(prefixes[i], prefixes[j])
             if rel not in (SdRelation.DOMINATES, SdRelation.EQUIVALENT):
                 return Report(
                     "sdef",
@@ -151,28 +164,54 @@ def _best_removal(
     return chosen, own_value, other_value
 
 
+def _bundles(allocation: DeterministicAllocation) -> dict[str, list[str]]:
+    """Every agent's bundle, in item order, from one pass over the owners."""
+    bundles: dict[str, list[str]] = {a: [] for a in allocation.agents}
+    for o, owner in zip(allocation.items, allocation.owners):
+        bundles[owner].append(o)
+    return bundles
+
+
+def _scores(
+    allocation: DeterministicAllocation, instance: Instance
+) -> dict[str, dict[str, int]]:
+    """``score[i][j]``: agent i's utility for j's bundle, in i's integer
+    scale (see ``Instance.integer_rows``)."""
+    rows = instance.integer_rows()
+    item_idx = instance._index_maps()[1]
+    cells = [(item_idx[o], owner) for o, owner in zip(allocation.items, allocation.owners)]
+    score = {}
+    for i in allocation.agents:
+        values = rows[instance.agent_index(i)][0]
+        totals = score[i] = dict.fromkeys(allocation.agents, 0)
+        for c, owner in cells:
+            totals[owner] += values[c]
+    return score
+
+
 def _check_efk_deterministic(
     allocation: DeterministicAllocation, instance: Instance, k: int, prop: str
 ) -> Report:
     # Items live in exactly one bundle, so both removal semantics reduce
     # to dropping the k items of the envied bundle the envier likes most.
+    # Sums and comparisons run on the envier's integer-scaled utilities.
     agents = allocation.agents
+    rows = instance.integer_rows()
     item_idx = instance._index_maps()[1]
-    bundles = {a: allocation.bundle(a) for a in agents}
+    score = _scores(allocation, instance)
+    bundles = _bundles(allocation)
+    positions = {a: [item_idx[o] for o in bundle] for a, bundle in bundles.items()}
     for i in agents:
-        values = instance.values[instance.agent_index(i)]
-        own = sum(values[item_idx[o]] for o in bundles[i])
+        values, scale = rows[instance.agent_index(i)]
+        value = values.__getitem__
+        mine = score[i]
+        own = mine[i]
         for j in agents:
-            if i == j:
+            if i == j or own >= mine[j]:
                 continue
-            other_values = sorted((values[item_idx[o]] for o in bundles[j]), reverse=True)
-            other = sum(other_values)
-            if own >= other:
-                continue
-            if own < other - sum(other_values[:k]):
-                chosen = sorted(
-                    bundles[j], key=lambda o: (-values[item_idx[o]], o)
-                )[:k]
+            removed = sum(sorted(map(value, positions[j]), reverse=True)[:k])
+            if own < mine[j] - removed:
+                chosen = sorted(bundles[j], key=lambda o: (-values[item_idx[o]], o))[:k]
                 return Report(
                     prop,
                     False,
@@ -180,7 +219,7 @@ def _check_efk_deterministic(
                         "envious": i,
                         "envied": j,
                         "best_removal": chosen,
-                        "gap": other - sum(other_values[:k]) - own,
+                        "gap": Fraction(mine[j] - removed - own, scale),
                     },
                 )
     return Report(prop, True, witness={"k": k, "removal": "both"})
@@ -239,77 +278,48 @@ def check_sd_ef1(allocation: DeterministicAllocation, prefs: OrdinalProfile) -> 
     """SD envy-freeness up to one item: own bundle SD-dominates the other
     bundle, or does so after zeroing a single item of the other bundle.
 
-    Works on tier-count prefixes: the pair passes outright when the
-    envier's cumulative tier counts never fall behind; removing one item
-    of rank r fixes a deficit of one from tier r onward, so a single
-    removal suffices iff the deficit never exceeds one and the other
-    bundle holds an item ranked at or above the first deficit.
+    Works on the envier's ranks of the two bundles, each sorted best
+    first.  Own SD-dominates other iff own is at least as large and its
+    r-th best item is ranked at or above other's r-th best, for every r.
+    Removing an item of rank t lowers other's tier counts from tier t on,
+    so the best removal is other's best item (by rank, then id): the pair
+    passes with one removal iff own dominates other without it.
     """
-    agents = allocation.agents
-    bundles = {a: allocation.bundle(a) for a in agents}
-    removals: dict = {}
-    for i in agents:
+    bundles = _bundles(allocation)
+    witness = {}
+    for i in allocation.agents:
         rank = prefs.tier_rank(i)
-        ntiers = len(prefs.tiers[i])
-        own_counts = [0] * ntiers
-        for o in bundles[i]:
-            own_counts[rank[o]] += 1
-        for j in agents:
-            if i == j:
+        ranks = {a: sorted(map(rank.__getitem__, bundle)) for a, bundle in bundles.items()}
+        own = ranks.pop(i)
+        size = len(own)
+        for j, other in ranks.items():
+            if size >= len(other) and all(map(operator.le, own, other)):
                 continue
-            other_counts = [0] * ntiers
-            for o in bundles[j]:
-                other_counts[rank[o]] += 1
-            own_cum = other_cum = worst = 0
-            first_deficit = None
-            for t in range(ntiers):
-                own_cum += own_counts[t]
-                other_cum += other_counts[t]
-                deficit = other_cum - own_cum
-                if deficit > 0 and first_deficit is None:
-                    first_deficit = t
-                if deficit > worst:
-                    worst = deficit
-            if worst <= 0:
-                removals[(i, j)] = None
+            if size + 1 >= len(other) and all(map(operator.le, own, other[1:])):
+                witness[f"{i}->{j}"] = min(bundles[j], key=lambda o: (rank[o], o))
                 continue
-            fixed = None
-            if worst == 1:
-                candidates = [o for o in bundles[j] if rank[o] <= first_deficit]
-                if candidates:
-                    fixed = min(candidates, key=lambda o: (rank[o], o))
-            if fixed is None:
-                return Report(
-                    "sdef1", False, violation={"envious": i, "envied": j}
-                )
-            removals[(i, j)] = fixed
-    witness = {f"{i}->{j}": o for (i, j), o in removals.items() if o is not None}
+            return Report("sdef1", False, violation={"envious": i, "envied": j})
     return Report("sdef1", True, witness={"removals": witness})
 
 
 def check_strong_ef1(allocation: DeterministicAllocation, instance: Instance) -> Report:
     """Strong EF1: for each agent i, one common item of i's bundle can be
-    removed so that nobody envies i."""
+    removed so that nobody envies i.  Each agent's comparisons run on its
+    integer-scaled utilities."""
     agents = allocation.agents
+    rows = instance.integer_rows()
     item_idx = instance._index_maps()[1]
-    bundles = {a: allocation.bundle(a) for a in agents}
-    values = {a: instance.values[instance.agent_index(a)] for a in agents}
-    score = {
-        (i, j): sum(values[i][item_idx[o]] for o in bundles[j])
-        for i in agents
-        for j in agents
-    }
+    values = {a: rows[instance.agent_index(a)][0] for a in agents}
+    score = _scores(allocation, instance)
     witness = {}
-    for i in agents:
-        enviers = [j for j in agents if j != i and score[(j, j)] < score[(j, i)]]
+    for i, bundle in _bundles(allocation).items():
+        enviers = [j for j in agents if j != i and score[j][j] < score[j][i]]
         if not enviers:
             continue
         found = None
-        for o in bundles[i]:
-            if all(
-                score[(j, j)] >= score[(j, i)] - values[j][item_idx[o]]
-                for j in enviers
-            ):
+        for o in bundle:
+            c = item_idx[o]
+            if all(score[j][j] >= score[j][i] - values[j][c] for j in enviers):
                 found = o
                 break
         if found is None:
@@ -328,9 +338,9 @@ def _rb_round_items(
     """Each agent's bundle sorted best-first (bundle-internal ties broken
     lexicographically); position r-1 is the agent's round-r item."""
     ordered = {}
-    for agent in allocation.agents:
+    for agent, bundle in _bundles(allocation).items():
         rank = prefs.tier_rank(agent)
-        ordered[agent] = sorted(allocation.bundle(agent), key=lambda o: (rank[o], o))
+        ordered[agent] = sorted(bundle, key=lambda o: (rank[o], o))
     return ordered
 
 
@@ -493,6 +503,27 @@ def check_sd_efficient(
         seen.add(node)
 
 
+def utility_vectors(
+    instance: Instance, allocations: Iterable[DeterministicAllocation]
+) -> Iterator[tuple[int, ...]]:
+    """Per allocation, every agent's utility of its bundle in instance
+    agent order, each in that agent's integer scale (``integer_rows``).
+    Pareto dominance between these vectors is dominance between the
+    utility vectors themselves."""
+    agent_idx, item_idx = instance._index_maps()
+    rows = instance.integer_rows()
+    cells = {
+        o: {a: (i, rows[i][0][j]) for a, i in agent_idx.items()}
+        for o, j in item_idx.items()
+    }
+    for allocation in allocations:
+        totals = [0] * instance.n
+        for o, owner in zip(allocation.items, allocation.owners):
+            i, value = cells[o][owner]
+            totals[i] += value
+        yield tuple(totals)
+
+
 def check_po_bruteforce(
     allocation: DeterministicAllocation,
     instance: Instance,
@@ -505,20 +536,20 @@ def check_po_bruteforce(
     """
     from .oracle import enumerate_allocations  # local import to avoid a cycle
 
-    base = {a: utility_of_bundle(instance, a, allocation.row(a)) for a in instance.agents}
-    for candidate in enumerate_allocations(instance.agents, instance.items, budget=budget):
-        values = {
-            a: utility_of_bundle(instance, a, candidate.row(a)) for a in instance.agents
-        }
-        if all(values[a] >= base[a] for a in instance.agents) and any(
-            values[a] > base[a] for a in instance.agents
-        ):
+    candidates = enumerate_allocations(instance.agents, instance.items, budget=budget)
+    (base,) = utility_vectors(instance, [allocation])
+    for candidate, values in zip(candidates, utility_vectors(instance, candidates)):
+        if values != base and all(map(operator.ge, values, base)):
+            scales = [scale for _, scale in instance.integer_rows()]
             return Report(
                 "po",
                 False,
                 violation={
                     "improving_allocation": candidate.owner_map(),
-                    "utilities": values,
+                    "utilities": {
+                        a: Fraction(v, scale)
+                        for a, v, scale in zip(instance.agents, values, scales)
+                    },
                 },
             )
     return Report("po", True, witness={"searched": len(instance.agents) ** len(instance.items)})

@@ -47,6 +47,12 @@ def _require(obj: Mapping, key: str, where: str):
     return obj[key]
 
 
+def _strings(value, where: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise FormatError(f"{where}: expected a list of strings")
+    return value
+
+
 def _rational_at(value, where: str) -> Fraction:
     try:
         return rational(value)
@@ -69,10 +75,8 @@ def instance_from_obj(obj: Mapping) -> Instance:
     agents = _require(obj, "agents", "instance")
     items = _require(obj, "items", "instance")
     utilities = _require(obj, "utilities", "instance")
-    if not isinstance(agents, list) or not all(isinstance(a, str) for a in agents):
-        raise FormatError("instance.agents: expected a list of strings")
-    if not isinstance(items, list) or not all(isinstance(o, str) for o in items):
-        raise FormatError("instance.items: expected a list of strings")
+    _strings(agents, "instance.agents")
+    _strings(items, "instance.items")
     table = {}
     for a in agents:
         row = _require(utilities, a, "instance.utilities")
@@ -99,9 +103,11 @@ def matrix_to_obj(p: RandomAllocation, extra: Mapping | None = None) -> dict:
 
 
 def matrix_from_obj(obj: Mapping) -> RandomAllocation:
-    rows = _require(obj, "rows", "matrix")
-    items = _require(obj, "items", "matrix")
+    rows = _strings(_require(obj, "rows", "matrix"), "matrix.rows")
+    items = _strings(_require(obj, "items", "matrix"), "matrix.items")
     entries = _require(obj, "entries", "matrix")
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise FormatError("matrix.entries: expected a list of lists")
     parsed = []
     for i, row in enumerate(entries):
         parsed.append(tuple(_rational_at(v, f"matrix.entries[{i}][{j}]")
@@ -135,14 +141,23 @@ def lottery_to_obj(
 
 
 def lottery_from_obj(obj: Mapping) -> tuple[Lottery, RandomAllocation, dict]:
-    agents = tuple(_require(obj, "agents", "lottery"))
-    items = tuple(_require(obj, "items", "lottery"))
+    agents = tuple(_strings(_require(obj, "agents", "lottery"), "lottery.agents"))
+    items = tuple(_strings(_require(obj, "items", "lottery"), "lottery.items"))
     support = _require(obj, "support", "lottery")
+    if not isinstance(support, list):
+        raise FormatError("lottery.support: expected a list")
     entries = []
     for k, element in enumerate(support):
         weight = _rational_at(_require(element, "weight", f"lottery.support[{k}]"),
                               f"lottery.support[{k}].weight")
         assignment = _require(element, "assignment", f"lottery.support[{k}]")
+        if not isinstance(assignment, Mapping) or not all(
+            isinstance(o, str) and isinstance(a, str) for o, a in assignment.items()
+        ):
+            raise FormatError(
+                f"lottery.support[{k}].assignment: expected a mapping of item id "
+                "to agent id string"
+            )
         try:
             alloc = DeterministicAllocation.from_mapping(agents, items, assignment)
         except (KeyError, ValueError) as exc:
@@ -156,5 +171,8 @@ def lottery_from_obj(obj: Mapping) -> tuple[Lottery, RandomAllocation, dict]:
     expected = matrix_from_obj({"rows": list(agents), "items": list(items), "entries": raw})
     if expected_allocation(lottery) != expected:
         raise FormatError("lottery: expected matrix does not equal the recomposed support")
-    metadata = dict(obj.get("metadata", {}))
+    metadata = obj.get("metadata", {})
+    if not isinstance(metadata, Mapping):
+        raise FormatError("lottery.metadata: expected a mapping")
+    metadata = dict(metadata)
     return lottery, expected, metadata

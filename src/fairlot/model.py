@@ -9,9 +9,11 @@ structural equality of canonical rationals.
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence, Union
+from typing import Any, Hashable, Mapping, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -140,6 +142,25 @@ class Instance:
             object.__setattr__(self, "_idx", cached)
         return cached
 
+    def integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per agent, in agent order: (its utility row times ``scale``,
+        ``scale``), where ``scale`` is the lcm of the row's denominators.
+
+        A positive per-agent scale preserves every comparison that agent
+        makes, and Pareto dominance coordinate by coordinate, so checkers
+        can work on these exact integers; a scaled total ``t`` is the
+        utility ``Fraction(t, scale)``.
+        """
+        cached = self.__dict__.get("_int")
+        if cached is None:
+            cached = []
+            for row in self.values:
+                scale = math.lcm(*(v.denominator for v in row))
+                cached.append((tuple(v.numerator * (scale // v.denominator) for v in row), scale))
+            cached = tuple(cached)
+            object.__setattr__(self, "_int", cached)
+        return cached
+
     def agent_index(self, agent: str) -> int:
         return self._index_maps()[0][agent]
 
@@ -185,8 +206,14 @@ class OrdinalProfile:
                 raise ValueError(f"tiers of {agent!r} do not cover the item set")
 
     def tier_rank(self, agent: str) -> dict[str, int]:
-        """Item -> tier position map for one agent (0 = best)."""
-        return {o: k for k, tier in enumerate(self.tiers[agent]) for o in tier}
+        """Item -> tier position map for one agent (0 = best).  Cached per
+        agent: callers must not mutate it."""
+        cache = self.__dict__.setdefault("_ranks", {})
+        rank = cache.get(agent)
+        if rank is None:
+            rank = {o: k for k, tier in enumerate(self.tiers[agent]) for o in tier}
+            cache[agent] = rank
+        return rank
 
     def is_strict(self, agent: str | None = None) -> bool:
         """True when every tier is a singleton (for one agent or all)."""
@@ -480,19 +507,29 @@ def sd_compare(
     it) as y does.  With a weak order, upper contour sets are the tier
     prefixes, ties included.
     """
-    rx = _as_row(prefs.items, x)
-    ry = _as_row(prefs.items, y)
-    ge = True  # x's prefix sums all >= y's
-    le = True
-    cx = cy = Fraction(0)
-    for tier in prefs.tiers[agent]:
+    tiers = prefs.tiers[agent]
+    return _sd_relation(
+        _tier_prefixes(tiers, _as_row(prefs.items, x)),
+        _tier_prefixes(tiers, _as_row(prefs.items, y)),
+    )
+
+
+def _tier_prefixes(tiers: Sequence[Sequence[str]], row: Mapping[str, Any]) -> list:
+    """Mass of ``row`` on each upper contour set: cumulative sums over the
+    tiers, best first."""
+    prefixes = []
+    total = 0
+    for tier in tiers:
         for o in tier:
-            cx += rx[o]
-            cy += ry[o]
-        if cx < cy:
-            ge = False
-        if cx > cy:
-            le = False
+            total += row[o]
+        prefixes.append(total)
+    return prefixes
+
+
+def _sd_relation(x: Sequence, y: Sequence) -> SdRelation:
+    """Relate two rows from their tier prefix sums (see sd_compare)."""
+    ge = all(map(operator.ge, x, y))
+    le = all(map(operator.le, x, y))
     if ge and le:
         return SdRelation.EQUIVALENT
     if ge:

@@ -45,13 +45,22 @@ BUDGET_ENV_VAR = "FAIRLOT_BUDGET"
 
 def configured_budget(budget: int | None = None) -> int:
     """Explicit argument, else the FAIRLOT_BUDGET environment variable,
-    else the built-in default."""
+    else the built-in default.  The variable must hold a nonnegative
+    integer; anything else raises ValueError naming it."""
     if budget is not None:
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
+    if env is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+        if value < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"{BUDGET_ENV_VAR} must be a nonnegative integer, got {env!r}"
+        ) from None
+    return value
 
 
 def enumerate_allocations(

@@ -288,6 +288,86 @@ def test_oracle_budget_refusal(tmp_path, example_file, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["-5", "1e5"])
+def test_oracle_rejects_bad_budget(tmp_path, example_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("FAIRLOT_BUDGET", value)
+    matrix = {"rows": ["1", "2"], "items": ["a", "b", "c", "d"],
+              "entries": [["1/2"] * 4, ["1/2"] * 4]}
+    m_path = tmp_path / "m.json"
+    m_path.write_text(json.dumps(matrix))
+    code, _ = run(["oracle", "--filter", "none", "--input", example_file,
+                   "--allocation", str(m_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "FAIRLOT_BUDGET" in err and repr(value) in err
+
+
+def _example_lottery():
+    return {
+        "agents": ["1", "2"],
+        "items": ["a", "b", "c", "d"],
+        "expected": [["1", "1", "0", "0"], ["0", "0", "1", "1"]],
+        "support": [{"weight": "1",
+                     "assignment": {"a": "1", "b": "1", "c": "2", "d": "2"}}],
+    }
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("assignment", ["1", "1", "2", "2"], "lottery.support[0].assignment"),
+    ("owner", ["1"], "lottery.support[0].assignment"),
+    ("agents", "12", "lottery.agents"),
+    ("support", {"weight": "1"}, "lottery.support"),
+])
+def test_malformed_lottery_exits_2(tmp_path, example_file, capsys, field, value, where):
+    doc = _example_lottery()
+    if field == "assignment":
+        doc["support"][0]["assignment"] = value
+    elif field == "owner":
+        doc["support"][0]["assignment"]["a"] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "bad-lottery.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["verify", "--property", "ef1", "--input", example_file,
+                   "--lottery", str(path)])
+    assert code == 2
+    assert f"fairlot: error: {where}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("agents", ["1", "3"]), ("items", list("abcz"))])
+def test_verify_rejects_other_universe(tmp_path, example_file, capsys, field, value):
+    doc = _example_lottery()
+    doc[field] = value
+    # The first two items to the first agent, the rest to the second, as
+    # in the expected matrix.
+    first, second = doc["agents"]
+    doc["support"][0]["assignment"] = dict(zip(doc["items"], [first, first, second, second]))
+    path = tmp_path / "other-lottery.json"
+    path.write_text(json.dumps(doc))
+    for prop in ("ef1", "po"):
+        code, _ = run(["verify", "--property", prop, "--input", example_file,
+                       "--lottery", str(path)])
+        assert code == 2
+        assert "universe does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("rows", [["1"], "2"], "matrix.rows"),
+    ("items", ["a", "b", "c", 4], "matrix.items"),
+    ("entries", [4, ["0", "0", "1", "1"]], "matrix.entries"),
+])
+def test_malformed_matrix_exits_2(tmp_path, example_file, capsys, field, value, where):
+    doc = {"rows": ["1", "2"], "items": ["a", "b", "c", "d"],
+           "entries": [["1", "1", "0", "0"], ["0", "0", "1", "1"]]}
+    doc[field] = value
+    path = tmp_path / "bad-matrix.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["oracle", "--filter", "none", "--input", example_file,
+                   "--allocation", str(path)])
+    assert code == 2
+    assert f"fairlot: error: {where}:" in capsys.readouterr().err
+
+
 def test_malformed_json_diagnostic(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")

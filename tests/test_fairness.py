@@ -102,36 +102,38 @@ def test_check_efk_removal_semantics_agree_on_deterministic():
             assert both == envied
 
 
+def slow_efk(alloc, inst, k):
+    """EFk by definition: every envier has a removal set of at most k items
+    of the two bundles whose zeroing in both rows kills the envy."""
+    for i in inst.agents:
+        for j in inst.agents:
+            if i == j:
+                continue
+            candidates = alloc.bundle(i) + alloc.bundle(j)
+            good = False
+            for size in range(k + 1):
+                for removal in combinations(candidates, size):
+                    own, other = alloc.row(i), alloc.row(j)
+                    for o in removal:
+                        own[o] = F(0)
+                        other[o] = F(0)
+                    if utility_of_bundle(inst, i, own) >= utility_of_bundle(inst, i, other):
+                        good = True
+                        break
+                if good:
+                    break
+            if not good:
+                return False
+    return True
+
+
 def test_check_efk_vs_bruteforce():
     rng = random.Random(32)
-
-    def slow(alloc, inst, k):
-        for i in inst.agents:
-            for j in inst.agents:
-                if i == j:
-                    continue
-                candidates = alloc.bundle(i) + alloc.bundle(j)
-                good = False
-                for size in range(k + 1):
-                    for removal in combinations(candidates, size):
-                        own, other = alloc.row(i), alloc.row(j)
-                        for o in removal:
-                            own[o] = F(0)
-                            other[o] = F(0)
-                        if utility_of_bundle(inst, i, own) >= utility_of_bundle(inst, i, other):
-                            good = True
-                            break
-                    if good:
-                        break
-                if not good:
-                    return False
-        return True
-
     for _ in range(60):
         inst = weak_instance(rng, rng.randint(2, 3), rng.randint(1, 5))
         alloc = rand_alloc(rng, inst)
         for k in (0, 1, 2):
-            assert check_efk(alloc, inst, k).ok == slow(alloc, inst, k)
+            assert check_efk(alloc, inst, k).ok == slow_efk(alloc, inst, k)
 
 
 def test_check_sd_ef1_examples(example_instance):
@@ -160,33 +162,35 @@ def test_check_sd_ef1_examples(example_instance):
     assert not report.ok
 
 
+def slow_sd_ef1(alloc, prefs):
+    """SD-EF1 by definition: own row weakly SD-dominates the other row,
+    or does after zeroing one item of the other bundle."""
+    weak = (SdRelation.DOMINATES, SdRelation.EQUIVALENT)
+    for i in alloc.agents:
+        own = alloc.row(i)
+        for j in alloc.agents:
+            if i == j:
+                continue
+            other = alloc.row(j)
+            if sd_compare(prefs, i, own, other) in weak:
+                continue
+            for o in alloc.bundle(j):
+                reduced = dict(other)
+                reduced[o] = F(0)
+                if sd_compare(prefs, i, own, reduced) in weak:
+                    break
+            else:
+                return False
+    return True
+
+
 def test_check_sd_ef1_vs_bruteforce():
     rng = random.Random(33)
-
-    def slow(alloc, prefs):
-        weak = (SdRelation.DOMINATES, SdRelation.EQUIVALENT)
-        for i in alloc.agents:
-            own = alloc.row(i)
-            for j in alloc.agents:
-                if i == j:
-                    continue
-                other = alloc.row(j)
-                if sd_compare(prefs, i, own, other) in weak:
-                    continue
-                for o in alloc.bundle(j):
-                    reduced = dict(other)
-                    reduced[o] = F(0)
-                    if sd_compare(prefs, i, own, reduced) in weak:
-                        break
-                else:
-                    return False
-        return True
-
     for _ in range(120):
         inst = weak_instance(rng, rng.randint(2, 4), rng.randint(1, 6))
         prefs = ordinal_from_utilities(inst)
         alloc = rand_alloc(rng, inst)
-        assert check_sd_ef1(alloc, prefs).ok == slow(alloc, prefs)
+        assert check_sd_ef1(alloc, prefs).ok == slow_sd_ef1(alloc, prefs)
 
 
 def test_check_strong_ef1(example_instance):

@@ -1,9 +1,9 @@
 """Byte-level pins of CLI output.
 
-Each case writes a small seeded instance, runs one ``solve`` or
-``lottery`` command and compares the sha256 of its standard output with
-a recorded digest, so a refactor that changes any byte of a document
-shows up here.
+Each case writes a small seeded (or hand-written) instance, runs one
+``solve``, ``lottery``, ``verify`` or ``oracle`` command and compares the
+sha256 of its standard output with a recorded digest, so a refactor that
+changes any byte of a document or certificate shows up here.
 """
 
 import contextlib
@@ -11,10 +11,11 @@ import hashlib
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from fairlot import fileio
+from fairlot import DeterministicAllocation, Lottery, fileio
 from fairlot.cli import main
 from conftest import binary_instance, strict_instance, weak_instance
 
@@ -101,3 +102,151 @@ def test_skip_zero_metadata_describes_the_padding_used(tmp_path):
     assert not set(dummies) & set("abcdef")
     assert all(order == list("abcdef") + dummies for order in orders.values())
     assert metadata["padded_items"] == ["e", "f"]
+
+
+# Checking output.  Lotteries and target matrices are built by the CLI
+# from the seeded instances above; the hand-written case has fractional
+# utilities, ties and a zero, and its lottery fails ef1, sdef1,
+# strong-ef1, rb and po, so violation certificates are pinned as well.
+HAND = {
+    "agents": ["1", "2", "3"],
+    "items": ["a", "b", "c", "d", "e"],
+    "utilities": {
+        "1": {"a": "1/2", "b": "1/3", "c": "1/4", "d": "1/5", "e": "1/6"},
+        "2": {"a": "2/3", "b": "1/2", "c": "3/4", "d": "1/6", "e": "5/12"},
+        "3": {"a": "1", "b": "1", "c": "1/2", "d": "1/2", "e": "0"},
+    },
+}
+# (weight, owners of a..e)
+HAND_SUPPORT = (("1/3", "11111"), ("1/2", "32121"), ("1/6", "21331"))
+
+# (verify flags, instance kind or "hand", seed, n, m) -> sha256 of stdout
+VERIFY_GOLDEN = {
+    (("ef",), "tied", 2, 3, 7):
+        "3fea234cd0395608ee1eecd3a869617dd795889cc5f5e225cfde3b30dbdaf0f8",
+    (("sdef",), "tied", 2, 3, 7):
+        "3994681e34333b2a0d5092fd7d61beb82bb568baf16ee41030ae00086eb0d322",
+    (("sdeff",), "tied", 2, 3, 7):
+        "f4c0d36afe3b6feacc6e302c793be15ec30953bf41d83f54d7cfe7fcd9bf78bd",
+    (("ef1",), "tied", 2, 3, 7):
+        "c45f1afad3a07cee5ae2334f55e073850702664b24777f6a5d82f7f62555babd",
+    (("efk", "--k", "0"), "tied", 2, 3, 7):
+        "18645f6ba842ef37be04454c86d0ae08242c17ed84f5b7d7717d16b2da9f5d52",
+    (("efk", "--k", "2"), "tied", 2, 3, 7):
+        "1b2671146cb9ee2f47d1dffa131e86ee3fc049c8791527f528b0de13da1f0f46",
+    (("sdef1",), "tied", 2, 3, 7):
+        "9c7fe1a39b57e38f2c888f47c390508738ac5244a1ef52daa35f7d39aa6ea172",
+    (("strong-ef1",), "tied", 2, 3, 7):
+        "59c0b7c9045a4e2c3a385d9644715286225739bf81952c499fb6ec8151e1a63b",
+    (("rb",), "tied", 2, 3, 7):
+        "410c5cbe842235b35cfc255bd2e6dd380188ccadede4d0120a072261678512bb",
+    (("po",), "tied", 2, 3, 7):
+        "7fa9adcb4d4ea8c36f83214f3e79ed6769b50fa51f00f6fb3c8df9915a325f5c",
+    (("ef",), "hand", 0, 3, 5):
+        "256734347c2563295e4cba4b2d3d126a038f28b01e1268b5e2de628ea8fd88b0",
+    (("sdef",), "hand", 0, 3, 5):
+        "e385865a3b234df7bafaf8379e2598d9373d1572fcfaff79279289e4635978ca",
+    (("ef1",), "hand", 0, 3, 5):
+        "24dc424a681b4ed47b19da6be676f3740a0dd51d6bef3a646c6f80942ce476a7",
+    (("efk", "--k", "0"), "hand", 0, 3, 5):
+        "e6cacb1c8f15d096cd06dbee9f6048f3014838d4a553a7320998ccf29b122115",
+    (("efk", "--k", "2"), "hand", 0, 3, 5):
+        "a45b3def1e2c03e51b0f0f03ebcc14e85737c0ed5537776f7ed98d84395c53dc",
+    (("sdef1",), "hand", 0, 3, 5):
+        "614ef4e6a9ed949bef59b4f466e53ab3c6e7e36b65576f37612b0faeb2db087d",
+    (("strong-ef1",), "hand", 0, 3, 5):
+        "455aca26843857e177306f0e094c057d521851efb8d903455b9c6aa1f50456d4",
+    (("rb",), "hand", 0, 3, 5):
+        "cc9e1476a1bb15d754cffcd6048edcfcfa3d35cdc4abbfae3593bddd3230dd5e",
+    (("po",), "hand", 0, 3, 5):
+        "1b73855b7dfb9e7ac5f3d3a29ae9dd774be64f8b7ed880b57c0a3d33aeec83e1",
+    (("ef1",), "strict", 1, 4, 7):
+        "6531f19bed9e4aa1044495ad333f1bcd4b2fc7644c8a556eb3b06cf0c0264b25",
+    (("sdef1",), "strict", 1, 4, 7):
+        "710bbe9871c56bbc99b6109fd21747accdadb177cdcc50063bb429e616e4fa2e",
+    (("strong-ef1",), "strict", 1, 4, 7):
+        "4b17e7f03ab588228ed21d3a41a8a34aab8dba67942481a03ea0b65592587f68",
+    (("rb",), "strict", 1, 4, 7):
+        "f79472b181f0c07c77efb9ed2f4a81f9f78ac8a927f6fd607e162a69d4503c59",
+}
+
+# (filter, instance kind or "hand", seed, n, m) -> sha256 of stdout
+ORACLE_GOLDEN = {
+    (("ef1-po",), "tied", 2, 3, 7):
+        "da03de795b44eea9fd4ce348c769712b9eb65df9fb6af1bf1f5c29301d4eb1eb",
+    (("balanced-po",), "tied", 2, 3, 7):
+        "e1f56f267530fee04b7ae2009611ce48c8bdf2abe66f6c6df6d9b23538acb463",
+    (("ef1-po",), "binary", 4, 3, 6):
+        "d8bfb3f7e45eeb5dbd099f344a8b4052348205c060f3e9cd6925467d66a30dd9",
+    (("balanced-po",), "binary", 4, 3, 6):
+        "b972e047e36aec2504f0749fea1b454e6d59b3c1803e7ce76957dfab2657ad7b",
+    (("ef1-po",), "hand", 0, 3, 5):
+        "6075c965b66fb141a45e535e0585cd426c262c03a5f889ba65badd837f8c99cd",
+    (("balanced-po",), "hand", 0, 3, 5):
+        "b73dbcfd7126c148af393868286ee77b406a959447eb8dcdcece6d7c1945c1ea",
+}
+
+
+def hand_files(tmp_path):
+    instance = tmp_path / "hand.json"
+    instance.write_text(json.dumps(HAND))
+    agents, items = tuple(HAND["agents"]), tuple(HAND["items"])
+    lottery = Lottery(tuple(
+        (Fraction(weight), DeterministicAllocation(agents, items, tuple(owners)))
+        for weight, owners in HAND_SUPPORT
+    ))
+    path = tmp_path / "hand-lottery.json"
+    path.write_text(fileio.dumps(fileio.lottery_to_obj(lottery)))
+    return str(instance), str(path)
+
+
+def checking_inputs(tmp_path, kind, seed, n, m):
+    """(instance file, lottery file, eps outcome file) of one case."""
+    if kind == "hand":
+        instance, lottery = hand_files(tmp_path)
+    else:
+        instance = instance_file(tmp_path, kind, seed, n, m)
+        lottery = str(tmp_path / "lottery.json")
+        code, _ = run(["lottery", "--rule", "eps", "--input", instance, "--out", lottery])
+        assert code == 0
+    code, out = run(["solve", "--rule", "eps", "--input", instance])
+    assert code == 0
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(out)
+    return instance, lottery, str(matrix)
+
+
+def checking_id(case):
+    flags, kind, seed, n, m = case
+    return "-".join([*(f.lstrip("-") for f in flags), kind, str(seed), f"{n}x{m}"])
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_GOLDEN), ids=checking_id)
+def test_verify_digest(tmp_path, case):
+    flags, kind, seed, n, m = case
+    instance, lottery, _ = checking_inputs(tmp_path, kind, seed, n, m)
+    code, out = run(["verify", "--property", *flags, "--input", instance,
+                     "--lottery", lottery])
+    assert code == (0 if json.loads(out)["verdict"] == "PASS" else 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_GOLDEN), ids=checking_id)
+def test_oracle_digest(tmp_path, case):
+    flags, kind, seed, n, m = case
+    instance, _, matrix = checking_inputs(tmp_path, kind, seed, n, m)
+    code, out = run(["oracle", "--filter", *flags, "--input", instance,
+                     "--allocation", matrix])
+    assert code == (0 if json.loads(out)["feasible"] else 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_GOLDEN[case]
+
+
+def test_hand_lottery_fails_where_pinned(tmp_path):
+    instance, lottery = hand_files(tmp_path)
+    verdicts = {}
+    for prop in ("ef1", "sdef1", "strong-ef1", "rb", "po"):
+        code, out = run(["verify", "--property", prop, "--input", instance,
+                         "--lottery", lottery])
+        verdicts[prop] = [entry["verdict"] for entry in json.loads(out)["support"]]
+        assert code == 1
+    assert all("FAIL" in v for v in verdicts.values())
