@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 
+_ZERO = Fraction(0)
+
+
 class _Flow:
     """Max-flow on a small graph with exact rational capacities.
 
@@ -144,7 +147,7 @@ class EatingNetwork:
     growing: frozenset[Hashable] | None = None
 
     def demand_of(self, eater: Hashable) -> Fraction:
-        return self.demands.get(eater, Fraction(0))
+        return self.demands.get(eater, _ZERO)
 
     def growing_set(self) -> frozenset[Hashable]:
         return frozenset(self.eaters) if self.growing is None else self.growing
@@ -183,6 +186,10 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
         if not live:
             raise ValueError(f"eater {e!r} has no eligible items left")
         eligible[e] = live
+    if not growing <= set(eaters):
+        raise ValueError("every growing eater must be one of the eaters")
+    if all(len(live) == 1 for live in eligible.values()):
+        return _forced_duration(network, eaters, growing, eligible)
     items = sorted({o for live in eligible.values() for o in live})
     cap = {o: network.capacity[o] for o in items}
 
@@ -275,6 +282,52 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
     )
 
 
+def _forced_duration(
+    network: EatingNetwork,
+    eaters: tuple[Hashable, ...],
+    growing: frozenset[Hashable],
+    eligible: Mapping[Hashable, frozenset[str]],
+) -> DurationResult:
+    """``max_eating_duration`` when every eater has a single live item.
+
+    Each eater's flow is forced onto its item, so the bottleneck ratio is
+    taken item by item: (capacity - prior demand of its eaters) / number of
+    growing eaters.  The items the minimum exhausts are the tight ones and
+    their eaters the maximal tight set, as the min-cut would find.
+    """
+    item_of: dict[Hashable, str] = {}
+    fixed: dict[str, Fraction] = {}
+    rate: dict[str, int] = {}
+    for e in eaters:
+        (o,) = eligible[e]
+        item_of[e] = o
+        if o in fixed:
+            fixed[o] += network.demand_of(e)
+            rate[o] += e in growing
+        else:
+            fixed[o] = network.demand_of(e)
+            rate[o] = int(e in growing)
+    cap = network.capacity
+    slack = {o: cap[o] - fixed[o] for o in fixed}
+    if any(v < 0 for v in slack.values()):
+        if sum(cap[o] for o in sorted(fixed)) < sum(fixed.values()):
+            raise ValueError("prior demands already exceed the available capacity")
+        raise ValueError("prior demands are infeasible")
+    ratio = {o: Fraction(slack[o], rate[o]) for o in fixed if rate[o]}
+    delta = min(ratio.values())
+    exhausted = {o for o in fixed if (ratio[o] == delta if rate[o] else slack[o] == 0)}
+    flows: dict[Hashable, dict[str, Fraction]] = {}
+    for e in eaters:
+        amount = network.demand_of(e) + delta if e in growing else network.demand_of(e)
+        flows[e] = {item_of[e]: amount} if amount > 0 else {}
+    return DurationResult(
+        duration=delta,
+        tight_eaters=tuple(sorted((e for e in eaters if item_of[e] in exhausted), key=str)),
+        tight_items=tuple(sorted(exhausted)),
+        flow=flows,
+    )
+
+
 @dataclass
 class _Epoch:
     start: Fraction
@@ -301,6 +354,9 @@ def _run_fluid(
     rows: dict[str, dict[str, Fraction]] = {a: {} for a in agents}
     windows: list[tuple[str, Fraction, Fraction, dict[str, Fraction]]] = []
     epoch: dict[str, _Epoch] = {}
+    # Items only ever leave the market, so a tier found empty stays empty:
+    # each agent's search resumes at the first tier that was still alive.
+    first = {a: 0 for a in agents}
     active = [a for a in agents]
     t = Fraction(0)
 
@@ -308,10 +364,11 @@ def _run_fluid(
         still_active = []
         for a in active:
             current: frozenset[str] | None = None
-            for tier in tiers[a]:
-                alive = frozenset(o for o in tier if o in live)
+            for k in range(first[a], len(tiers[a])):
+                alive = frozenset(o for o in tiers[a][k] if o in live)
                 if alive:
                     current = alive
+                    first[a] = k
                     break
             if current is None:
                 old = epoch.pop(a, None)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
+from .fileio import matrix_to_obj
 from .model import (
     DeterministicAllocation,
     Instance,
@@ -50,7 +51,8 @@ class Report:
 
     ``ok`` is True/False for a decided check; ``witness`` documents why it
     passed, ``violation`` why it failed.  Both are plain dict/list/str
-    payloads so they serialize as-is.
+    payloads, except that a ``RandomAllocation`` in them serializes as a
+    matrix document.
     """
 
     prop: str
@@ -63,6 +65,8 @@ class Report:
         def encode(value):
             if isinstance(value, Fraction):
                 return format_rational(value)
+            if isinstance(value, RandomAllocation):
+                return matrix_to_obj(value)
             if isinstance(value, dict):
                 return {str(k): encode(v) for k, v in value.items()}
             if isinstance(value, (list, tuple)):

@@ -413,13 +413,11 @@ class Lottery:
         """Combine repeated support allocations by adding their weights."""
         weights: dict[tuple[str, ...], Fraction] = {}
         order: list[DeterministicAllocation] = []
-        by_key: dict[tuple[str, ...], DeterministicAllocation] = {}
         for weight, allocation in self.entries:
             key = allocation.owners
             if key not in weights:
                 weights[key] = Fraction(0)
                 order.append(allocation)
-                by_key[key] = allocation
             weights[key] += weight
         return Lottery(tuple((weights[a.owners], a) for a in order))
 

@@ -255,40 +255,32 @@ def ps_lottery(
     return implement(planned), planned.expected
 
 
-def _find_affine_dependency(vectors: list[tuple[int, ...]]) -> list[Fraction] | None:
+def _find_affine_dependency(masks: list[int], dim: int) -> list[Fraction] | None:
     """Nonzero rational coefficients summing a set of 0/1 vectors (with an
     affine trailing 1) to zero, or None when they are affinely independent.
+    Each vector is a bitmask over ``dim`` coordinates, bit b holding
+    coordinate b.
 
     A bitmask elimination over GF(2) runs first: 0/1 vectors that are
     independent mod 2 are independent over the rationals, which settles
     the common case without exact arithmetic.
     """
-    masks: list[int] = []
-    for vec in vectors:
-        mask = 0
-        for bit, v in enumerate(vec):
-            if v & 1:
-                mask |= 1 << bit
-        masks.append(mask)
     pivots: list[int] = []
-    independent = True
     for mask in masks:
         for p in pivots:
             low = p & -p
             if mask & low:
                 mask ^= p
         if mask == 0:
-            independent = False
             break
         pivots.append(mask)
-    if independent:
+    else:
         return None
 
     # Exact integer elimination with coefficient tracking.
-    dim = len(vectors[0])
     basis: list[tuple[int, list[int], dict[int, Fraction]]] = []  # (pivot, row, expr)
-    for t, vec in enumerate(vectors):
-        row = list(vec)
+    for t, mask in enumerate(masks):
+        row = [(mask >> b) & 1 for b in range(dim)]
         expr: dict[int, Fraction] = {t: Fraction(1)}
         for pivot, brow, bexpr in basis:
             q = row[pivot]
@@ -310,7 +302,7 @@ def _find_affine_dependency(vectors: list[tuple[int, ...]]) -> list[Fraction] | 
                 expr = {k: v / g for k, v in expr.items()}
             basis.append((pivot, row, expr))
         else:
-            coeffs = [Fraction(0)] * len(vectors)
+            coeffs = [Fraction(0)] * len(masks)
             for k, v in expr.items():
                 coeffs[k] = v
             return coeffs
@@ -329,17 +321,22 @@ def reduce_support(lottery: Lottery) -> Lottery:
     lottery = lottery.merged()
     agents, items = lottery.agents, lottery.items
     agent_index = {a: i for i, a in enumerate(agents)}
-
-    def vectorize(allocation: DeterministicAllocation) -> tuple[int, ...]:
-        vec = [0] * (len(agents) * len(items) + 1)
-        for j, owner in enumerate(allocation.owners):
-            vec[agent_index[owner] * len(items) + j] = 1
-        vec[-1] = 1
-        return tuple(vec)
-
-    entries = [(weight, alloc, vectorize(alloc)) for weight, alloc in lottery.entries]
+    m = len(items)
+    coords = [
+        [agent_index[owner] * m + j for j, owner in enumerate(alloc.owners)]
+        for _, alloc in lottery.entries
+    ]
+    # A coordinate no support allocation uses is zero in every vector and
+    # cannot affect affine dependence, so the vectors keep only the used
+    # ones, in their original order, followed by the affine 1.
+    column = {x: b for b, x in enumerate(sorted({x for xs in coords for x in xs}))}
+    affine = 1 << len(column)
+    entries = [
+        (weight, alloc, sum((1 << column[x] for x in xs), affine))
+        for (weight, alloc), xs in zip(lottery.entries, coords)
+    ]
     while True:
-        gamma = _find_affine_dependency([vec for _, _, vec in entries])
+        gamma = _find_affine_dependency([mask for _, _, mask in entries], len(column) + 1)
         if gamma is None:
             break
         if all(g <= 0 for g in gamma):
@@ -348,8 +345,8 @@ def reduce_support(lottery: Lottery) -> Lottery:
             (Fraction(w) / g for (w, _, _), g in zip(entries, gamma) if g > 0),
         )
         entries = [
-            (w - step * g, alloc, vec)
-            for (w, alloc, vec), g in zip(entries, gamma)
+            (w - step * g, alloc, mask)
+            for (w, alloc, mask), g in zip(entries, gamma)
             if w - step * g != 0
         ]
     reduced = Lottery(tuple((w, alloc) for w, alloc, _ in entries))

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from fairlot import fileio
+from fairlot import SdRelation, fileio, ordinal_from_utilities, sd_compare
 from fairlot.cli import main
+from test_golden import hand_files
 
 EXAMPLE = {
     "agents": ["1", "2"],
@@ -185,6 +186,27 @@ def test_verify_pass_and_fail(tmp_path, example_file):
     doc = json.loads(out)
     assert doc["verdict"] == "FAIL"
     assert any(entry["verdict"] == "FAIL" for entry in doc["support"])
+
+
+def test_verify_sdeff_failure_carries_a_dominating_matrix(tmp_path):
+    # The hand-written lottery has ties, so sdeff takes the LP path, and
+    # its expectation is not SD-efficient.
+    instance_path, lottery_path = hand_files(tmp_path)
+    code, out = run(["verify", "--property", "sdeff", "--input", instance_path,
+                     "--lottery", lottery_path])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "FAIL"
+    better = fileio.matrix_from_obj(doc["violation"]["dominating_allocation"])
+    with open(instance_path) as handle:
+        instance = fileio.instance_from_obj(json.load(handle))
+    with open(lottery_path) as handle:
+        _, expected, _ = fileio.lottery_from_obj(json.load(handle))
+    prefs = ordinal_from_utilities(instance)
+    relations = [sd_compare(prefs, a, better.row(a), expected.row(a))
+                 for a in instance.agents]
+    assert set(relations) <= {SdRelation.DOMINATES, SdRelation.EQUIVALENT}
+    assert SdRelation.DOMINATES in relations
 
 
 def test_verify_needs_lottery(example_file):

@@ -1,5 +1,7 @@
 """Differential property tests: the ex-post checkers and the oracle's
-Pareto filter against brute force written from the definitions.
+Pareto filter against brute force written from the definitions,
+support reduction against a dense full-width elimination, and the eating
+engine's max-flow against networkx.
 
 The checkers compare per-agent integer-scaled utilities, so instances
 here carry fractional utilities (denominators up to 12), zeros and ties:
@@ -9,7 +11,9 @@ replayed with exact ``Fraction`` arithmetic.
 
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairlot import (
@@ -23,9 +27,11 @@ from fairlot import (
     check_strong_ef1,
     expected_allocation,
     ordinal_from_utilities,
+    reduce_support,
     utility_of_bundle,
 )
 from fairlot.cli import _pareto_flags
+from fairlot.eps import _Flow
 from fairlot.oracle import enumerate_allocations
 from test_fairness import slow_efk, slow_sd_ef1
 
@@ -187,3 +193,133 @@ def test_pareto_flags_match_definition(inst):
     vectors = [vector(inst, alloc) for alloc in allocations]
     expected = [not any(dominates(w, v) for w in vectors) for v in vectors]
     assert _pareto_flags(inst, allocations) == expected
+
+
+@st.composite
+def lotteries(draw):
+    """Lotteries over n <= 3 agents and m <= 5 items, drawn from all n^m
+    allocations with repeats.  Crossed pairs make supports affinely
+    dependent on purpose: x + y = x' + y' when x' and y' swap the owners
+    of x and y on a set of items."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    agents = tuple(f"a{i}" for i in range(1, n + 1))
+    items = tuple(f"o{j}" for j in range(1, m + 1))
+    owners = st.tuples(*[st.sampled_from(agents)] * m)
+    support = draw(st.lists(owners, min_size=1, max_size=12))
+    for x, y in draw(st.lists(st.tuples(owners, owners), max_size=3)):
+        swap = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        support += [x, y,
+                    tuple(b if s else a for a, b, s in zip(x, y, swap)),
+                    tuple(a if s else b for a, b, s in zip(x, y, swap))]
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+    return Lottery(tuple(
+        (F(w, sum(raw)), DeterministicAllocation(agents, items, o))
+        for w, o in zip(raw, support)
+    ))
+
+
+def dense_vector(alloc):
+    """The full-width 0/1 vectorization: coordinate (i, j) at i*m + j,
+    then the affine 1."""
+    return [int(owner == a) for a in alloc.agents for owner in alloc.owners] + [1]
+
+
+def dense_dependency(vectors):
+    """Integer elimination over every coordinate; the coefficients of the
+    first vector that reduces to zero, or None."""
+    basis = []  # (pivot, row, coefficients)
+    for t, vec in enumerate(vectors):
+        row, expr = list(vec), {t: F(1)}
+        for pivot, brow, bexpr in basis:
+            q = row[pivot]
+            if q:
+                p = brow[pivot]
+                row = [p * x - q * y for x, y in zip(row, brow)]
+                expr = {k: p * v for k, v in expr.items()}
+                for k, v in bexpr.items():
+                    expr[k] = expr.get(k, F(0)) - q * v
+        if not any(row):
+            return [expr.get(k, F(0)) for k in range(len(vectors))]
+        g = 0
+        for v in row:
+            g = gcd(g, abs(v))
+        basis.append((next(i for i, v in enumerate(row) if v),
+                      [v // g for v in row], {k: v / g for k, v in expr.items()}))
+    return None
+
+
+def dense_reduce(lottery):
+    """Shift weight along kernel vectors of the dense vectorization until
+    the support is affinely independent."""
+    entries = list(lottery.merged().entries)
+    while (gamma := dense_dependency([dense_vector(a) for _, a in entries])) is not None:
+        if all(g <= 0 for g in gamma):
+            gamma = [-g for g in gamma]
+        step = min(w / g for (w, _), g in zip(entries, gamma) if g > 0)
+        entries = [(w - step * g, a) for (w, a), g in zip(entries, gamma) if w != step * g]
+    return tuple(entries)
+
+
+def rank(rows):
+    rows = [[F(v) for v in row] for row in rows]
+    r = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col] / rows[r][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+@SETTINGS
+@given(lotteries())
+def test_reduce_support_matches_dense_elimination(lottery):
+    slim = reduce_support(lottery)
+    assert expected_allocation(slim) == expected_allocation(lottery)
+    assert {a.owners for a in slim.support} <= {a.owners for a in lottery.support}
+    vectors = [dense_vector(a) for a in slim.support]
+    assert rank(vectors) == len(vectors)
+    assert slim.entries == dense_reduce(lottery)
+
+
+@st.composite
+def flow_networks(draw):
+    """Small directed graphs with parallel and antiparallel edges and
+    rational capacities; node 0 is the source, node 1 the sink."""
+    size = draw(st.integers(2, 7))
+    node = st.integers(0, size - 1)
+    edges = draw(st.lists(st.tuples(node, node, utilities), max_size=18))
+    return size, [(u, v, cap) for u, v, cap in edges if u != v]
+
+
+def cut_capacity(edges, side):
+    return sum((cap for u, v, cap in edges if u in side and v not in side), F(0))
+
+
+@SETTINGS
+@given(flow_networks())
+def test_maxflow_matches_networkx(network):
+    nx = pytest.importorskip("networkx")
+    size, edges = network
+    flow = _Flow(size)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(size))
+    for u, v, cap in edges:
+        flow.add(u, v, cap)
+        if graph.has_edge(u, v):
+            graph[u][v]["capacity"] += cap
+        else:
+            graph.add_edge(u, v, capacity=cap)
+    value = flow.maxflow(0, 1)
+    assert value == nx.maximum_flow_value(graph, 0, 1)
+    # Both residual cuts certify the value: the smallest source side and
+    # the largest one.
+    smallest, largest = flow.reachable_from(0), flow.cannot_reach(1)
+    assert 0 in smallest <= largest and 1 not in largest
+    assert cut_capacity(edges, smallest) == cut_capacity(edges, largest) == value

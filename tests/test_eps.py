@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -25,13 +26,13 @@ def test_matches_serial_eating_on_strict_profiles(example_instance):
 
 
 def test_matches_serial_eating_fuzz():
+    # Strict profiles take the single-item step in every eating step; the
+    # outcome and the trace must both be the serial rule's.
     rng = random.Random(61)
     for _ in range(60):
-        inst = strict_instance(rng, rng.randint(1, 4), rng.randint(1, 8))
+        inst = strict_instance(rng, rng.randint(1, 8), rng.randint(1, 12))
         prof = ordinal_from_utilities(inst)
-        serial, _ = ps_outcome(inst.agents, inst.items, prof)
-        coord, _ = eps_outcome(inst, mode="standard")
-        assert serial == coord
+        assert eps_outcome(inst, mode="standard") == ps_outcome(inst.agents, inst.items, prof)
 
 
 def test_full_indifference_splits_evenly():
@@ -212,3 +213,76 @@ def test_duration_accounts_for_prior_demand():
     res = max_eating_duration(net)
     assert res.duration == F(1)
     assert sum(res.flow["1"].values()) == F(2)
+
+
+def random_singleton_network(rng):
+    """Eaters with one eligible item each, random prior demands and
+    capacities no smaller than the demand already on each item."""
+    items = [f"o{j}" for j in range(rng.randint(1, 4))]
+    eaters = tuple(f"e{i}" for i in range(rng.randint(1, 6)))
+    eligible = {e: frozenset({rng.choice(items)}) for e in eaters}
+    demands = {e: F(rng.randint(0, 4), rng.randint(1, 4)) for e in eaters
+               if rng.random() < 0.7}
+    growing = frozenset(e for e in eaters if rng.random() < 0.7) or frozenset(eaters[:1])
+    capacity = {}
+    for o in items:
+        prior = sum((demands.get(e, F(0)) for e in eaters if o in eligible[e]), F(0))
+        extra = F(rng.randint(0, 4), rng.randint(1, 4)) if rng.random() < 0.8 else F(0)
+        capacity[o] = prior + extra if prior + extra > 0 else F(1)
+    return EatingNetwork(eaters, eligible, capacity, demands, growing)
+
+
+def hall_bruteforce(net):
+    """Duration as the smallest Hall ratio over eater subsets, and the
+    union of the subsets that ratio leaves with zero slack."""
+    subsets = [S for k in range(1, len(net.eaters) + 1)
+               for S in combinations(net.eaters, k)]
+
+    def slack(S, duration):
+        items = set().union(*(net.eligible[e] for e in S))
+        return (sum(net.capacity[o] for o in items)
+                - sum(net.demand_of(e) for e in S)
+                - duration * sum(e in net.growing for e in S))
+
+    duration = min(slack(S, 0) / sum(e in net.growing for e in S)
+                   for S in subsets if set(S) & net.growing)
+    tight = {e for S in subsets if slack(S, duration) == 0 for e in S}
+    return duration, tight
+
+
+def test_singleton_duration_matches_hall_bruteforce():
+    rng = random.Random(64)
+    for _ in range(400):
+        net = random_singleton_network(rng)
+        duration, tight = hall_bruteforce(net)
+        res = max_eating_duration(net)
+        assert res.duration == duration
+        assert res.tight_eaters == tuple(sorted(tight))
+        assert res.tight_items == tuple(sorted({o for e in tight for o in net.eligible[e]}))
+        for e in net.eaters:
+            (o,) = net.eligible[e]
+            amount = net.demand_of(e) + (duration if e in net.growing else 0)
+            assert res.flow[e] == ({o: amount} if amount > 0 else {})
+
+
+def test_singleton_duration_rejects_excess_demand():
+    net = EatingNetwork(
+        eaters=("1", "2"),
+        eligible={"1": frozenset({"a"}), "2": frozenset({"b"})},
+        capacity={"a": F(1), "b": F(1)},
+        demands={"1": F(3, 2)},
+    )
+    with pytest.raises(ValueError):
+        max_eating_duration(net)
+
+
+def test_duration_rejects_growing_non_eater():
+    net = EatingNetwork(
+        eaters=("1",),
+        eligible={"1": frozenset({"a"})},
+        capacity={"a": F(1)},
+        growing=frozenset({"1", "2"}),
+    )
+    with pytest.raises(ValueError):
+        max_eating_duration(net)
+

@@ -29,6 +29,10 @@ GOLDEN = {
         "f428a4b747d7ac776ab934bf25eabb8f506614efd3d9139030f8476d8ca84e5e",
     (("lottery", "--rule", "ps", "--reduce"), "strict", 1, 4, 7):
         "1eadc517fb0eafa6c2f4c5f84c7277bd7a7ab05b3e282b258e080d6421f54351",
+    (("lottery", "--rule", "ps", "--reduce"), "strict", 389, 3, 7):
+        "172c2c8a10a214d4f4c565fb47b71f6b282083405752e8097afcb54c9d2127ca",
+    (("lottery", "--rule", "eps", "--reduce"), "tied", 300, 3, 7):
+        "0435cfef25d956f210cc72f707339000a78b75df184ad299e4380669bd844b2d",
     (("lottery", "--rule", "eps"), "strict", 3, 3, 5):
         "2f33d32d28b93386869f52a1f460feb720fb69b06beeccd749753fcc75dd0b2d",
     (("lottery", "--rule", "eps"), "tied", 2, 3, 7):
@@ -77,6 +81,20 @@ def test_output_digest(tmp_path, case):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[case]
 
 
+@pytest.mark.parametrize("rule, kind, seed", [("ps", "strict", 389), ("eps", "tied", 300)])
+def test_reduce_pins_reach_the_dependent_path(tmp_path, rule, kind, seed):
+    # The two 3x7 --reduce pins above are affinely dependent supports:
+    # reduction drops allocations (10 -> 8 and 6 -> 4), so the exact
+    # elimination and the weight shift are pinned, not only the GF(2) test.
+    sizes = []
+    for extra in ([], ["--reduce"]):
+        code, out = run(["lottery", "--rule", rule, *extra, "--input",
+                         instance_file(tmp_path, kind, seed, 3, 7), "--out", "-"])
+        assert code == 0
+        sizes.append(len(json.loads(out)["support"]))
+    assert sizes[1] < sizes[0]
+
+
 def test_skip_zero_metadata_describes_the_padding_used(tmp_path):
     # Agent 1 likes a-d, agents 2 and 3 like only a: agent 1 eats more
     # than ceil(6/3) = 2 items, so the lottery is built with c = 4 and
@@ -107,7 +125,8 @@ def test_skip_zero_metadata_describes_the_padding_used(tmp_path):
 # Checking output.  Lotteries and target matrices are built by the CLI
 # from the seeded instances above; the hand-written case has fractional
 # utilities, ties and a zero, and its lottery fails ef1, sdef1,
-# strong-ef1, rb and po, so violation certificates are pinned as well.
+# strong-ef1, rb, po and sdeff (the LP's dominating matrix), so violation
+# certificates are pinned as well.
 HAND = {
     "agents": ["1", "2", "3"],
     "items": ["a", "b", "c", "d", "e"],
@@ -142,6 +161,8 @@ VERIFY_GOLDEN = {
         "410c5cbe842235b35cfc255bd2e6dd380188ccadede4d0120a072261678512bb",
     (("po",), "tied", 2, 3, 7):
         "7fa9adcb4d4ea8c36f83214f3e79ed6769b50fa51f00f6fb3c8df9915a325f5c",
+    (("sdeff",), "hand", 0, 3, 5):
+        "2f88fa5eda9429a8f0722aaee4956f62285a7e605e9929e0ca2805bfcd24e8ba",
     (("ef",), "hand", 0, 3, 5):
         "256734347c2563295e4cba4b2d3d126a038f28b01e1268b5e2de628ea8fd88b0",
     (("sdef",), "hand", 0, 3, 5):
