@@ -18,7 +18,6 @@ from typing import Sequence
 
 __all__ = [
     "is_bistochastic",
-    "require_bistochastic",
     "birkhoff_decompose",
 ]
 
@@ -39,11 +38,6 @@ def is_bistochastic(matrix: Matrix) -> bool:
         if sum(row[j] for row in matrix) != 1:
             return False
     return True
-
-
-def require_bistochastic(matrix: Matrix) -> None:
-    if not is_bistochastic(matrix):
-        raise ValueError("matrix is not bistochastic")
 
 
 def _augment(adjacency: Sequence[Sequence[int]], row: int,
@@ -84,7 +78,8 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]
     Weights are in (0, 1] and sum to exactly 1; the recomposition equals
     the input structurally; the number of parts is at most k^2 - 2k + 2.
     """
-    require_bistochastic(matrix)
+    if not is_bistochastic(matrix):
+        raise ValueError("matrix is not bistochastic")
     residual = [list(row) for row in matrix]
     k = len(residual)
     adjacency = [sorted(j for j, v in enumerate(row) if v > 0) for row in residual]

@@ -290,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_ora = sub.add_parser("oracle", help="implementability over a filtered allocation set")
-    p_ora.add_argument("--target", choices=("implementable",), default="implementable")
     p_ora.add_argument("--filter", choices=("ef1-po", "balanced-po", "none"),
                        required=True)
     p_ora.add_argument("--input", required=True)

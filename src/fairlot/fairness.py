@@ -10,7 +10,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator
 
 from .fileio import matrix_to_obj
 from .model import (
@@ -135,39 +135,6 @@ def check_sd_ef(p: RandomAllocation | DeterministicAllocation, prefs: OrdinalPro
     return Report("sdef", True, witness={"pairs_checked": len(agents) * (len(agents) - 1)})
 
 
-def _best_removal(
-    instance: Instance,
-    agent: str,
-    own: Mapping[str, Fraction],
-    other: Mapping[str, Fraction],
-    k: int,
-    removal: str,
-) -> tuple[list[str], Fraction, Fraction]:
-    """Remove up to k items to help ``agent``; returns (set, own', other').
-
-    Removal semantics "both" zeroes the chosen items in both rows (per-item
-    gain u(o)*(other[o]-own[o])); "envied-only" zeroes them in the other
-    row alone.  For deterministic rows the two coincide.
-    """
-    gains = []
-    for o in instance.items:
-        if removal == "both":
-            gain = instance.utility(agent, o) * (other.get(o, Fraction(0)) - own.get(o, Fraction(0)))
-        else:
-            gain = instance.utility(agent, o) * other.get(o, Fraction(0))
-        if gain > 0:
-            gains.append((gain, o))
-    gains.sort(key=lambda t: (-t[0], t[1]))
-    chosen = [o for _, o in gains[:k]]
-    own_value = utility_of_bundle(instance, agent, own)
-    other_value = utility_of_bundle(instance, agent, other)
-    for o in chosen:
-        if removal == "both":
-            own_value -= instance.utility(agent, o) * own.get(o, Fraction(0))
-        other_value -= instance.utility(agent, o) * other.get(o, Fraction(0))
-    return chosen, own_value, other_value
-
-
 def _bundles(allocation: DeterministicAllocation) -> dict[str, list[str]]:
     """Every agent's bundle, in item order, from one pass over the owners."""
     bundles: dict[str, list[str]] = {a: [] for a in allocation.agents}
@@ -193,12 +160,17 @@ def _scores(
     return score
 
 
-def _check_efk_deterministic(
-    allocation: DeterministicAllocation, instance: Instance, k: int, prop: str
-) -> Report:
-    # Items live in exactly one bundle, so both removal semantics reduce
-    # to dropping the k items of the envied bundle the envier likes most.
-    # Sums and comparisons run on the envier's integer-scaled utilities.
+def check_efk(allocation: DeterministicAllocation, instance: Instance, k: int) -> Report:
+    """Envy-freeness up to k items: for every ordered pair some removal
+    set of at most k items kills the envy.
+
+    Items live in exactly one bundle, so the best removal drops the k
+    items of the envied bundle the envier likes most.  Sums and
+    comparisons run on the envier's integer-scaled utilities.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    prop = f"ef{k}"
     agents = allocation.agents
     rows = instance.integer_rows()
     item_idx = instance._index_maps()[1]
@@ -229,53 +201,9 @@ def _check_efk_deterministic(
     return Report(prop, True, witness={"k": k, "removal": "both"})
 
 
-def check_efk(
-    allocation: DeterministicAllocation | RandomAllocation,
-    instance: Instance,
-    k: int,
-    removal: str = "both",
-) -> Report:
-    """Envy-freeness up to k items: for every ordered pair some removal
-    set of at most k items kills the envy.  The default semantics removes
-    the set from both bundles; ``removal="envied-only"`` removes it only
-    from the envied bundle (the two agree on deterministic allocations).
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if removal not in ("both", "envied-only"):
-        raise ValueError(f"unknown removal semantics {removal!r}")
-    if isinstance(allocation, DeterministicAllocation):
-        return _check_efk_deterministic(allocation, instance, k, f"ef{k}")
-    agents, rows = _rows_of(allocation)
-    prop = f"ef{k}"
-    for i in agents:
-        for j in agents:
-            if i == j:
-                continue
-            chosen, own_value, other_value = _best_removal(
-                instance, i, rows[i], rows[j], k, removal
-            )
-            if own_value < other_value:
-                return Report(
-                    prop,
-                    False,
-                    violation={
-                        "envious": i,
-                        "envied": j,
-                        "best_removal": chosen,
-                        "gap": other_value - own_value,
-                    },
-                )
-    return Report(prop, True, witness={"k": k, "removal": removal})
-
-
-def check_ef1(
-    allocation: DeterministicAllocation | RandomAllocation,
-    instance: Instance,
-    removal: str = "both",
-) -> Report:
+def check_ef1(allocation: DeterministicAllocation, instance: Instance) -> Report:
     """Envy-freeness up to one item."""
-    return check_efk(allocation, instance, 1, removal)
+    return check_efk(allocation, instance, 1)
 
 
 def check_sd_ef1(allocation: DeterministicAllocation, prefs: OrdinalProfile) -> Report:
@@ -528,19 +456,15 @@ def utility_vectors(
         yield tuple(totals)
 
 
-def check_po_bruteforce(
-    allocation: DeterministicAllocation,
-    instance: Instance,
-    budget: int | None = None,
-) -> Report:
+def check_po_bruteforce(allocation: DeterministicAllocation, instance: Instance) -> Report:
     """Pareto optimality among deterministic allocations, by enumeration.
 
-    Refuses (raises BudgetExceeded) when n^m exceeds the budget rather
-    than silently sampling.
+    Refuses (raises BudgetExceeded) when n^m exceeds the enumeration
+    budget rather than silently sampling.
     """
     from .oracle import enumerate_allocations  # local import to avoid a cycle
 
-    candidates = enumerate_allocations(instance.agents, instance.items, budget=budget)
+    candidates = enumerate_allocations(instance.agents, instance.items)
     (base,) = utility_vectors(instance, [allocation])
     for candidate, values in zip(candidates, utility_vectors(instance, candidates)):
         if values != base and all(map(operator.ge, values, base)):

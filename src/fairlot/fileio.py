@@ -8,6 +8,7 @@ round trips are lossless: parse(serialize(x)) == x.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -53,7 +54,23 @@ def _strings(value, where: str) -> list[str]:
     return value
 
 
+# A literal like "1e10000000" is 11 bytes, but Fraction expands it into a
+# 33-million-bit integer.  Exponents are capped at Python's own limit of
+# 4300 digits for a decimal integer string, which already bounds the
+# digits of a literal.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
 def _rational_at(value, where: str) -> Fraction:
+    match = _EXPONENT.search(value) if isinstance(value, str) else None
+    if match:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise FormatError(
+                f"{where}: rational literal {value!r} has an exponent beyond "
+                f"{_MAX_EXPONENT} in magnitude"
+            )
     try:
         return rational(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:

@@ -215,10 +215,9 @@ class OrdinalProfile:
             cache[agent] = rank
         return rank
 
-    def is_strict(self, agent: str | None = None) -> bool:
-        """True when every tier is a singleton (for one agent or all)."""
-        agents = [agent] if agent is not None else list(self.agents)
-        return all(len(t) == 1 for a in agents for t in self.tiers[a])
+    def is_strict(self) -> bool:
+        """True when every tier of every agent is a singleton."""
+        return all(len(t) == 1 for a in self.agents for t in self.tiers[a])
 
     def strict_order(self, agent: str) -> tuple[str, ...]:
         """Descending item order; requires the agent's order to be strict."""
@@ -260,16 +259,9 @@ def ordinal_from_utilities(instance: Instance) -> OrdinalProfile:
 Row = Mapping[str, Fraction]
 
 
-def _as_row(items: Sequence[str], row: Union[Row, Sequence[RationalLike]]) -> dict[str, Fraction]:
-    """Accept a row either as item->value mapping or as a vector aligned
-    with ``items``; return a complete mapping with exact entries.
-    """
-    if isinstance(row, Mapping):
-        return {o: rational(row.get(o, 0)) for o in items}
-    values = list(row)
-    if len(values) != len(items):
-        raise ValueError(f"row has {len(values)} entries, expected {len(items)}")
-    return {o: rational(v) for o, v in zip(items, values)}
+def _as_row(items: Sequence[str], row: Row) -> dict[str, Fraction]:
+    """Complete an item->value mapping over ``items`` with exact entries."""
+    return {o: rational(row.get(o, 0)) for o in items}
 
 
 @dataclass(frozen=True)
@@ -299,19 +291,6 @@ class RandomAllocation:
             total = sum(row[j] for row in self.entries)
             if total != 1:
                 raise ValueError(f"column {item!r} sums to {total}, expected 1")
-
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Hashable],
-        items: Sequence[str],
-        data: Mapping[Hashable, Union[Row, Sequence[RationalLike]]],
-    ) -> "RandomAllocation":
-        entries = []
-        for r in rows:
-            row = _as_row(tuple(items), data.get(r, {}))
-            entries.append(tuple(row[o] for o in items))
-        return cls(tuple(rows), tuple(items), tuple(entries))
 
     def entry(self, row: Hashable, item: str) -> Fraction:
         return self.entries[self.rows.index(row)][self.items.index(item)]
@@ -473,32 +452,26 @@ class EatingTrace:
         return rows
 
 
-def utility_of_bundle(
-    instance: Instance, agent: str, row: Union[Row, Sequence[RationalLike]]
-) -> Fraction:
-    """Exact additive utility of a fractional bundle for one agent."""
+def utility_of_bundle(instance: Instance, agent: str, row: Row) -> Fraction:
+    """Exact additive utility of a fractional bundle (item -> amount) for
+    one agent."""
     values = instance.values[instance.agent_index(agent)]
-    if isinstance(row, Mapping):
-        item_idx = instance._index_maps()[1]
-        total = Fraction(0)
-        for o, amount in row.items():
-            if amount:
-                total += values[item_idx[o]] * rational(amount)
-        return total
-    amounts = _as_row(instance.items, row)
-    return sum(
-        (values[j] * amounts[o] for j, o in enumerate(instance.items)),
-        Fraction(0),
-    )
+    item_idx = instance._index_maps()[1]
+    total = Fraction(0)
+    for o, amount in row.items():
+        if amount:
+            total += values[item_idx[o]] * rational(amount)
+    return total
 
 
 def sd_compare(
     prefs: OrdinalProfile,
     agent: str,
-    x: Union[Row, Sequence[RationalLike]],
-    y: Union[Row, Sequence[RationalLike]],
+    x: Row,
+    y: Row,
 ) -> SdRelation:
-    """Relate two rows under the agent's stochastic-dominance order.
+    """Relate two rows (item -> amount; a missing item counts as 0) under
+    the agent's stochastic-dominance order.
 
     Row x weakly dominates row y when, for every item, x places at least
     as much mass on the upper contour set (all items weakly preferred to

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .fairness import BudgetExceeded
 from .model import (
@@ -43,12 +43,10 @@ DEFAULT_BUDGET = 65536
 BUDGET_ENV_VAR = "FAIRLOT_BUDGET"
 
 
-def configured_budget(budget: int | None = None) -> int:
-    """Explicit argument, else the FAIRLOT_BUDGET environment variable,
-    else the built-in default.  The variable must hold a nonnegative
-    integer; anything else raises ValueError naming it."""
-    if budget is not None:
-        return budget
+def configured_budget() -> int:
+    """The FAIRLOT_BUDGET environment variable, else the built-in default.
+    The variable must hold a nonnegative integer; anything else raises
+    ValueError naming it."""
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is None:
         return DEFAULT_BUDGET
@@ -64,27 +62,22 @@ def configured_budget(budget: int | None = None) -> int:
 
 
 def enumerate_allocations(
-    agents: Sequence[str],
-    items: Sequence[str],
-    predicate: Callable[[DeterministicAllocation], bool] | None = None,
-    budget: int | None = None,
+    agents: Sequence[str], items: Sequence[str]
 ) -> list[DeterministicAllocation]:
-    """All item->agent maps (n^m of them) passing the predicate, in
-    deterministic owner-tuple order; refuses beyond the budget."""
+    """All item->agent maps (n^m of them), in deterministic owner-tuple
+    order; refuses beyond the configured budget."""
     agents = tuple(agents)
     items = tuple(items)
-    limit = configured_budget(budget)
+    limit = configured_budget()
     count = len(agents) ** len(items)
     if count > limit:
         raise BudgetExceeded(
             f"{len(agents)}^{len(items)} = {count} allocations exceed the budget {limit}"
         )
-    out = []
-    for owners in product(agents, repeat=len(items)):
-        allocation = DeterministicAllocation(agents, items, owners)
-        if predicate is None or predicate(allocation):
-            out.append(allocation)
-    return out
+    return [
+        DeterministicAllocation(agents, items, owners)
+        for owners in product(agents, repeat=len(items))
+    ]
 
 
 @dataclass(frozen=True)
@@ -162,15 +155,12 @@ def _item_sum_rows(
 
 
 def _allocation_from_x(
-    agents: Sequence[str],
-    items: Sequence[str],
-    cells: list[tuple[str, str]],
-    x: Sequence[Fraction],
+    agents: Sequence[str], items: Sequence[str], x: Sequence[Fraction]
 ) -> RandomAllocation:
-    data = {a: {} for a in agents}
-    for (a, o), v in zip(cells, x):
-        data[a][o] = v
-    return RandomAllocation.from_rows(agents, items, data)
+    """The allocation whose agent-major cells (see ``_cells``) lead x."""
+    m = len(items)
+    entries = tuple(tuple(x[i * m:(i + 1) * m]) for i in range(len(agents)))
+    return RandomAllocation(tuple(agents), tuple(items), entries)
 
 
 def pareto_improvement_exists(
@@ -201,7 +191,7 @@ def pareto_improvement_exists(
         raise AssertionError(f"improvement LP ended {result.status}")
     if result.objective == 0:
         return None
-    return _allocation_from_x(instance.agents, instance.items, cells, result.x)
+    return _allocation_from_x(instance.agents, instance.items, result.x)
 
 
 def sd_improvement_exists(
@@ -236,7 +226,7 @@ def sd_improvement_exists(
         raise AssertionError(f"SD improvement LP ended {result.status}")
     if result.objective == 0:
         return None
-    return _allocation_from_x(agents, items, cells, result.x)
+    return _allocation_from_x(agents, items, result.x)
 
 
 def leximin_bruteforce(
@@ -316,6 +306,6 @@ def leximin_bruteforce(
             fixed[a] = t_star
         free = [a for a in free if a not in stuck]
 
-    witness = _allocation_from_x(agents, instance.items, cells, last_x)
+    witness = _allocation_from_x(agents, instance.items, last_x)
     vector = tuple(sorted(fixed[a] for a in agents))
     return vector, witness

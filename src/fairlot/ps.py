@@ -10,31 +10,17 @@ run takes at most n*m stage updates.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 from .model import EatingTrace, OrdinalProfile, RandomAllocation, TraceSegment
 
 __all__ = ["ps_outcome"]
 
-PrefsLike = Union[OrdinalProfile, Mapping[str, Sequence[str]]]
-
-
-def _strict_orders(agents: Sequence[str], items: Sequence[str], prefs: PrefsLike) -> dict[str, tuple[str, ...]]:
-    if isinstance(prefs, OrdinalProfile):
-        orders = {a: prefs.strict_order(a) for a in agents}
-    else:
-        orders = {a: tuple(prefs[a]) for a in agents}
-    item_set = set(items)
-    for agent in agents:
-        if set(orders[agent]) != item_set or len(orders[agent]) != len(item_set):
-            raise ValueError(f"preferences of {agent!r} are not a strict order over the items")
-    return orders
-
 
 def ps_outcome(
     agents: Sequence[str],
     items: Sequence[str],
-    strict_prefs: PrefsLike,
+    strict_prefs: OrdinalProfile,
 ) -> tuple[RandomAllocation, EatingTrace]:
     """Run the eating simulation and return the fractional outcome plus
     the full consumption trace.
@@ -46,7 +32,9 @@ def ps_outcome(
     """
     agents = tuple(agents)
     items = tuple(items)
-    orders = _strict_orders(agents, items, strict_prefs)
+    if set(strict_prefs.items) != set(items):
+        raise ValueError("the preference profile ranks other items than the ones to eat")
+    orders = {a: strict_prefs.strict_order(a) for a in agents}
 
     remaining = set(items)
     eaten: dict[str, Fraction] = {o: Fraction(0) for o in items}

@@ -76,17 +76,10 @@ class PaddedInstance:
             (agent, k) for agent in instance.agents for k in range(1, c + 1)
         )
         profile = ordinal_from_utilities(instance)
-        strict_tiers = {}
-        weak_tiers = {}
         dummy_tail = tuple((d,) for d in self.dummies)
-        for agent in instance.agents:
-            real = profile.tiers[agent]
-            strict_tiers[agent] = tuple(
-                (o,) for tier in real for o in sorted(tier)
-            ) + dummy_tail
-            weak_tiers[agent] = tuple(tuple(t) for t in real) + dummy_tail
-        self.prefs_strict = OrdinalProfile(instance.agents, self.items, strict_tiers)
+        weak_tiers = {a: profile.tiers[a] + dummy_tail for a in instance.agents}
         self.prefs_weak = OrdinalProfile(instance.agents, self.items, weak_tiers)
+        self.prefs_strict = self.prefs_weak.strictified()
 
 
 def pad_with_dummies(instance: Instance, c: int | None = None) -> PaddedInstance:
@@ -98,18 +91,13 @@ def pad_with_dummies(instance: Instance, c: int | None = None) -> PaddedInstance
 
 
 def re_eat(
-    bundles: Mapping[str, Mapping[str, Fraction]] | RandomAllocation,
-    padded: PaddedInstance,
+    bundles: Mapping[str, Mapping[str, Fraction]], padded: PaddedInstance
 ) -> list[list[Fraction]]:
     """Let each agent re-eat its bundle at unit speed in its strict
     preference order; representative k receives what was eaten during
     [k-1, k].  The result is a (cn) x (cn) bistochastic matrix indexed by
     ``padded.representatives`` and ``padded.items``.
     """
-    if isinstance(bundles, RandomAllocation):
-        rows = {a: bundles.row(a) for a in padded.instance.agents}
-    else:
-        rows = {a: dict(bundles[a]) for a in padded.instance.agents}
     c = padded.c
     items = padded.items
     col = {o: j for j, o in enumerate(items)}
@@ -118,7 +106,7 @@ def re_eat(
 
     rep_base = 0
     for agent in padded.instance.agents:
-        row = rows[agent]
+        row = bundles[agent]
         total = sum(row.values(), Fraction(0))
         if total != c:
             raise ValueError(f"bundle of {agent!r} has mass {total}, expected {c}")
@@ -255,8 +243,8 @@ def ps_lottery(
     return implement(planned), planned.expected
 
 
-def _find_affine_dependency(masks: list[int], dim: int) -> list[Fraction] | None:
-    """Nonzero rational coefficients summing a set of 0/1 vectors (with an
+def _find_affine_dependency(masks: list[int], dim: int) -> list[int] | None:
+    """Nonzero integer coefficients summing a set of 0/1 vectors (with an
     affine trailing 1) to zero, or None when they are affinely independent.
     Each vector is a bitmask over ``dim`` coordinates, bit b holding
     coordinate b.
@@ -277,35 +265,28 @@ def _find_affine_dependency(masks: list[int], dim: int) -> list[Fraction] | None
     else:
         return None
 
-    # Exact integer elimination with coefficient tracking.
-    basis: list[tuple[int, list[int], dict[int, Fraction]]] = []  # (pivot, row, expr)
+    # Exact integer elimination; ``expr`` holds the integer combination of
+    # the input vectors that equals ``row``, so dividing both by one gcd
+    # keeps it exact.  A kernel vector matters only up to a positive scale.
+    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, row, expr)
     for t, mask in enumerate(masks):
         row = [(mask >> b) & 1 for b in range(dim)]
-        expr: dict[int, Fraction] = {t: Fraction(1)}
+        expr = [0] * len(masks)
+        expr[t] = 1
         for pivot, brow, bexpr in basis:
             q = row[pivot]
             if q == 0:
                 continue
             p = brow[pivot]
             row = [p * x - q * y for x, y in zip(row, brow)]
-            factor = Fraction(p)
-            expr = {k: factor * v for k, v in expr.items()}
-            for k, v in bexpr.items():
-                expr[k] = expr.get(k, Fraction(0)) - q * v
-        if any(row):
-            pivot = next(i for i, v in enumerate(row) if v)
-            g = 0
-            for v in row:
-                g = gcd(g, abs(v))
-            if g > 1:
-                row = [v // g for v in row]
-                expr = {k: v / g for k, v in expr.items()}
-            basis.append((pivot, row, expr))
-        else:
-            coeffs = [Fraction(0)] * len(masks)
-            for k, v in expr.items():
-                coeffs[k] = v
-            return coeffs
+            expr = [p * x - q * y for x, y in zip(expr, bexpr)]
+        if not any(row):
+            return expr
+        g = gcd(*row, *expr)
+        if g > 1:
+            row = [v // g for v in row]
+            expr = [v // g for v in expr]
+        basis.append((next(i for i, v in enumerate(row) if v), row, expr))
     return None
 
 

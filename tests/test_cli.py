@@ -390,6 +390,43 @@ def test_malformed_matrix_exits_2(tmp_path, example_file, capsys, field, value, 
     assert f"fairlot: error: {where}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["1e5000", "1E-4_301", "0e+10000000"])
+@pytest.mark.parametrize("place", ["utility", "weight", "entry"])
+def test_huge_exponent_exits_2(tmp_path, example_file, capsys, place, literal):
+    path = tmp_path / "huge.json"
+    if place == "utility":
+        doc = json.loads(json.dumps(EXAMPLE))
+        doc["utilities"]["1"]["a"] = literal
+        argv = ["solve", "--rule", "ps", "--input", str(path)]
+        where = "instance.utilities['1']['a']"
+    elif place == "weight":
+        doc = _example_lottery()
+        doc["support"][0]["weight"] = literal
+        argv = ["verify", "--property", "ef1", "--input", example_file, "--lottery", str(path)]
+        where = "lottery.support[0].weight"
+    else:
+        doc = {"rows": ["1", "2"], "items": ["a", "b", "c", "d"],
+               "entries": [["1", "1", literal, "0"], ["0", "0", "1", "1"]]}
+        argv = ["oracle", "--filter", "ef1-po", "--input", example_file,
+                "--allocation", str(path)]
+        where = "matrix.entries[0][2]"
+    path.write_text(json.dumps(doc))
+    code, _ = run(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"fairlot: error: {where}:" in err and "exponent beyond 4300" in err
+
+
+@pytest.mark.parametrize("literal", ["1e4300", "1e-4300", "2E+0_4300"])
+def test_exponent_at_the_cap_is_accepted(tmp_path, literal):
+    doc = json.loads(json.dumps(EXAMPLE))
+    doc["utilities"]["1"]["a"] = literal
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["solve", "--rule", "ps", "--input", str(path)])
+    assert code == 0
+
+
 def test_malformed_json_diagnostic(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")

@@ -65,14 +65,14 @@ def test_utility_of_bundle(example_instance):
     assert utility_of_bundle(example_instance, "1", {}) == 0
     other = {"a": F(1, 2), "b": F(0), "c": F(1), "d": F(1, 2)}
     assert utility_of_bundle(example_instance, "1", other) == F(9, 2)
-    # positional rows work too
-    assert utility_of_bundle(example_instance, "1", ["1/2", 1, 0, "1/2"]) == F(11, 2)
+    # amounts may be any exact rational literal
+    assert utility_of_bundle(example_instance, "1", {"a": "1/2", "b": 1, "d": "1/2"}) == F(11, 2)
 
 
 def test_sd_compare_examples(example_instance):
     prof = ordinal_from_utilities(example_instance)
-    x = ["1/2", 1, 0, "1/2"]
-    y = ["1/2", 0, 1, "1/2"]
+    x = {"a": "1/2", "b": 1, "c": 0, "d": "1/2"}
+    y = {"a": "1/2", "b": 0, "c": 1, "d": "1/2"}
     assert sd_compare(prof, "1", x, y) is SdRelation.DOMINATES
     assert sd_compare(prof, "1", y, x) is SdRelation.DOMINATED
     assert sd_compare(prof, "1", x, x) is SdRelation.EQUIVALENT
@@ -80,7 +80,7 @@ def test_sd_compare_examples(example_instance):
         {"1": {"a": 2, "b": 1}}, agents=["1"], items=["a", "b"]
     )
     p2 = ordinal_from_utilities(two)
-    assert sd_compare(p2, "1", [1, 0], [0, 1]) is SdRelation.DOMINATES
+    assert sd_compare(p2, "1", {"a": 1}, {"b": 1}) is SdRelation.DOMINATES
 
 
 def test_sd_compare_partial_order_properties():

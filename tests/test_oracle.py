@@ -29,16 +29,17 @@ HALF = F(1, 2)
 def test_enumerate_counts():
     allocs = enumerate_allocations(("1", "2"), ("a", "b"))
     assert len(allocs) == 4
-    balanced = enumerate_allocations(
-        ("1", "2"), ("a", "b", "c", "d"),
-        predicate=lambda al: len(al.bundle("1")) == 2,
-    )
+    balanced = [
+        al for al in enumerate_allocations(("1", "2"), ("a", "b", "c", "d"))
+        if len(al.bundle("1")) == 2
+    ]
     assert len(balanced) == 6
 
 
 def test_enumerate_budget_refusal(monkeypatch):
+    monkeypatch.setenv("FAIRLOT_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
-        enumerate_allocations(("1", "2"), tuple("abcdefghij"), budget=100)
+        enumerate_allocations(("1", "2"), tuple("abcdefghij"))
     monkeypatch.setenv("FAIRLOT_BUDGET", "3")
     assert configured_budget() == 3
     with pytest.raises(BudgetExceeded):

@@ -3,21 +3,25 @@ from fractions import Fraction as F
 
 import pytest
 
-from fairlot import ordinal_from_utilities, ps_outcome
+from fairlot import OrdinalProfile, ordinal_from_utilities, ps_outcome
 from conftest import strict_instance
 
 
+def orders(items, by_agent):
+    """Strict profile from each agent's best-first item order."""
+    tiers = {a: tuple((o,) for o in order) for a, order in by_agent.items()}
+    return OrdinalProfile(tuple(by_agent), tuple(items), tiers)
+
+
 def test_example_profile():
-    out, _ = ps_outcome(
-        ["1", "2"], ["a", "b", "c", "d"],
-        {"1": ["a", "b", "c", "d"], "2": ["a", "c", "b", "d"]},
-    )
+    items = ["a", "b", "c", "d"]
+    out, _ = ps_outcome(["1", "2"], items, orders(items, {"1": "abcd", "2": "acbd"}))
     assert out.row("1") == {"a": F(1, 2), "b": F(1), "c": F(0), "d": F(1, 2)}
     assert out.row("2") == {"a": F(1, 2), "b": F(0), "c": F(1), "d": F(1, 2)}
 
 
 def test_single_eater_gets_everything():
-    out, trace = ps_outcome(["1"], ["a", "b"], {"1": ["a", "b"]})
+    out, trace = ps_outcome(["1"], ["a", "b"], orders("ab", {"1": "ab"}))
     assert out.row("1") == {"a": F(1), "b": F(1)}
     segs = trace.segments["1"]
     assert [s.item for s in segs] == ["a", "b"]
@@ -25,24 +29,30 @@ def test_single_eater_gets_everything():
 
 
 def test_identical_orders_split_evenly():
-    out, _ = ps_outcome(["1", "2"], ["a", "b"], {"1": ["a", "b"], "2": ["a", "b"]})
+    out, _ = ps_outcome(["1", "2"], ["a", "b"], orders("ab", {"1": "ab", "2": "ab"}))
     for agent in ("1", "2"):
         assert out.row(agent) == {"a": F(1, 2), "b": F(1, 2)}
 
 
 def test_rejects_ties():
-    inst_prefs = {"1": ["a"], "2": ["a", "a"]}
-    with pytest.raises(ValueError):
-        ps_outcome(["1", "2"], ["a", "b"], inst_prefs)
+    tied = OrdinalProfile(("1", "2"), ("a", "b"), {"1": (("a", "b"),), "2": (("a",), ("b",))})
+    with pytest.raises(ValueError, match="ties"):
+        ps_outcome(["1", "2"], ["a", "b"], tied)
+
+
+def test_rejects_profile_over_other_items():
+    prefs = orders("abc", {"1": "abc", "2": "cba"})
+    with pytest.raises(ValueError, match="other items"):
+        ps_outcome(["1", "2"], ["a", "b"], prefs)
+    with pytest.raises(ValueError, match="other items"):
+        ps_outcome(["1", "2"], ["a", "b", "c", "d"], prefs)
 
 
 def test_example_trace_stages():
     # Both agents eat a, which runs out at 1/2; then agent 1 eats b and
     # agent 2 eats c, and both finish together at 3/2; d is shared last.
-    _, trace = ps_outcome(
-        ["1", "2"], ["a", "b", "c", "d"],
-        {"1": ["a", "b", "c", "d"], "2": ["a", "c", "b", "d"]},
-    )
+    items = ["a", "b", "c", "d"]
+    _, trace = ps_outcome(["1", "2"], items, orders(items, {"1": "abcd", "2": "acbd"}))
     assert trace.segments["1"] == (
         ("a", F(0), F(1, 2), F(1, 2)),
         ("b", F(1, 2), F(3, 2), F(1)),
