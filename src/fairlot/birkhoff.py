@@ -9,10 +9,18 @@ columns are scanned in ascending order, so decompositions are
 reproducible byte for byte), subtracts the smallest matched entry and
 repeats; at least one entry hits zero per step, so a k-by-k matrix needs
 at most k^2 - 2k + 2 steps.
+
+All arithmetic runs on one integer scale: the matrix is multiplied once by
+L, the lcm of its denominators, and the residual is kept as sparse integer
+rows (column -> positive int), a cell leaving its row as soon as it hits
+zero.  Every comparison is scale-invariant, so the matchings are those of
+the rational residual, and each part's weight is ``Fraction(w, L)`` for
+the smallest matched integer w.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,20 +32,38 @@ __all__ = [
 Matrix = Sequence[Sequence[Fraction]]
 
 
-def is_bistochastic(matrix: Matrix) -> bool:
-    """Square, entries in [0, 1], every row and column sums to exactly 1."""
+def _scaled_rows(matrix: Matrix) -> tuple[list[dict[int, int]], int] | None:
+    """The matrix times L, the lcm of its denominators, as sparse rows
+    (column -> positive int) together with L; None unless the matrix is
+    square with entries in [0, L] and every row and column summing to L.
+    (Nonnegative entries of a row summing to L cannot exceed L.)
+    """
     k = len(matrix)
     if any(len(row) != k for row in matrix):
-        return False
-    for row in matrix:
-        if any(v < 0 or v > 1 for v in row):
-            return False
-        if sum(row) != 1:
-            return False
-    for j in range(k):
-        if sum(row[j] for row in matrix) != 1:
-            return False
-    return True
+        return None
+    nonzero = [[(j, *v.as_integer_ratio()) for j, v in enumerate(row) if v] for row in matrix]
+    scale = math.lcm(*{q for row in nonzero for _, _, q in row})
+    rows = []
+    column_sums = [0] * k
+    for row in nonzero:
+        scaled = {}
+        for j, p, q in row:
+            if p < 0:
+                return None
+            x = p * (scale // q)
+            scaled[j] = x
+            column_sums[j] += x
+        if sum(scaled.values()) != scale:
+            return None
+        rows.append(scaled)
+    if any(total != scale for total in column_sums):
+        return None
+    return rows, scale
+
+
+def is_bistochastic(matrix: Matrix) -> bool:
+    """Square, entries in [0, 1], every row and column sums to exactly 1."""
+    return _scaled_rows(matrix) is not None
 
 
 def _augment(adjacency: Sequence[Sequence[int]], row: int,
@@ -78,17 +104,18 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]
     Weights are in (0, 1] and sum to exactly 1; the recomposition equals
     the input structurally; the number of parts is at most k^2 - 2k + 2.
     """
-    if not is_bistochastic(matrix):
+    scaled = _scaled_rows(matrix)
+    if scaled is None:
         raise ValueError("matrix is not bistochastic")
-    residual = [list(row) for row in matrix]
+    residual, scale = scaled
     k = len(residual)
-    adjacency = [sorted(j for j, v in enumerate(row) if v > 0) for row in residual]
+    adjacency = [sorted(row) for row in residual]
     parts: list[tuple[Fraction, tuple[int, ...]]] = []
     match_col = [-1] * k
     if not _complete_matching(adjacency, match_col, range(k)):
         raise ValueError("no perfect matching: input was not bistochastic")
 
-    remaining = Fraction(1)
+    remaining = scale
     while remaining > 0:
         perm = [-1] * k
         for col, row in enumerate(match_col):
@@ -101,11 +128,14 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]
         dead_rows = []
         for r in range(k):
             c = perm[r]
-            residual[r][c] -= weight
-            if residual[r][c] == 0:
+            left = residual[r][c] - weight
+            if left:
+                residual[r][c] = left
+            else:
+                del residual[r][c]
                 adjacency[r].remove(c)
                 dead_rows.append(r)
-        parts.append((weight, perm))
+        parts.append((Fraction(weight, scale), perm))
         remaining -= weight
         if remaining == 0:
             break
@@ -116,6 +146,6 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]
         if not _complete_matching(adjacency, match_col, dead_rows):
             raise ValueError("no perfect matching: input was not bistochastic")
 
-    if any(v != 0 for row in residual for v in row):
+    if any(residual):
         raise AssertionError("residual nonzero after full decomposition")
     return parts

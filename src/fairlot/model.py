@@ -53,12 +53,28 @@ def rational(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _decimal(n: int) -> str:
+    """Decimal digits of an int of any length.
+
+    ``str`` refuses ints past ``sys.get_int_max_str_digits()`` digits (at
+    least 640), so long ints are split at a power of ten into halves that
+    are converted on their own, the low half padded with zeros.
+    """
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the digits (log10 2 > 0.3)
+    high, low = divmod(n, 10 ** half)
+    return _decimal(high) + _decimal(low).rjust(half, "0")
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical text form: "3" for integers, "p/q" otherwise."""
     value = Fraction(value)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 class SdRelation(enum.Enum):
@@ -245,14 +261,18 @@ class OrdinalProfile:
 def ordinal_from_utilities(instance: Instance) -> OrdinalProfile:
     """Derive the weak-order profile: x is weakly preferred to y iff its
     utility is at least y's.  Equal utilities share a tier.
+
+    Tiers come from each agent's integer-scaled row (``integer_rows``);
+    a positive per-agent scale keeps the order and the ties.
     """
     tiers = {}
-    for i, agent in enumerate(instance.agents):
-        by_value: dict[Fraction, list[str]] = {}
-        for j, item in enumerate(instance.items):
-            by_value.setdefault(instance.values[i][j], []).append(item)
-        ordered = sorted(by_value.items(), key=lambda kv: kv[0], reverse=True)
-        tiers[agent] = tuple(tuple(sorted(items)) for _, items in ordered)
+    for agent, (row, _scale) in zip(instance.agents, instance.integer_rows()):
+        by_value: dict[int, list[str]] = {}
+        for item, value in zip(instance.items, row):
+            by_value.setdefault(value, []).append(item)
+        tiers[agent] = tuple(
+            tuple(sorted(by_value[value])) for value in sorted(by_value, reverse=True)
+        )
     return OrdinalProfile(instance.agents, instance.items, tiers)
 
 
@@ -279,17 +299,24 @@ class RandomAllocation:
             raise ValueError("duplicate row labels")
         if len(self.entries) != len(self.rows):
             raise ValueError("one entry row per row label required")
+        ratios = []
         for row in self.entries:
             if len(row) != len(self.items):
                 raise ValueError("row length must match the item count")
+            ratio_row = []
             for v in row:
                 if not isinstance(v, Fraction):
                     raise TypeError("entries must be Fractions")
-                if v < 0 or v > 1:
+                p, q = v.as_integer_ratio()
+                if p < 0 or p > q:
                     raise ValueError("entries must lie in [0, 1]")
+                ratio_row.append((p, q))
+            ratios.append(ratio_row)
         for j, item in enumerate(self.items):
-            total = sum(row[j] for row in self.entries)
-            if total != 1:
+            column = [row[j] for row in ratios]
+            scale = math.lcm(*{q for _, q in column})
+            if sum(p * (scale // q) for p, q in column) != scale:
+                total = sum(row[j] for row in self.entries)
                 raise ValueError(f"column {item!r} sums to {total}, expected 1")
 
     def entry(self, row: Hashable, item: str) -> Fraction:

@@ -106,13 +106,16 @@ def re_eat(
 
     rep_base = 0
     for agent in padded.instance.agents:
-        row = bundles[agent]
+        # Bundles are mostly zeros, which add nothing and are not eaten.
+        row = {o: v for o, v in bundles[agent].items() if v}
         total = sum(row.values(), Fraction(0))
         if total != c:
             raise ValueError(f"bundle of {agent!r} has mass {total}, expected {c}")
         clock = Fraction(0)
         for o in padded.prefs_strict.strict_order(agent):
-            amount = row.get(o, Fraction(0))
+            amount = row.get(o)
+            if amount is None:
+                continue
             if amount < 0:
                 raise ValueError("negative bundle entry")
             while amount > 0:
@@ -133,11 +136,12 @@ def project(
     dummy items are dropped.
     """
     instance = padded.instance
+    m = instance.m  # dummies follow the real items in padded.items
     owner: dict[str, str] = {}
     for idx, (agent, _k) in enumerate(padded.representatives):
-        item = padded.items[permutation[idx]]
-        if item not in padded.dummies:
-            owner[item] = agent
+        col = permutation[idx]
+        if col < m:
+            owner[padded.items[col]] = agent
     if set(owner) != set(instance.items):
         raise ValueError("permutation does not cover every real item")
     return DeterministicAllocation.from_mapping(instance.agents, instance.items, owner)

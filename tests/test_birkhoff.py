@@ -105,3 +105,15 @@ def test_decompose_recompose_fuzz():
         assert all(0 < w <= 1 for w, _ in parts)
         assert len(parts) <= max(1, k * k - 2 * k + 2)
         assert recompose(parts, k) == tuple(tuple(row) for row in matrix)
+
+
+def test_decompose_on_the_lcm_scale():
+    # Entry denominators 6, 10 and 15: the common scale is their lcm 30,
+    # not the largest denominator.
+    w = (F(1, 6), F(1, 10), F(11, 15))
+    matrix = (w, (w[1], w[2], w[0]), (w[2], w[0], w[1]))
+    assert is_bistochastic(matrix)
+    parts = birkhoff_decompose(matrix)
+    assert parts == [(F(1, 10), (0, 1, 2)), (F(1, 10), (1, 2, 0)), (F(1, 15), (0, 2, 1)),
+                     (F(1, 10), (2, 0, 1)), (F(19, 30), (2, 1, 0))]
+    assert recompose(parts, 3) == matrix

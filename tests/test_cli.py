@@ -427,6 +427,30 @@ def test_exponent_at_the_cap_is_accepted(tmp_path, literal):
     assert code == 0
 
 
+def test_certificate_past_4300_digits(tmp_path):
+    # Agent 2 values a at 2e4300 and agent 1 owns it: the ef gap
+    # 2e4300 + 2 - 3 - 1 has 4301 digits, past Python's int-to-str limit.
+    doc = json.loads(json.dumps(EXAMPLE))
+    doc["utilities"]["2"]["a"] = "2e4300"
+    instance = tmp_path / "big.json"
+    instance.write_text(json.dumps(doc))
+    lottery = tmp_path / "lottery.json"
+    lottery.write_text(json.dumps(_example_lottery()))
+    code, out = run(["verify", "--property", "ef", "--input", str(instance),
+                     "--lottery", str(lottery)])
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "FAIL"
+    gap = report["violation"]["gap"]
+    assert len(gap) == 4301
+    # int() has the same digit limit, so parse in chunks.
+    value = 0
+    for start in range(0, len(gap), 1000):
+        chunk = gap[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == 2 * 10**4300 - 2
+
+
 def test_malformed_json_diagnostic(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")

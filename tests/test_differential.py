@@ -1,7 +1,9 @@
 """Differential property tests: the ex-post checkers and the oracle's
 Pareto filter against brute force written from the definitions,
-support reduction against a dense full-width elimination, and the eating
-engine's max-flow against networkx.
+support reduction against a dense full-width elimination, the eating
+engine's max-flow against networkx, and the integer-scaled Birkhoff
+decomposition, bistochasticity test and ordinal profile against their
+``Fraction`` formulations.
 
 The checkers compare per-agent integer-scaled utilities, so instances
 here carry fractional utilities (denominators up to 12), zeros and ties:
@@ -20,16 +22,19 @@ from fairlot import (
     DeterministicAllocation,
     Instance,
     Lottery,
+    birkhoff_decompose,
     check_efk,
     check_po_bruteforce,
     check_sd_ef,
     check_sd_ef1,
     check_strong_ef1,
     expected_allocation,
+    is_bistochastic,
     ordinal_from_utilities,
     reduce_support,
     utility_of_bundle,
 )
+from fairlot.birkhoff import _complete_matching
 from fairlot.cli import _pareto_flags
 from fairlot.eps import _Flow
 from fairlot.oracle import enumerate_allocations
@@ -323,3 +328,154 @@ def test_maxflow_matches_networkx(network):
     smallest, largest = flow.reachable_from(0), flow.cannot_reach(1)
     assert 0 in smallest <= largest and 1 not in largest
     assert cut_capacity(edges, smallest) == cut_capacity(edges, largest) == value
+
+
+def fraction_is_bistochastic(matrix):
+    """Square, entries in [0, 1], rows and columns summing to 1, all in
+    ``Fraction`` arithmetic."""
+    k = len(matrix)
+    if any(len(row) != k for row in matrix):
+        return False
+    for row in matrix:
+        if any(v < 0 or v > 1 for v in row):
+            return False
+        if sum(row) != 1:
+            return False
+    for j in range(k):
+        if sum(row[j] for row in matrix) != 1:
+            return False
+    return True
+
+
+def fraction_birkhoff(matrix):
+    """The decomposition loop on a dense ``Fraction`` residual, as the
+    library ran it before it moved to one integer scale."""
+    if not fraction_is_bistochastic(matrix):
+        raise ValueError("matrix is not bistochastic")
+    residual = [list(row) for row in matrix]
+    k = len(residual)
+    adjacency = [sorted(j for j, v in enumerate(row) if v > 0) for row in residual]
+    parts = []
+    match_col = [-1] * k
+    if not _complete_matching(adjacency, match_col, range(k)):
+        raise ValueError("no perfect matching: input was not bistochastic")
+
+    remaining = F(1)
+    while remaining > 0:
+        perm = [-1] * k
+        for col, row in enumerate(match_col):
+            perm[row] = col
+        perm = tuple(perm)
+
+        weight = min(residual[r][perm[r]] for r in range(k))
+        if weight <= 0:
+            raise AssertionError("matched entry is not positive")
+        dead_rows = []
+        for r in range(k):
+            c = perm[r]
+            residual[r][c] -= weight
+            if residual[r][c] == 0:
+                adjacency[r].remove(c)
+                dead_rows.append(r)
+        parts.append((weight, perm))
+        remaining -= weight
+        if remaining == 0:
+            break
+        for r in dead_rows:
+            match_col[perm[r]] = -1
+        if not _complete_matching(adjacency, match_col, dead_rows):
+            raise ValueError("no perfect matching: input was not bistochastic")
+
+    if any(v != 0 for row in residual for v in row):
+        raise AssertionError("residual nonzero after full decomposition")
+    return parts
+
+
+proper = st.integers(2, 60).flatmap(lambda d: st.builds(F, st.integers(1, d - 1), st.just(d)))
+
+
+@st.composite
+def bistochastic(draw):
+    """Mixtures of up to 12 permutation matrices of size k <= 8, repeats
+    included.  The weights are the gaps between cut points in (0, 1) with
+    denominators up to 60, so an entry's denominator is often not the
+    largest one (1/6, 4/15 cut 1 into 1/6, 1/10, 11/15; lcm 30)."""
+    k = draw(st.integers(1, 8))
+    perms = draw(st.lists(st.permutations(range(k)), min_size=1, max_size=9))
+    perms += draw(st.lists(st.sampled_from(perms), max_size=3))
+    cuts = sorted(draw(st.lists(proper, min_size=len(perms) - 1,
+                                max_size=len(perms) - 1, unique=True)))
+    weights = [b - a for a, b in zip([F(0), *cuts], [*cuts, F(1)])]
+    matrix = [[F(0)] * k for _ in range(k)]
+    for w, perm in zip(weights, perms):
+        for r, c in enumerate(perm):
+            matrix[r][c] += w
+    return matrix
+
+
+@SETTINGS
+@given(bistochastic())
+def test_birkhoff_matches_fraction_loop(matrix):
+    assert birkhoff_decompose(matrix) == fraction_birkhoff(matrix)
+
+
+@st.composite
+def perturbed(draw):
+    """A bistochastic matrix, untouched or broken one way: a ragged row,
+    a missing row or an extra column, a negative entry offset by one above
+    1 (rows and columns keep their sums), or one entry off by 1/L, where
+    L is the lcm of the denominators."""
+    matrix = draw(bistochastic())
+    k = len(matrix)
+    how = draw(st.sampled_from(["none", "ragged", "short", "wide", "sign", "off"]))
+    r, c = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    if how == "ragged":
+        matrix[r] = matrix[r][:-1]
+    elif how == "short":
+        del matrix[r]
+    elif how == "wide":
+        matrix = [row + [F(0)] for row in matrix]
+    elif how == "sign" and k > 1:
+        r2, c2 = (r + 1) % k, (c + 1) % k
+        shift = matrix[r][c] + draw(proper)
+        matrix[r][c] -= shift
+        matrix[r2][c2] -= shift
+        matrix[r][c2] += shift
+        matrix[r2][c] += shift
+    elif how == "off":
+        scale = 1
+        for row in matrix:
+            for v in row:
+                scale = scale * v.denominator // gcd(scale, v.denominator)
+        delta = draw(st.sampled_from([F(1, scale), F(-1, scale)]))
+        if matrix[r][c] + delta >= 0:
+            matrix[r][c] += delta
+    return matrix
+
+
+@SETTINGS
+@given(perturbed())
+def test_is_bistochastic_matches_fraction_definition(matrix):
+    expected = fraction_is_bistochastic(matrix)
+    assert is_bistochastic(matrix) == expected
+    if not expected:
+        with pytest.raises(ValueError, match="^matrix is not bistochastic$"):
+            birkhoff_decompose(matrix)
+
+
+def fraction_tiers(inst):
+    """Tiers from sorting the ``Fraction`` utilities, best first."""
+    tiers = {}
+    for a in inst.agents:
+        values = sorted({inst.utility(a, o) for o in inst.items}, reverse=True)
+        tiers[a] = tuple(
+            tuple(sorted(o for o in inst.items if inst.utility(a, o) == v))
+            for v in values
+        )
+    return tiers
+
+
+@SETTINGS
+@given(instances())
+def test_ordinal_profile_matches_fraction_sort(inst):
+    assert dict(ordinal_from_utilities(inst).tiers) == fraction_tiers(inst)

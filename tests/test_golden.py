@@ -39,6 +39,16 @@ GOLDEN = {
         "ba1afcf98a21cb17cd63616bc58f8929f40adf196e6feef40bb1637c8edf5950",
     (("lottery", "--rule", "eps", "--skip-zero"), "binary", 4, 3, 7):
         "4a7d71bf37f9e0ea286a431d886fa84ef7595b07582b44df0111bafcc4b643bc",
+    # Mid-size: weight denominators up to 36 bits at 30x30, and a residual
+    # that empties cell by cell, unlike the nearly dense 4x9 pins.
+    (("lottery", "--rule", "ps"), "strict", 11, 30, 30):
+        "23eb2cd890b957dd647abd207d3987bceb82ee953824b88d492f7a644d439e5e",
+    (("lottery", "--rule", "ps", "--reduce"), "strict", 11, 30, 30):
+        "fe3f0098925528281845a0779a19768f4bf273fb8a0fd6d43a66bc33c1ee260e",
+    (("lottery", "--rule", "eps"), "tied", 5, 12, 30):
+        "a61fc7fc832568df45572cdf5dd04e4d0e94f98d8f1d32f7b94d1fa87f61c64e",
+    (("lottery", "--rule", "eps", "--skip-zero"), "binary", 13, 12, 30):
+        "bc3186e726f310002bd245e10ca80d2b53ce8bfe6ed5b816b44838815d318669",
     (("solve", "--rule", "ps"), "strict", 1, 4, 7):
         "49307c741bcd324d1ce31ec7b950357e9fa6ed63bec909293f9873bf457b3efa",
     (("solve", "--rule", "ps"), "tied", 5, 4, 9):

@@ -25,6 +25,9 @@ def test_rational_parsing_and_formatting():
     assert rational(5) == F(5)
     assert format_rational(F(4, 8)) == "1/2"
     assert format_rational(F(6, 3)) == "2"
+    # past the int-to-str digit limit of Python (4300 by default)
+    assert format_rational(F(-(10**5000) - 1, 7)) == "-1" + "0" * 4999 + "1/7"
+    assert format_rational(F(7, 10**9000)) == "7/1" + "0" * 9000
     with pytest.raises(TypeError):
         rational(0.5)
     with pytest.raises(TypeError):
@@ -130,10 +133,20 @@ def test_sd_dominance_implies_utility_dominance():
 def test_random_allocation_validation():
     half = F(1, 2)
     RandomAllocation(("1", "2"), ("a",), ((half,), (half,)))
+    RandomAllocation(("1", "2", "3"), ("a",), ((F(1, 3),), (F(1, 6),), (half,)))
     with pytest.raises(ValueError):
         RandomAllocation(("1", "2"), ("a",), ((half,), (F(1, 3),)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entries must lie in \[0, 1\]$"):
         RandomAllocation(("1",), ("a",), ((F(2),),))
+    with pytest.raises(ValueError, match=r"^entries must lie in \[0, 1\]$"):
+        RandomAllocation(("1", "2"), ("a",), ((F(-1, 2),), (F(3, 2),)))
+    with pytest.raises(ValueError, match=r"^column 'a' sums to 3/2, expected 1$"):
+        RandomAllocation(("1", "2"), ("a", "b"), ((F(1), F(1, 3)), (half, F(2, 3))))
+    with pytest.raises(ValueError, match=r"^column 'b' sums to 13/12, expected 1$"):
+        RandomAllocation(("1", "2", "3"), ("a", "b"),
+                         ((F(1), F(1, 3)), (F(0), F(1, 4)), (F(0), half)))
+    with pytest.raises(ValueError, match=r"^column 'a' sums to 0, expected 1$"):
+        RandomAllocation(("1",), ("a",), ((F(0),),))
     with pytest.raises(TypeError):
         RandomAllocation(("1",), ("a",), ((0.5,),))
 

@@ -101,8 +101,12 @@ def test_re_eat_integral_bundles(example_instance):
 
 def test_re_eat_rejects_bad_mass(example_instance):
     padded = pad_with_dummies(example_instance)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bundle of '1' has mass 1, expected 2$"):
         re_eat({"1": {"a": F(1)}, "2": {"c": F(2)}}, padded)
+    # The mass is right, but agent 1 would eat -1 of its first choice.
+    with pytest.raises(ValueError, match="^negative bundle entry$"):
+        re_eat({"1": {"a": F(-1), "b": F(3), "c": F(0)}, "2": {"c": F(2), "d": F(0)}},
+               padded)
 
 
 def test_project_example(example_instance):
