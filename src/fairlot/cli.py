@@ -36,16 +36,12 @@ from .fairness import (
 )
 from .fileio import FormatError, dumps
 from .model import Instance, format_rational, ordinal_from_utilities
-from .oracle import (
-    InfeasibilityCertificate,
-    enumerate_allocations,
-    implementable_by,
-    sd_improvement_exists,
-)
+from .oracle import InfeasibilityCertificate, enumerate_allocations, implementable_by
 from .pslottery import implement, plan, reduce_support, support_bound
 
 # Not called here: bound because benchmarks/spans.py looks them up on this module.
 from .eps import eps_outcome
+from .oracle import sd_improvement_exists
 from .ps import ps_outcome
 from .pslottery import pad_with_dummies, ps_lottery
 
@@ -130,9 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         elif prop == "sdef":
             report = check_sd_ef(expected, prefs)
         else:
-            report = check_sd_efficient(
-                expected, prefs, oracle=lambda p, pr: sd_improvement_exists(p, pr)
-            )
+            report = check_sd_efficient(expected, prefs)
         payload = report.to_json()
         sys.stdout.write(dumps(payload))
         return EX_OK if report.ok else EX_FAIL

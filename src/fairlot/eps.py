@@ -136,21 +136,17 @@ class EatingNetwork:
 
     Each eater draws from its eligible items (its current best tier);
     ``demands`` holds consumption already accumulated but not yet pinned,
-    and every eater in ``growing`` additionally eats for the whole step
-    duration.  ``capacity`` is the remaining amount of each item.
+    and every eater additionally eats for the whole step duration.
+    ``capacity`` is the remaining amount of each item.
     """
 
     eaters: tuple[Hashable, ...]
     eligible: Mapping[Hashable, frozenset[str]]
     capacity: Mapping[str, Fraction]
     demands: Mapping[Hashable, Fraction] = field(default_factory=dict)
-    growing: frozenset[Hashable] | None = None
 
     def demand_of(self, eater: Hashable) -> Fraction:
         return self.demands.get(eater, _ZERO)
-
-    def growing_set(self) -> frozenset[Hashable]:
-        return frozenset(self.eaters) if self.growing is None else self.growing
 
     def live_eligible(self, eater: Hashable) -> frozenset[str]:
         return frozenset(o for o in self.eligible[eater] if self.capacity.get(o, 0) > 0)
@@ -165,31 +161,26 @@ class DurationResult:
 
 
 def max_eating_duration(network: EatingNetwork) -> DurationResult:
-    """Longest duration every growing eater can keep eating before some
-    group exhausts its eligible items.
+    """Longest duration every eater can keep eating before some group
+    exhausts its eligible items.
 
     The duration is the Hall-type bottleneck ratio, minimized over eater
     sets S: (capacity of items eligible to S minus S's prior demand)
-    divided by the number of growing eaters in S.  Returns the maximal
+    divided by the number of eaters in S.  Returns the maximal
     tight set, the items it exhausts, and a witness flow at the optimum
     (used to pin the tight eaters' consumption).
     """
     eaters = tuple(network.eaters)
     if not eaters:
         raise ValueError("no eaters")
-    growing = network.growing_set()
-    if not growing:
-        raise ValueError("at least one growing eater is required")
     eligible: dict[Hashable, frozenset[str]] = {}
     for e in eaters:
         live = network.live_eligible(e)
         if not live:
             raise ValueError(f"eater {e!r} has no eligible items left")
         eligible[e] = live
-    if not growing <= set(eaters):
-        raise ValueError("every growing eater must be one of the eaters")
     if all(len(live) == 1 for live in eligible.values()):
-        return _forced_duration(network, eaters, growing, eligible)
+        return _forced_duration(network, eaters, eligible)
     items = sorted({o for live in eligible.values() for o in live})
     cap = {o: network.capacity[o] for o in items}
 
@@ -203,7 +194,7 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
         source_edges = {}
         want = Fraction(0)
         for e in eaters:
-            d = network.demand_of(e) + (duration if e in growing else 0)
+            d = network.demand_of(e) + duration
             want += d
             source_edges[e] = net.add(0, eater_node[e], d)
         for e in eaters:
@@ -217,7 +208,7 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
     full_cap = sum(cap.values())
     if full_cap < total_fixed:
         raise ValueError("prior demands already exceed the available capacity")
-    delta = Fraction(full_cap - total_fixed, len(growing))
+    delta = Fraction(full_cap - total_fixed, len(eaters))
 
     while True:
         net, source_edges, want = build(delta)
@@ -225,12 +216,9 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
         if pushed == want:
             break
         violator = [e for e in eaters if eater_node[e] in net.reachable_from(0)]
-        grow_count = sum(1 for e in violator if e in growing)
-        if grow_count == 0:
-            raise ValueError("prior demands are infeasible")
         vio_cap = sum(cap[o] for o in sorted({o for e in violator for o in eligible[e]}))
         vio_fixed = sum(network.demand_of(e) for e in violator)
-        new_delta = Fraction(vio_cap - vio_fixed, grow_count)
+        new_delta = Fraction(vio_cap - vio_fixed, len(violator))
         if new_delta < 0:
             raise ValueError("prior demands are infeasible")
         if new_delta >= delta:
@@ -260,7 +248,7 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
     fill = {o: Fraction(0) for o in tight_items}
     uniform: dict[Hashable, dict[str, Fraction]] = {}
     for e in tight:
-        total = network.demand_of(e) + (delta if e in growing else 0)
+        total = network.demand_of(e) + delta
         share = total / len(eligible[e])
         uniform[e] = {o: share for o in sorted(eligible[e])} if share > 0 else {}
         for o in eligible[e]:
@@ -285,14 +273,13 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
 def _forced_duration(
     network: EatingNetwork,
     eaters: tuple[Hashable, ...],
-    growing: frozenset[Hashable],
     eligible: Mapping[Hashable, frozenset[str]],
 ) -> DurationResult:
     """``max_eating_duration`` when every eater has a single live item.
 
     Each eater's flow is forced onto its item, so the bottleneck ratio is
     taken item by item: (capacity - prior demand of its eaters) / number of
-    growing eaters.  The items the minimum exhausts are the tight ones and
+    its eaters.  The items the minimum exhausts are the tight ones and
     their eaters the maximal tight set, as the min-cut would find.
     """
     item_of: dict[Hashable, str] = {}
@@ -301,24 +288,20 @@ def _forced_duration(
     for e in eaters:
         (o,) = eligible[e]
         item_of[e] = o
-        if o in fixed:
-            fixed[o] += network.demand_of(e)
-            rate[o] += e in growing
-        else:
-            fixed[o] = network.demand_of(e)
-            rate[o] = int(e in growing)
+        fixed[o] = fixed.get(o, _ZERO) + network.demand_of(e)
+        rate[o] = rate.get(o, 0) + 1
     cap = network.capacity
     slack = {o: cap[o] - fixed[o] for o in fixed}
     if any(v < 0 for v in slack.values()):
         if sum(cap[o] for o in sorted(fixed)) < sum(fixed.values()):
             raise ValueError("prior demands already exceed the available capacity")
         raise ValueError("prior demands are infeasible")
-    ratio = {o: Fraction(slack[o], rate[o]) for o in fixed if rate[o]}
+    ratio = {o: Fraction(slack[o], rate[o]) for o in fixed}
     delta = min(ratio.values())
-    exhausted = {o for o in fixed if (ratio[o] == delta if rate[o] else slack[o] == 0)}
+    exhausted = {o for o in fixed if ratio[o] == delta}
     flows: dict[Hashable, dict[str, Fraction]] = {}
     for e in eaters:
-        amount = network.demand_of(e) + delta if e in growing else network.demand_of(e)
+        amount = network.demand_of(e) + delta
         flows[e] = {item_of[e]: amount} if amount > 0 else {}
     return DurationResult(
         duration=delta,
@@ -396,7 +379,6 @@ def _run_fluid(
             eligible={a: epoch[a].eligible for a in active},
             capacity=live,
             demands={a: epoch[a].duration for a in active},
-            growing=frozenset(active),
         )
         step = max_eating_duration(network)
         if step.duration <= 0:

@@ -2,15 +2,20 @@
 pipeline.  Every checker returns a report carrying a machine-readable
 certificate: a witness of satisfaction or a concrete violating pair/set
 that re-fails when replayed in isolation.
+
+The ex-ante checkers take a ``RandomAllocation``, the ex-post ones a
+``DeterministicAllocation``.  All compare exact integers or ranks; none
+solves an LP (SD-efficiency is a cycle test on a trade graph of items).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 from .fileio import matrix_to_obj
 from .model import (
@@ -22,7 +27,6 @@ from .model import (
     _sd_relation,
     _tier_prefixes,
     format_rational,
-    utility_of_bundle,
 )
 
 __all__ = [
@@ -59,7 +63,6 @@ class Report:
     ok: bool
     witness: Any = None
     violation: Any = None
-    detail: str = ""
 
     def to_json(self) -> dict:
         def encode(value):
@@ -78,37 +81,38 @@ class Report:
             payload["witness"] = encode(self.witness)
         if self.violation is not None:
             payload["violation"] = encode(self.violation)
-        if self.detail:
-            payload["detail"] = self.detail
         return payload
 
 
-def _rows_of(p: RandomAllocation | DeterministicAllocation) -> tuple[tuple[str, ...], dict]:
-    if isinstance(p, DeterministicAllocation):
-        return p.agents, {a: p.row(a) for a in p.agents}
-    return tuple(p.rows), {a: p.row(a) for a in p.rows}
+def _scaled_rows(p: RandomAllocation) -> tuple[dict[Any, dict[str, int]], int]:
+    """p's rows as item -> int maps on one scale L, the lcm of all its
+    denominators: entry v becomes v * L."""
+    scale = math.lcm(*(v.denominator for row in p.entries for v in row))
+    rows = {
+        a: {o: v.numerator * (scale // v.denominator) for o, v in zip(p.items, row)}
+        for a, row in zip(p.rows, p.entries)
+    }
+    return rows, scale
 
 
-def check_ef(p: RandomAllocation | DeterministicAllocation, instance: Instance) -> Report:
+def check_ef(p: RandomAllocation, instance: Instance) -> Report:
     """Envy-freeness: every agent values its own row at least as much as
-    anyone else's."""
-    agents, rows = _rows_of(p)
-    for i in agents:
-        own = utility_of_bundle(instance, i, rows[i])
-        for j in agents:
-            if i == j:
-                continue
-            other = utility_of_bundle(instance, i, rows[j])
-            if own < other:
-                return Report(
-                    "ef",
-                    False,
-                    violation={"envious": i, "envied": j, "gap": other - own},
-                )
-    return Report("ef", True, witness={"pairs_checked": len(agents) * (len(agents) - 1)})
+    anyone else's.  Agent i sums its integer utilities (``integer_rows``,
+    scale s) over entries scaled by one lcm L (``_scaled_rows``), so a
+    scaled gap g is the utility gap g / (L * s)."""
+    rows, scale = _scaled_rows(p)
+    item_idx = instance._index_maps()[1]
+    for i in p.rows:
+        values, own_scale = instance.integer_rows()[instance.agent_index(i)]
+        totals = {a: sum(values[item_idx[o]] * v for o, v in row.items()) for a, row in rows.items()}
+        for j, other in totals.items():
+            if other > totals[i]:
+                gap = Fraction(other - totals[i], scale * own_scale)
+                return Report("ef", False, violation={"envious": i, "envied": j, "gap": gap})
+    return Report("ef", True, witness={"pairs_checked": len(p.rows) * (len(p.rows) - 1)})
 
 
-def check_sd_ef(p: RandomAllocation | DeterministicAllocation, prefs: OrdinalProfile) -> Report:
+def check_sd_ef(p: RandomAllocation, prefs: OrdinalProfile) -> Report:
     """Stochastic-dominance envy-freeness: own row weakly SD-dominates
     every other row, agent by agent.
 
@@ -116,15 +120,12 @@ def check_sd_ef(p: RandomAllocation | DeterministicAllocation, prefs: OrdinalPro
     preserves every comparison of prefix sums; each envier then computes
     the prefix sums of every row once, in its own tier order.
     """
-    agents, rows = _rows_of(p)
-    scale = math.lcm(*(v.denominator for row in rows.values() for v in row.values()))
-    scaled = {a: {o: int(row.get(o, 0) * scale) for o in prefs.items} for a, row in rows.items()}
+    agents = p.rows
+    scaled, _ = _scaled_rows(p)
     for i in agents:
         tiers = prefs.tiers[i]
         prefixes = {a: _tier_prefixes(tiers, scaled[a]) for a in agents}
         for j in agents:
-            if i == j:
-                continue
             rel = _sd_relation(prefixes[i], prefixes[j])
             if rel not in (SdRelation.DOMINATES, SdRelation.EQUIVALENT):
                 return Report(
@@ -323,28 +324,15 @@ def check_rb(
                     )
         # j must pick before i when i strictly prefers j's round item.
         succ = {a: [] for a in participants}
-        indeg = {a: 0 for a in participants}
         for i in participants:
             rank_i = ranks[i]
             mine = rank_i[ordered[i][r]]
             for j in participants:
-                if i == j:
-                    continue
                 if rank_i[ordered[j][r]] < mine:
                     succ[j].append(i)
-                    indeg[i] += 1
-        queue = sorted(a for a in participants if indeg[a] == 0)
-        order = []
-        while queue:
-            a = queue.pop(0)
-            order.append(a)
-            for b in succ[a]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    queue.append(b)
-            queue.sort()
+        order = _topological_order(succ)
         if len(order) != len(participants):
-            cycle = sorted(a for a in participants if indeg[a] > 0)
+            cycle = sorted(set(participants) - set(order))
             return Report(
                 "rb",
                 False,
@@ -355,84 +343,115 @@ def check_rb(
     return Report("rb", True, witness={"sequence": sequence, "picks": picks})
 
 
-def check_sd_efficient(
-    p: RandomAllocation,
-    prefs: OrdinalProfile,
-    oracle: Callable[[RandomAllocation, OrdinalProfile], Any] | None = None,
-) -> Report:
-    """SD-efficiency of a fractional allocation.
+def _topological_order(succ: Mapping[Any, Iterable[Any]]) -> list:
+    """Kahn's algorithm that always takes the smallest available node.
+    The nodes missing from the result are exactly those on a cycle or
+    behind one."""
+    indeg = dict.fromkeys(succ, 0)
+    for targets in succ.values():
+        for v in targets:
+            indeg[v] += 1
+    heap = [u for u, d in indeg.items() if d == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        u = heapq.heappop(heap)
+        order.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(heap, v)
+    return order
 
-    For strict profiles: build the relation "o is strictly preferred to o'
-    by someone holding o'" and check it is acyclic (a topological order is
-    the witness; a cycle is an improving trade).  Profiles with ties need
-    the LP search for an SD-dominating allocation, injected as ``oracle``
-    (returning None or an improving allocation); without it the check is
-    refused.
+
+def check_sd_efficient(p: RandomAllocation, prefs: OrdinalProfile) -> Report:
+    """SD-efficiency of a fractional allocation, ties or not.
+
+    The trade graph on items has an edge x -> y (x != y) when an agent
+    holding part of y ranks x at or above y; the edge is strict when it
+    ranks x strictly above y.  p is SD-efficient iff no strict edge lies
+    on a cycle.  Such a cycle is an SD-improvement: each edge's backer
+    swaps epsilon of the item it holds for the one it ranks at or above,
+    every item is given and received once, no backer's tier prefix sum
+    falls and the strict backer's rises.  Conversely, if q SD-dominates
+    p, each agent's change from p to q moves mass to weakly better items;
+    summed over agents this is a circulation along reversed edges, and
+    one of its cycles holds the strict step of an agent q improves.
+
+    PASS lists the items class by class (strongly connected classes in
+    smallest-first topological order, sorted within), naming the classes
+    of more than one item under ``classes``.  FAIL gives the cycle
+    ``[x, y, ..., x]`` through the smallest such strict edge x -> y and
+    the allocation that trading along it by the smallest holding yields.
     """
-    if not prefs.is_strict():
-        if oracle is None:
-            return Report(
-                "sdeff",
-                False,
-                detail="requires oracle: profile has ties and no LP fallback was supplied",
-            )
-        improvement = oracle(p, prefs)
-        if improvement is None:
-            return Report("sdeff", True, witness={"method": "lp"})
-        return Report(
-            "sdeff", False, violation={"dominating_allocation": improvement}
-        )
-
     items = p.items
-    holders: dict[str, list] = {o: [] for o in items}
-    for a in p.rows:
-        row = p.row(a)
-        for o in items:
-            if row[o] > 0:
-                holders[o].append(a)
-    ranks = {a: prefs.tier_rank(a) for a in p.rows}
-    better: dict[str, set[str]] = {o: set() for o in items}  # o -> strictly worse o' held
-    for o_prime in items:
-        for a in holders[o_prime]:
-            rank_a = ranks[a]
-            held = rank_a[o_prime]
-            for o in items:
-                if rank_a[o] < held:
-                    better[o].add(o_prime)
+    index = {o: k for k, o in enumerate(items)}
+    # edges[x][y] = (backing agent, whether it ranks x strictly above y)
+    edges: dict[str, dict[str, tuple[Any, bool]]] = {o: {} for o in items}
+    for a, row in zip(p.rows, p.entries):
+        rank = prefs.tier_rank(a)
+        for y, amount in zip(items, row):
+            if not amount:
+                continue
+            held = rank[y]
+            for x in items:
+                if x != y and rank[x] <= held:
+                    backer = edges[x].get(y)
+                    if backer is None or (rank[x] < held and not backer[1]):
+                        edges[x][y] = (a, rank[x] < held)
+    # reach[k] has bit j set iff items[j] is reachable from items[k]
+    # (Warshall's transitive closure, one int per row).
+    reach = [sum(1 << index[y] for y in edges[x]) for x in items]
+    for k, through in enumerate(reach):
+        for i, row in enumerate(reach):
+            if row >> k & 1:
+                reach[i] = row | through
 
-    indeg = {o: 0 for o in items}
-    for o in items:
-        for o_prime in better[o]:
-            indeg[o_prime] += 1
-    queue = sorted(o for o in items if indeg[o] == 0)
-    topo = []
-    while queue:
-        o = queue.pop(0)
-        topo.append(o)
-        for o_prime in sorted(better[o]):
-            indeg[o_prime] -= 1
-            if indeg[o_prime] == 0:
-                queue.append(o_prime)
-        queue.sort()
-    if len(topo) == len(items):
-        return Report("sdeff", True, witness={"topological_order": topo})
-    # Recover one cycle for the certificate: every unprocessed node still
-    # has an unprocessed predecessor, so walking backward must revisit.
-    remaining = {o for o in items if o not in set(topo)}
-    preds = {
-        o: sorted(u for u in remaining if o in better[u]) for o in remaining
-    }
-    node = sorted(remaining)[0]
-    path = [node]
-    seen = {node}
-    while True:
-        node = preds[node][0]
-        if node in seen:
-            cycle = path[path.index(node):]
-            cycle.reverse()
-            return Report("sdeff", False, violation={"trading_cycle": cycle + [cycle[0]]})
-        path.append(node)
-        seen.add(node)
+    def reaches(u: str, v: str) -> int:
+        return reach[index[u]] >> index[v] & 1
+
+    on_cycle = [(x, y) for x in items for y, (_, strict) in edges[x].items()
+                if strict and reaches(y, x)]
+    if not on_cycle:
+        cls: dict[str, tuple[str, ...]] = {}
+        ordered = sorted(items)
+        for o in ordered:
+            if o not in cls:
+                members = tuple(v for v in ordered if v == o or reaches(o, v) and reaches(v, o))
+                cls.update(dict.fromkeys(members, members))
+        condensed = {
+            c: {cls[y] for x in c for y in edges[x]} - {c} for c in dict.fromkeys(cls.values())
+        }
+        order = _topological_order(condensed)
+        witness: dict[str, Any] = {"topological_order": [o for c in order for o in c]}
+        if len(order) < len(items):
+            witness["classes"] = [list(c) for c in order if len(c) > 1]
+        return Report("sdeff", True, witness=witness)
+
+    x, y = min(on_cycle)
+    parent = {y: y}
+    queue = [y]
+    for u in queue:  # breadth first: parent[] spans shortest paths from y
+        for v in sorted(edges[u]):
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    path = [x]
+    while path[-1] != y:
+        path.append(parent[path[-1]])
+    cycle = [x] + path[::-1]
+    rows = {a: p.row(a) for a in p.rows}
+    trades = [(edges[u][v][0], u, v) for u, v in zip(cycle, cycle[1:])]
+    eps = min(rows[b][v] for b, _, v in trades)
+    for b, u, v in trades:
+        rows[b][u] += eps
+        rows[b][v] -= eps
+    better = RandomAllocation(p.rows, items, tuple(tuple(r.values()) for r in rows.values()))
+    return Report(
+        "sdeff",
+        False,
+        violation={"trading_cycle": cycle, "dominating_allocation": better},
+    )
 
 
 def utility_vectors(

@@ -6,7 +6,7 @@ import pytest
 
 from fairlot import SdRelation, fileio, ordinal_from_utilities, sd_compare
 from fairlot.cli import main
-from test_golden import hand_files
+from test_golden import checking_inputs, hand_files
 
 EXAMPLE = {
     "agents": ["1", "2"],
@@ -189,8 +189,8 @@ def test_verify_pass_and_fail(tmp_path, example_file):
 
 
 def test_verify_sdeff_failure_carries_a_dominating_matrix(tmp_path):
-    # The hand-written lottery has ties, so sdeff takes the LP path, and
-    # its expectation is not SD-efficient.
+    # The hand-written lottery has ties, and its expectation is not
+    # SD-efficient.
     instance_path, lottery_path = hand_files(tmp_path)
     code, out = run(["verify", "--property", "sdeff", "--input", instance_path,
                      "--lottery", lottery_path])
@@ -207,6 +207,24 @@ def test_verify_sdeff_failure_carries_a_dominating_matrix(tmp_path):
                  for a in instance.agents]
     assert set(relations) <= {SdRelation.DOMINATES, SdRelation.EQUIVALENT}
     assert SdRelation.DOMINATES in relations
+
+
+def test_verify_sdeff_never_solves_an_lp(tmp_path, monkeypatch):
+    # Both the tied PASS case and the tied hand FAIL case are decided
+    # without the simplex.
+    cases = []
+    for kind, seed, n, m in (("tied", 2, 3, 7), ("hand", 0, 3, 5)):
+        (tmp_path / kind).mkdir()
+        cases.append(checking_inputs(tmp_path / kind, kind, seed, n, m))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify sdeff reached the simplex")
+
+    monkeypatch.setattr("fairlot.oracle.solve_lp", refuse)
+    codes = [run(["verify", "--property", "sdeff", "--input", instance,
+                  "--lottery", lottery])[0]
+             for instance, lottery, _ in cases]
+    assert codes == [0, 1]
 
 
 def test_verify_needs_lottery(example_file):

@@ -1,5 +1,6 @@
 """Differential property tests: the ex-post checkers and the oracle's
-Pareto filter against brute force written from the definitions,
+Pareto filter against brute force written from the definitions, the
+SD-efficiency graph test against the exact improvement LP,
 support reduction against a dense full-width elimination, the eating
 engine's max-flow against networkx, and the integer-scaled Birkhoff
 decomposition, bistochasticity test and ordinal profile against their
@@ -22,22 +23,28 @@ from fairlot import (
     DeterministicAllocation,
     Instance,
     Lottery,
+    RandomAllocation,
+    SdRelation,
     birkhoff_decompose,
     check_efk,
     check_po_bruteforce,
     check_sd_ef,
     check_sd_ef1,
+    check_sd_efficient,
     check_strong_ef1,
+    eps_outcome,
     expected_allocation,
     is_bistochastic,
     ordinal_from_utilities,
+    ps_outcome,
     reduce_support,
+    sd_compare,
     utility_of_bundle,
 )
 from fairlot.birkhoff import _complete_matching
 from fairlot.cli import _pareto_flags
 from fairlot.eps import _Flow
-from fairlot.oracle import enumerate_allocations
+from fairlot.oracle import enumerate_allocations, sd_improvement_exists
 from test_fairness import slow_efk, slow_sd_ef1
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -153,6 +160,80 @@ def test_sd_ef_matches_definition(case, data):
         for i in inst.agents for j in inst.agents if i != j
     )
     assert check_sd_ef(p, ordinal_from_utilities(inst)).ok == expected
+
+
+@st.composite
+def sd_efficiency_cases(draw):
+    """A tied profile (utility levels 0 to 3, n <= 4, m <= 6) and a
+    matrix on it: a random column-stochastic matrix with zeros, the eps
+    outcome, or the ps outcome of the strictified profile."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    agents = [f"a{i}" for i in range(1, n + 1)]
+    items = [f"o{j}" for j in range(1, m + 1)]
+    table = {a: {o: draw(st.integers(0, 3)) for o in items} for a in agents}
+    inst = Instance.from_utilities(table, agents=agents, items=items)
+    prefs = ordinal_from_utilities(inst)
+    source = draw(st.sampled_from(["random", "eps", "ps"]))
+    if source == "eps":
+        return prefs, eps_outcome(inst)[0]
+    if source == "ps":
+        return prefs, ps_outcome(inst.agents, inst.items, prefs.strictified())[0]
+    columns = []
+    for _ in items:
+        weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if not any(weights):
+            weights[draw(st.integers(0, n - 1))] = 1
+        columns.append([F(w, sum(weights)) for w in weights])
+    return prefs, RandomAllocation(
+        inst.agents, inst.items, tuple(tuple(col[i] for col in columns) for i in range(n))
+    )
+
+
+def trade_edges(p, prefs):
+    """(x, y) -> whether the edge is strict, for every x != y that some
+    agent holding y ranks at or above y."""
+    edges = {}
+    for a in p.rows:
+        rank = prefs.tier_rank(a)
+        for y in p.items:
+            if p.entry(a, y) > 0:
+                for x in p.items:
+                    if x != y and rank[x] <= rank[y]:
+                        edges[x, y] = edges.get((x, y), False) or rank[x] < rank[y]
+    return edges
+
+
+@SETTINGS
+@given(sd_efficiency_cases())
+def test_sd_efficient_matches_lp(case):
+    prefs, p = case
+    report = check_sd_efficient(p, prefs)
+    assert report.ok == (sd_improvement_exists(p, prefs) is None)
+    edges = trade_edges(p, prefs)
+    if report.ok:
+        order = report.witness["topological_order"]
+        assert sorted(order) == sorted(p.items)
+        position = {o: k for k, o in enumerate(order)}
+        classes = report.witness.get("classes", [])
+        assert all(len(c) > 1 for c in classes)
+        label = {o: k for k, c in enumerate(classes) for o in c}
+        for c in classes:
+            assert order[position[c[0]]:position[c[0]] + len(c)] == c == sorted(c)
+        for (x, y), strict in edges.items():
+            inside = x in label and label.get(y) == label[x]
+            assert position[x] < position[y] or inside
+            assert not (strict and inside)
+        return
+    better = report.violation["dominating_allocation"]
+    relations = [sd_compare(prefs, a, better.row(a), p.row(a)) for a in p.rows]
+    assert set(relations) <= {SdRelation.DOMINATES, SdRelation.EQUIVALENT}
+    assert SdRelation.DOMINATES in relations
+    cycle = report.violation["trading_cycle"]
+    assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1 >= 2
+    steps = list(zip(cycle, cycle[1:]))
+    assert all(step in edges for step in steps)
+    assert any(edges[step] for step in steps)
 
 
 @SETTINGS

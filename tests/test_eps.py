@@ -223,13 +223,12 @@ def random_singleton_network(rng):
     eligible = {e: frozenset({rng.choice(items)}) for e in eaters}
     demands = {e: F(rng.randint(0, 4), rng.randint(1, 4)) for e in eaters
                if rng.random() < 0.7}
-    growing = frozenset(e for e in eaters if rng.random() < 0.7) or frozenset(eaters[:1])
     capacity = {}
     for o in items:
         prior = sum((demands.get(e, F(0)) for e in eaters if o in eligible[e]), F(0))
         extra = F(rng.randint(0, 4), rng.randint(1, 4)) if rng.random() < 0.8 else F(0)
         capacity[o] = prior + extra if prior + extra > 0 else F(1)
-    return EatingNetwork(eaters, eligible, capacity, demands, growing)
+    return EatingNetwork(eaters, eligible, capacity, demands)
 
 
 def hall_bruteforce(net):
@@ -242,10 +241,9 @@ def hall_bruteforce(net):
         items = set().union(*(net.eligible[e] for e in S))
         return (sum(net.capacity[o] for o in items)
                 - sum(net.demand_of(e) for e in S)
-                - duration * sum(e in net.growing for e in S))
+                - duration * len(S))
 
-    duration = min(slack(S, 0) / sum(e in net.growing for e in S)
-                   for S in subsets if set(S) & net.growing)
+    duration = min(slack(S, 0) / len(S) for S in subsets)
     tight = {e for S in subsets if slack(S, duration) == 0 for e in S}
     return duration, tight
 
@@ -261,7 +259,7 @@ def test_singleton_duration_matches_hall_bruteforce():
         assert res.tight_items == tuple(sorted({o for e in tight for o in net.eligible[e]}))
         for e in net.eaters:
             (o,) = net.eligible[e]
-            amount = net.demand_of(e) + (duration if e in net.growing else 0)
+            amount = net.demand_of(e) + duration
             assert res.flow[e] == ({o: amount} if amount > 0 else {})
 
 
@@ -271,17 +269,6 @@ def test_singleton_duration_rejects_excess_demand():
         eligible={"1": frozenset({"a"}), "2": frozenset({"b"})},
         capacity={"a": F(1), "b": F(1)},
         demands={"1": F(3, 2)},
-    )
-    with pytest.raises(ValueError):
-        max_eating_duration(net)
-
-
-def test_duration_rejects_growing_non_eater():
-    net = EatingNetwork(
-        eaters=("1",),
-        eligible={"1": frozenset({"a"})},
-        capacity={"a": F(1)},
-        growing=frozenset({"1", "2"}),
     )
     with pytest.raises(ValueError):
         max_eating_duration(net)

@@ -49,11 +49,11 @@ def test_check_ef(example_instance):
     grab = DeterministicAllocation(
         example_instance.agents, example_instance.items, ("1", "1", "1", "1")
     )
-    report = check_ef(grab, example_instance)
+    report = check_ef(grab.matrix(), example_instance)
     assert not report.ok
     assert report.violation["envious"] == "2" and report.violation["envied"] == "1"
     solo = Instance.from_utilities({"1": {"a": 3}}, agents=["1"], items=["a"])
-    assert check_ef(DeterministicAllocation(("1",), ("a",), ("1",)), solo).ok
+    assert check_ef(DeterministicAllocation(("1",), ("a",), ("1",)).matrix(), solo).ok
 
 
 def test_check_sd_ef(example_instance):
@@ -289,7 +289,7 @@ def test_check_sd_efficient_strict(example_instance):
     assert cycle[0] == cycle[-1] and set(cycle) == {"a", "b"}
 
 
-def test_check_sd_efficient_weak_needs_oracle():
+def test_check_sd_efficient_weak():
     inst = Instance.from_utilities(
         {"1": {"a": 1, "b": 1}, "2": {"a": 1, "b": 1}},
         agents=["1", "2"], items=["a", "b"],
@@ -297,9 +297,22 @@ def test_check_sd_efficient_weak_needs_oracle():
     prefs = ordinal_from_utilities(inst)
     p = RandomAllocation(("1", "2"), ("a", "b"), ((HALF, HALF), (HALF, HALF)))
     report = check_sd_efficient(p, prefs)
-    assert not report.ok and "requires oracle" in report.detail
-    report = check_sd_efficient(p, prefs, oracle=sd_improvement_exists)
     assert report.ok
+    assert report.witness == {"topological_order": ["a", "b"], "classes": [["a", "b"]]}
+    assert sd_improvement_exists(p, prefs) is None
+    # Agent 1 is indifferent and backs a -> b first; agent 2, who also
+    # holds b, ranks a strictly above it, so the edge is strict.
+    split = Instance.from_utilities(
+        {"1": {"a": 1, "b": 1}, "2": {"a": 2, "b": 1}},
+        agents=["1", "2"], items=["a", "b"],
+    )
+    p = RandomAllocation(("1", "2"), ("a", "b"), ((F(1), HALF), (F(0), HALF)))
+    report = check_sd_efficient(p, ordinal_from_utilities(split))
+    assert not report.ok
+    assert report.violation["trading_cycle"] == ["a", "b", "a"]
+    assert report.violation["dominating_allocation"] == RandomAllocation(
+        ("1", "2"), ("a", "b"), ((HALF, F(1)), (HALF, F(0)))
+    )
 
 
 def test_deterministic_consistent_with_efficient_is_efficient():

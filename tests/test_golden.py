@@ -135,8 +135,8 @@ def test_skip_zero_metadata_describes_the_padding_used(tmp_path):
 # Checking output.  Lotteries and target matrices are built by the CLI
 # from the seeded instances above; the hand-written case has fractional
 # utilities, ties and a zero, and its lottery fails ef1, sdef1,
-# strong-ef1, rb, po and sdeff (the LP's dominating matrix), so violation
-# certificates are pinned as well.
+# strong-ef1, rb, po and sdeff (a trading cycle and the matrix that trades
+# along it), so violation certificates are pinned as well.
 HAND = {
     "agents": ["1", "2", "3"],
     "items": ["a", "b", "c", "d", "e"],
@@ -156,7 +156,7 @@ VERIFY_GOLDEN = {
     (("sdef",), "tied", 2, 3, 7):
         "3994681e34333b2a0d5092fd7d61beb82bb568baf16ee41030ae00086eb0d322",
     (("sdeff",), "tied", 2, 3, 7):
-        "f4c0d36afe3b6feacc6e302c793be15ec30953bf41d83f54d7cfe7fcd9bf78bd",
+        "95c2f1147d6aa51762470ec57a7a686b776c28d8ae70410455a3f1fea84e62e0",
     (("ef1",), "tied", 2, 3, 7):
         "c45f1afad3a07cee5ae2334f55e073850702664b24777f6a5d82f7f62555babd",
     (("efk", "--k", "0"), "tied", 2, 3, 7):
@@ -172,7 +172,7 @@ VERIFY_GOLDEN = {
     (("po",), "tied", 2, 3, 7):
         "7fa9adcb4d4ea8c36f83214f3e79ed6769b50fa51f00f6fb3c8df9915a325f5c",
     (("sdeff",), "hand", 0, 3, 5):
-        "2f88fa5eda9429a8f0722aaee4956f62285a7e605e9929e0ca2805bfcd24e8ba",
+        "eb9d1d2561edcd47367c09e020530e4f54c00d52458a301a76815f682152af6e",
     (("ef",), "hand", 0, 3, 5):
         "256734347c2563295e4cba4b2d3d126a038f28b01e1268b5e2de628ea8fd88b0",
     (("sdef",), "hand", 0, 3, 5):

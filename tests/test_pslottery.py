@@ -189,13 +189,13 @@ def test_eps_rule_support_is_sd_efficient():
         inst = weak_instance(rng, rng.randint(1, 3), rng.randint(1, 5))
         prefs = ordinal_from_utilities(inst)
         lottery, expected = ps_lottery(inst, rule="eps")
-        assert check_sd_efficient(expected, prefs, oracle=sd_improvement_exists).ok
+        assert check_sd_efficient(expected, prefs).ok
+        assert sd_improvement_exists(expected, prefs) is None
         for _w, alloc in lottery.entries:
             for o, owner in zip(alloc.items, alloc.owners):
                 assert expected.entry(owner, o) > 0  # consistency with expected
-            assert check_sd_efficient(
-                alloc.matrix(), prefs, oracle=sd_improvement_exists
-            ).ok
+            assert check_sd_efficient(alloc.matrix(), prefs).ok
+            assert sd_improvement_exists(alloc.matrix(), prefs) is None
 
 
 def test_skip_zero_lottery_unbalanced_bundles():
