@@ -6,11 +6,17 @@ that re-fails when replayed in isolation.
 The ex-ante checkers take a ``RandomAllocation``, the ex-post ones a
 ``DeterministicAllocation``.  All compare exact integers or ranks; none
 solves an LP (SD-efficiency is a cycle test on a trade graph of items).
+The ex-post checkers keep what they learn about a bundle (every agent's
+value of it, an agent's best-first order of it) and their ``sdef1``
+verdict on an (envier, own bundle, other bundle) triple on the
+``Instance`` or ``OrdinalProfile`` they are given: a lottery's support
+allocations share most of their bundles, so each is worked out once.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -136,29 +142,57 @@ def check_sd_ef(p: RandomAllocation, prefs: OrdinalProfile) -> Report:
     return Report("sdef", True, witness={"pairs_checked": len(agents) * (len(agents) - 1)})
 
 
-def _bundles(allocation: DeterministicAllocation) -> dict[str, list[str]]:
-    """Every agent's bundle, in item order, from one pass over the owners."""
+def _memo(owner: Instance | OrdinalProfile, name: str) -> dict:
+    """A dict kept on a frozen ``Instance`` or ``OrdinalProfile``, as
+    ``Instance.integer_rows`` is.  It lives as long as that object, so a
+    bundle, or an (envier, own bundle, other bundle) triple, is decided
+    once for every allocation checked against it."""
+    return owner.__dict__.setdefault(name, {})
+
+
+def _bundles(allocation: DeterministicAllocation) -> dict[str, tuple[str, ...]]:
+    """Every agent's bundle as an item tuple in item order, from one pass
+    over the owners."""
     bundles: dict[str, list[str]] = {a: [] for a in allocation.agents}
     for o, owner in zip(allocation.items, allocation.owners):
         bundles[owner].append(o)
-    return bundles
+    return {a: tuple(bundle) for a, bundle in bundles.items()}
 
 
-def _scores(
-    allocation: DeterministicAllocation, instance: Instance
-) -> dict[str, dict[str, int]]:
-    """``score[i][j]``: agent i's utility for j's bundle, in i's integer
-    scale (see ``Instance.integer_rows``)."""
-    rows = instance.integer_rows()
-    item_idx = instance._index_maps()[1]
-    cells = [(item_idx[o], owner) for o, owner in zip(allocation.items, allocation.owners)]
-    score = {}
-    for i in allocation.agents:
-        values = rows[instance.agent_index(i)][0]
-        totals = score[i] = dict.fromkeys(allocation.agents, 0)
-        for c, owner in cells:
-            totals[owner] += values[c]
-    return score
+def _bundle_values(
+    instance: Instance, bundles: dict[str, tuple[str, ...]]
+) -> dict[str, tuple[int, ...]]:
+    """Per agent of ``bundles``, every agent's integer value of its bundle
+    (``integer_rows`` scales), in the order of ``bundles``.  A bundle's
+    values are summed once per instance, from its items' columns."""
+    cache = _memo(instance, "_bundle_values")
+    if not cache:  # seeded with the empty bundle and every single item
+        cache[()] = (0,) * instance.n
+        columns = zip(*(row for row, _ in instance.integer_rows()))
+        cache.update(((o,), column) for o, column in zip(instance.items, columns))
+    values = {}
+    for a, bundle in bundles.items():
+        row = cache.get(bundle)
+        if row is None:
+            row = cache[bundle] = tuple(map(sum, zip(*(cache[o,] for o in bundle))))
+        values[a] = row
+    if tuple(bundles) != instance.agents:
+        order = [instance.agent_index(a) for a in bundles]
+        values = {a: tuple(row[t] for t in order) for a, row in values.items()}
+    return values
+
+
+def _best_first(prefs: OrdinalProfile, agent: str, bundle: tuple[str, ...]) -> tuple[str, ...]:
+    """``bundle`` sorted best-first for ``agent``, ties broken by item id;
+    sorted once per profile."""
+    if len(bundle) < 2:
+        return bundle
+    orders = _memo(prefs, "_best_first")
+    order = orders.get((agent, bundle))
+    if order is None:
+        rank = prefs.tier_rank(agent)
+        order = orders[agent, bundle] = tuple(sorted(bundle, key=lambda o: (rank[o], o)))
+    return order
 
 
 def check_efk(allocation: DeterministicAllocation, instance: Instance, k: int) -> Report:
@@ -166,39 +200,34 @@ def check_efk(allocation: DeterministicAllocation, instance: Instance, k: int) -
     set of at most k items kills the envy.
 
     Items live in exactly one bundle, so the best removal drops the k
-    items of the envied bundle the envier likes most.  Sums and
-    comparisons run on the envier's integer-scaled utilities.
+    items of the envied bundle the envier likes most, and a bundle of at
+    most k items is never envied after it.  Sums and comparisons run on
+    the envier's integer-scaled utilities, from bundle values summed
+    once per instance.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     prop = f"ef{k}"
-    agents = allocation.agents
-    rows = instance.integer_rows()
-    item_idx = instance._index_maps()[1]
-    score = _scores(allocation, instance)
     bundles = _bundles(allocation)
-    positions = {a: [item_idx[o] for o in bundle] for a, bundle in bundles.items()}
-    for i in agents:
-        values, scale = rows[instance.agent_index(i)]
-        value = values.__getitem__
-        mine = score[i]
-        own = mine[i]
-        for j in agents:
-            if i == j or own >= mine[j]:
-                continue
-            removed = sum(sorted(map(value, positions[j]), reverse=True)[:k])
-            if own < mine[j] - removed:
-                chosen = sorted(bundles[j], key=lambda o: (-values[item_idx[o]], o))[:k]
-                return Report(
-                    prop,
-                    False,
-                    violation={
-                        "envious": i,
-                        "envied": j,
-                        "best_removal": chosen,
-                        "gap": Fraction(mine[j] - removed - own, scale),
-                    },
-                )
+    large = [(j, bundle) for j, bundle in bundles.items() if len(bundle) > k]
+    if large:
+        values = _bundle_values(instance, bundles)
+        large_values = [values[j] for j, _ in large]
+        item_idx = instance._index_maps()[1]
+        for s, i in enumerate(bundles):
+            mine = values[i][s]
+            envies = map(mine.__lt__, map(operator.itemgetter(s), large_values))
+            for j, other in itertools.compress(large, envies):
+                row, scale = instance.integer_rows()[instance.agent_index(i)]
+                chosen = sorted(other, key=lambda o: (-row[item_idx[o]], o))[:k]
+                left = values[j][s] - sum(row[item_idx[o]] for o in chosen)
+                if mine < left:
+                    return Report(
+                        prop,
+                        False,
+                        violation={"envious": i, "envied": j, "best_removal": chosen,
+                                   "gap": Fraction(left - mine, scale)},
+                    )
     return Report(prop, True, witness={"k": k, "removal": "both"})
 
 
@@ -216,65 +245,90 @@ def check_sd_ef1(allocation: DeterministicAllocation, prefs: OrdinalProfile) -> 
     r-th best item is ranked at or above other's r-th best, for every r.
     Removing an item of rank t lowers other's tier counts from tier t on,
     so the best removal is other's best item (by rank, then id): the pair
-    passes with one removal iff own dominates other without it.
+    passes with one removal iff own dominates other without it.  Against
+    a single item that is one rank comparison; a larger other bundle is
+    decided once per (envier, own, other) triple and profile.
     """
     bundles = _bundles(allocation)
+    single_holder = {bundle[0]: j for j, bundle in bundles.items() if len(bundle) == 1}
+    larger = [(j, bundle) for j, bundle in bundles.items() if len(bundle) > 1]
+    verdicts = _memo(prefs, "_sdef1")
     witness = {}
-    for i in allocation.agents:
+    for i, own in bundles.items():
         rank = prefs.tier_rank(i)
-        ranks = {a: sorted(map(rank.__getitem__, bundle)) for a, bundle in bundles.items()}
-        own = ranks.pop(i)
-        size = len(own)
-        for j, other in ranks.items():
-            if size >= len(other) and all(map(operator.le, own, other)):
+        if single_holder:
+            # A single item goes iff i ranks it above its own best item
+            # (an empty bundle ranks below every item).
+            best = min(map(rank.__getitem__, own), default=len(rank))
+            for tier in prefs.tiers[i][:best]:
+                for o in tier:
+                    j = single_holder.get(o)
+                    if j is not None:
+                        witness[f"{i}->{j}"] = o
+        for j, other in larger:
+            if j == i:
                 continue
-            if size + 1 >= len(other) and all(map(operator.le, own, other[1:])):
-                witness[f"{i}->{j}"] = min(bundles[j], key=lambda o: (rank[o], o))
-                continue
-            return Report("sdef1", False, violation={"envious": i, "envied": j})
+            key = (i, own, other)
+            removal = verdicts.get(key)
+            if removal is None:
+                removal = verdicts[key] = _sd_ef1_verdict(prefs, i, own, other)
+            if removal is False:
+                return Report("sdef1", False, violation={"envious": i, "envied": j})
+            if removal is not True:
+                witness[f"{i}->{j}"] = removal
     return Report("sdef1", True, witness={"removals": witness})
+
+
+def _sd_ef1_verdict(
+    prefs: OrdinalProfile, i: str, own: tuple[str, ...], other: tuple[str, ...]
+) -> bool | str:
+    """True if i's ``own`` SD-dominates ``other``, other's best item if
+    it does once that item goes, else False."""
+    rank = prefs.tier_rank(i)
+    mine = sorted(map(rank.__getitem__, own))
+    order = _best_first(prefs, i, other)
+    theirs = [rank[o] for o in order]
+    if len(mine) >= len(theirs) and all(map(operator.le, mine, theirs)):
+        return True
+    if len(mine) + 1 >= len(theirs) and all(map(operator.le, mine, theirs[1:])):
+        return order[0]
+    return False
 
 
 def check_strong_ef1(allocation: DeterministicAllocation, instance: Instance) -> Report:
     """Strong EF1: for each agent i, one common item of i's bundle can be
     removed so that nobody envies i.  Each agent's comparisons run on its
-    integer-scaled utilities."""
+    integer-scaled utilities: every agent's value of a bundle is summed
+    once per instance, so i's enviers take one comparison per agent, and
+    a single item is always a common removal."""
     agents = allocation.agents
-    rows = instance.integer_rows()
-    item_idx = instance._index_maps()[1]
-    values = {a: rows[instance.agent_index(a)][0] for a in agents}
-    score = _scores(allocation, instance)
+    bundles = _bundles(allocation)
+    values = _bundle_values(instance, bundles)
+    own = [row[s] for s, row in enumerate(values.values())]
     witness = {}
-    for i, bundle in _bundles(allocation).items():
-        enviers = [j for j in agents if j != i and score[j][j] < score[j][i]]
-        if not enviers:
+    for i, bundle in bundles.items():
+        theirs = values[i]
+        if not any(map(operator.lt, own, theirs)):
             continue
-        found = None
-        for o in bundle:
-            c = item_idx[o]
-            if all(score[j][j] >= score[j][i] - values[j][c] for j in enviers):
-                found = o
-                break
-        if found is None:
-            return Report(
-                "strong-ef1",
-                False,
-                violation={"envied": i, "enviers": enviers},
+        found = bundle[0]
+        if len(bundle) > 1:
+            envious = list(itertools.compress(range(len(agents)), map(operator.lt, own, theirs)))
+            rows = instance.integer_rows()
+            item_idx = instance._index_maps()[1]
+            held = [rows[instance.agent_index(agents[s])][0] for s in envious]
+            found = next(
+                (o for o in bundle
+                 if all(own[s] >= theirs[s] - row[item_idx[o]] for s, row in zip(envious, held))),
+                None,
             )
+            if found is None:
+                return Report(
+                    "strong-ef1",
+                    False,
+                    violation={"envied": i, "enviers": [agents[s] for s in envious]},
+                )
         witness[i] = found
     return Report("strong-ef1", True, witness={"common_removals": witness})
-
-
-def _rb_round_items(
-    allocation: DeterministicAllocation, prefs: OrdinalProfile
-) -> dict[str, list[str]]:
-    """Each agent's bundle sorted best-first (bundle-internal ties broken
-    lexicographically); position r-1 is the agent's round-r item."""
-    ordered = {}
-    for agent, bundle in _bundles(allocation).items():
-        rank = prefs.tier_rank(agent)
-        ordered[agent] = sorted(bundle, key=lambda o: (rank[o], o))
-    return ordered
 
 
 def check_rb(
@@ -284,52 +338,53 @@ def check_rb(
     under some recursively balanced turn sequence.
 
     Bundle sizes must be c or c-1.  Round r pins each participant's r-th
-    best owned item; the allocation is reconstructible iff no agent
-    strictly prefers a later round's item to its own round item, and the
-    within-round "wants the other's item" digraph is acyclic (a
-    topological order of it is a valid picking order).  The witness is the
-    full picking sequence, replayable by greedy picks.
+    best owned item (bundle-internal ties broken by item id); the
+    allocation is reconstructible iff no agent strictly prefers a later
+    round's item to its own round item, and the within-round "wants the
+    other's item" digraph is acyclic (a topological order of it is a
+    valid picking order).  The witness is the full picking sequence,
+    replayable by greedy picks.
     """
-    sizes = {a: len(allocation.bundle(a)) for a in allocation.agents}
+    agents = allocation.agents
+    bundles = _bundles(allocation)
+    sizes = {a: len(bundle) for a, bundle in bundles.items()}
     if any(size not in (c, c - 1) for size in sizes.values()):
         return Report(
             "rb",
             False,
             violation={"reason": "bundle sizes incompatible with balanced rounds", "sizes": sizes},
         )
-    ordered = _rb_round_items(allocation, prefs)
-    ranks = {a: prefs.tier_rank(a) for a in allocation.agents}
+    ordered = {a: _best_first(prefs, a, bundle) for a, bundle in bundles.items()}
+    ranks = {a: prefs.tier_rank(a) for a in agents}
     sequence: list[str] = []
     picks: list[str] = []
     for r in range(c):
-        participants = [a for a in allocation.agents if sizes[a] > r]
-        later = [
-            ordered[a][r2]
-            for a in allocation.agents
-            for r2 in range(r + 1, sizes[a])
-        ]
+        participants = [a for a in agents if sizes[a] > r]
+        later = [z for a in agents for z in ordered[a][r + 1:]]
         for a in participants:
-            mine = ranks[a][ordered[a][r]]
-            for z in later:
-                if ranks[a][z] < mine:
-                    return Report(
-                        "rb",
-                        False,
-                        violation={
-                            "agent": a,
-                            "round": r + 1,
-                            "own_item": ordered[a][r],
-                            "preferred_later_item": z,
-                        },
-                    )
+            rank = ranks[a]
+            mine = rank[ordered[a][r]]
+            if later and min(map(rank.__getitem__, later)) < mine:
+                z = next(z for z in later if rank[z] < mine)
+                return Report(
+                    "rb",
+                    False,
+                    violation={
+                        "agent": a,
+                        "round": r + 1,
+                        "own_item": ordered[a][r],
+                        "preferred_later_item": z,
+                    },
+                )
         # j must pick before i when i strictly prefers j's round item.
+        holder = {ordered[a][r]: a for a in participants}
         succ = {a: [] for a in participants}
         for i in participants:
-            rank_i = ranks[i]
-            mine = rank_i[ordered[i][r]]
-            for j in participants:
-                if rank_i[ordered[j][r]] < mine:
-                    succ[j].append(i)
+            for tier in prefs.tiers[i][:ranks[i][ordered[i][r]]]:
+                for o in tier:
+                    j = holder.get(o)
+                    if j is not None:
+                        succ[j].append(i)
         order = _topological_order(succ)
         if len(order) != len(participants):
             cycle = sorted(set(participants) - set(order))

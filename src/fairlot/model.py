@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Hashable, Mapping, Sequence, Union
@@ -37,20 +38,77 @@ __all__ = [
 ]
 
 
+# The grammar of ``Fraction``'s string form: "p", "p/q", decimals and
+# exponents, with underscores between digits.
+_LITERAL = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
+    (?:/(?P<den>\d+(?:_\d+)*)
+    |(?:\.(?P<dec>\d*|\d+(?:_\d+)*))?(?:E(?P<exp>[-+]?\d+(?:_\d+)*))?)
+    \s*\Z
+""", re.VERBOSE | re.IGNORECASE)
+# A literal like "1e10000000" is 11 bytes, but expands into a
+# 33-million-bit integer.  Exponents are capped at Python's own limit of
+# 4300 digits for a decimal integer string, and the numerator and
+# denominator a literal writes (before reduction) at twice that many
+# digits, so what is read can be written and read back.  Text longer
+# than the longest such "-p/q" is refused before any digit is converted.
+_MAX_EXPONENT = 4300
+_MAX_DIGITS = 2 * _MAX_EXPONENT
+_DIGITS_BOUND = 10 ** _MAX_DIGITS
+_MAX_LITERAL = 2 * _MAX_DIGITS + 2
+
+
 def rational(value: RationalLike) -> Fraction:
     """Coerce ints, "p/q" strings or Fractions to an exact Fraction.
 
-    Floats are rejected: they have no place in an exact pipeline.
+    Strings follow ``Fraction``'s grammar (decimals, exponents and
+    underscores too), past Python's digit limit for ``int``, within the
+    caps above.  Floats are rejected: they have no place in an exact
+    pipeline.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("booleans are not rationals")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    if not isinstance(value, str):
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, bool):
+            raise TypeError("booleans are not rationals")
+        if isinstance(value, int):
+            return Fraction(value)
+        raise TypeError(f"cannot interpret a {type(value).__name__} as an exact rational")
+    if len(value) > _MAX_LITERAL:
+        raise ValueError(f"longer than {_MAX_LITERAL} characters")
+    match = _LITERAL.match(value)
+    if match is None:
+        raise ValueError("not a rational literal")
+    num = _integer(match["num"])
+    den = _integer(match["den"]) if match["den"] else 1
+    if match["dec"]:
+        decimals = match["dec"].replace("_", "")
+        num, den = num * 10 ** len(decimals) + _integer(decimals), den * 10 ** len(decimals)
+    if match["exp"]:
+        digits = match["exp"].lstrip("+-").replace("_", "").lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {_MAX_EXPONENT} in magnitude")
+        if match["exp"].startswith("-"):
+            den *= 10 ** int(digits)
+        else:
+            num *= 10 ** int(digits)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if num >= _DIGITS_BOUND or den >= _DIGITS_BOUND:
+        raise ValueError(f"more than {_MAX_DIGITS} digits in its numerator or denominator")
+    return Fraction(-num if match["sign"] == "-" else num, den)
+
+
+def _integer(digits: str) -> int:
+    """The int a decimal digit string (underscores allowed) writes, of
+    any length: the inverse of ``_decimal``.  ``int`` refuses more than
+    ``sys.get_int_max_str_digits()`` digits (at least 640), so long
+    strings are split into halves converted on their own."""
+    digits = digits.replace("_", "")
+    if len(digits) <= 600:
+        return int(digits or "0")
+    half = len(digits) // 2
+    return _integer(digits[:-half]) * 10 ** half + _integer(digits[-half:])
 
 
 def _decimal(n: int) -> str:
@@ -230,10 +288,6 @@ class OrdinalProfile:
             rank = {o: k for k, tier in enumerate(self.tiers[agent]) for o in tier}
             cache[agent] = rank
         return rank
-
-    def is_strict(self) -> bool:
-        """True when every tier of every agent is a singleton."""
-        return all(len(t) == 1 for a in self.agents for t in self.tiers[a])
 
     def strict_order(self, agent: str) -> tuple[str, ...]:
         """Descending item order; requires the agent's order to be strict."""
@@ -537,12 +591,21 @@ def _sd_relation(x: Sequence, y: Sequence) -> SdRelation:
     return SdRelation.INCOMPARABLE
 
 
+def _support_totals(lottery: Lottery) -> tuple[dict[str, list[int]], int]:
+    """The weighted sum of the support's 0/1 matrices on one integer
+    scale: per agent, its row of totals t over L, the lcm of the weight
+    denominators, so entry (a, o) is t / L."""
+    scale = math.lcm(*(weight.denominator for weight, _ in lottery.entries))
+    totals = {a: [0] * len(lottery.items) for a in lottery.agents}
+    for weight, allocation in lottery.entries:
+        w = weight.numerator * (scale // weight.denominator)
+        for j, owner in enumerate(allocation.owners):
+            totals[owner][j] += w
+    return totals, scale
+
+
 def expected_allocation(lottery: Lottery) -> RandomAllocation:
     """Weight-average the 0/1 matrix views of the support; exact."""
-    agents, items = lottery.agents, lottery.items
-    totals = {a: {o: Fraction(0) for o in items} for a in agents}
-    for weight, allocation in lottery.entries:
-        for o, owner in zip(allocation.items, allocation.owners):
-            totals[owner][o] += weight
-    entries = tuple(tuple(totals[a][o] for o in items) for a in agents)
-    return RandomAllocation(agents, items, entries)
+    totals, scale = _support_totals(lottery)
+    entries = tuple(tuple(Fraction(t, scale) for t in row) for row in totals.values())
+    return RandomAllocation(lottery.agents, lottery.items, entries)

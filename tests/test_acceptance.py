@@ -177,7 +177,7 @@ def test_criterion_04_weak_order_eps_suite():
         n, m = rng.randint(1, 4), rng.randint(1, 8)
         inst = weak_instance(rng, n, m)
         prefs = ordinal_from_utilities(inst)
-        if not prefs.is_strict():
+        if not all(len(t) == 1 for a in prefs.agents for t in prefs.tiers[a]):
             tied += 1
         lottery, expected = ps_lottery(inst, rule="eps")
         out, _ = eps_outcome(inst, mode="standard")

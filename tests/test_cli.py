@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from fairlot import SdRelation, fileio, ordinal_from_utilities, sd_compare
+from fairlot import Instance, SdRelation, fileio, ordinal_from_utilities, sd_compare
+from fairlot.model import _MAX_DIGITS, _MAX_LITERAL, format_rational, rational
 from fairlot.cli import main
 from test_golden import checking_inputs, hand_files
 
@@ -374,6 +376,41 @@ def test_malformed_lottery_exits_2(tmp_path, example_file, capsys, field, value,
     assert f"fairlot: error: {where}:" in capsys.readouterr().err
 
 
+def _three_part_lottery():
+    # Weights on the lcm L = 6; owners of a..d per allocation.
+    support = (("1/6", "1122"), ("1/3", "2112"), ("1/2", "1212"))
+    return {
+        "agents": ["1", "2"],
+        "items": ["a", "b", "c", "d"],
+        "expected": [["2/3", "1/2", "5/6", "0"], ["1/3", "1/2", "1/6", "1"]],
+        "support": [{"weight": w, "assignment": dict(zip("abcd", owners))}
+                    for w, owners in support],
+    }
+
+
+@pytest.mark.parametrize("cells", [
+    {(0, 0): "5/6", (1, 0): "1/6"},  # one entry off by 1/L, its column kept at 1
+    {(0, 2): "1/6", (1, 2): "5/6"},  # the two agents' entries swapped in a column
+    {(0, 3): "1/6", (1, 3): "5/6"},  # mass on a cell no allocation gives
+])
+def test_expected_matrix_must_recompose(tmp_path, example_file, capsys, cells):
+    doc = _three_part_lottery()
+    path = tmp_path / "lottery.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["verify", "--property", "ef1", "--input", example_file,
+                   "--lottery", str(path)])
+    assert code == 0
+    for (row, col), value in cells.items():
+        doc["expected"][row][col] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, _ = run(["verify", "--property", "ef1", "--input", example_file,
+                   "--lottery", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "fairlot: error: lottery: expected matrix does not equal the recomposed support\n")
+
+
 @pytest.mark.parametrize("field, value", [("agents", ["1", "3"]), ("items", list("abcz"))])
 def test_verify_rejects_other_universe(tmp_path, example_file, capsys, field, value):
     doc = _example_lottery()
@@ -467,6 +504,85 @@ def test_certificate_past_4300_digits(tmp_path):
         chunk = gap[start:start + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     assert value == 2 * 10**4300 - 2
+
+
+BIG = "1" + "0" * 4400  # int() alone refuses more than 4300 digits
+
+
+def test_literals_past_4300_digits_read_back(tmp_path):
+    doc = json.loads(json.dumps(EXAMPLE))
+    doc["utilities"]["2"]["a"] = BIG
+    doc["utilities"]["2"]["b"] = f"1/{BIG}"
+    instance = fileio.instance_from_obj(doc)
+    assert instance.utility("2", "a") == 10**4400
+    assert instance.utility("2", "b") == Fraction(1, 10**4400)
+    assert fileio.instance_to_obj(instance) == doc
+    matrix = {"rows": ["1", "2"], "items": ["a"],
+              "entries": [[f"1/{BIG}"], [f"{'9' * 4400}/{BIG}"]]}
+    assert fileio.matrix_to_obj(fileio.matrix_from_obj(matrix)) == matrix
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["solve", "--rule", "ps", "--input", str(path)])
+    assert code == 0
+
+
+@pytest.mark.parametrize("literal, value", [
+    (f"{BIG}_0", 10**4401),
+    (f" -{BIG}/7 ", Fraction(-10**4400, 7)),
+    (f"0.{BIG[1:]}1", Fraction(1, 10**4401)),
+    (f"{BIG}.5e-4300", Fraction(10**4401 + 5, 10**4301)),
+], ids=["underscore", "signed-fraction", "decimal", "exponent"])
+def test_long_literal_forms(literal, value):
+    assert rational(literal) == value
+    # the Python API reads what the file reader reads
+    instance = Instance.from_utilities({"1": {"a": literal.strip().lstrip("-")}})
+    assert instance.utility("1", "a") == abs(value)
+
+
+def test_literal_caps(tmp_path, capsys):
+    # Numerators and denominators of up to _MAX_DIGITS digits are read,
+    # and the longest such literal reads back from its written form.
+    longest = Fraction(-(10**_MAX_DIGITS - 1), 10**_MAX_DIGITS - 2)
+    written = format_rational(longest)
+    assert len(written) == _MAX_LITERAL and rational(written) == longest
+    doc = json.loads(json.dumps(EXAMPLE))
+    path = tmp_path / "long.json"
+    where = "fairlot: error: instance.utilities['1']['a']: bad rational literal"
+    for literal, error in [
+        ("9" * _MAX_DIGITS, None),
+        ("1" + "0" * _MAX_DIGITS, f"more than {_MAX_DIGITS} digits in its numerator or denominator"),
+        ("9" * 8000 + "e4300", f"more than {_MAX_DIGITS} digits in its numerator or denominator"),
+        ("0" * (_MAX_LITERAL + 1), f"longer than {_MAX_LITERAL} characters"),
+    ]:
+        doc["utilities"]["1"]["a"] = literal
+        path.write_text(json.dumps(doc))
+        code, _ = run(["solve", "--rule", "ps", "--input", str(path)])
+        err = capsys.readouterr().err
+        if error is None:
+            assert code == 0
+        else:
+            assert code == 2
+            shown = f"'{literal[:39]}... ({len(literal) + 2} characters)"
+            assert err == f"{where} {shown} ({error})\n"
+    with pytest.raises(ValueError, match="exponent beyond 4300"):
+        rational("1e4301")
+
+
+@pytest.mark.parametrize("literal, shown", [
+    *((v, repr(v)) for v in ["1/0", "1/2/3", "", 1.5, True, None]),
+    (BIG + "x", repr(BIG)[:40] + "... (4404 characters)"),  # the echo is cut
+], ids=["zero-denominator", "two-slashes", "empty", "float", "bool", "null", "long"])
+def test_bad_literal_exits_2(tmp_path, capsys, literal, shown):
+    doc = json.loads(json.dumps(EXAMPLE))
+    doc["utilities"]["1"]["a"] = literal
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["solve", "--rule", "ps", "--input", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"fairlot: error: instance.utilities['1']['a']: bad rational literal {shown}")
+    assert len(err) < 200
 
 
 def test_malformed_json_diagnostic(tmp_path, capsys):

@@ -15,6 +15,7 @@ replayed with exact ``Fraction`` arithmetic.
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,10 +25,12 @@ from fairlot import (
     Instance,
     Lottery,
     RandomAllocation,
+    Report,
     SdRelation,
     birkhoff_decompose,
     check_efk,
     check_po_bruteforce,
+    check_rb,
     check_sd_ef,
     check_sd_ef1,
     check_sd_efficient,
@@ -44,6 +47,7 @@ from fairlot import (
 from fairlot.birkhoff import _complete_matching
 from fairlot.cli import _pareto_flags
 from fairlot.eps import _Flow
+from fairlot.fairness import _topological_order
 from fairlot.oracle import enumerate_allocations, sd_improvement_exists
 from test_fairness import slow_efk, slow_sd_ef1
 
@@ -560,3 +564,194 @@ def fraction_tiers(inst):
 @given(instances())
 def test_ordinal_profile_matches_fraction_sort(inst):
     assert dict(ordinal_from_utilities(inst).tiers) == fraction_tiers(inst)
+
+
+# The ex-post checkers as the library ran them before their verdicts were
+# cached per bundle and triple: every pair decided afresh, per allocation.
+def reference_bundles(allocation):
+    bundles = {a: [] for a in allocation.agents}
+    for o, owner in zip(allocation.items, allocation.owners):
+        bundles[owner].append(o)
+    return bundles
+
+
+def reference_scores(allocation, instance):
+    rows = instance.integer_rows()
+    item_idx = instance._index_maps()[1]
+    cells = [(item_idx[o], owner) for o, owner in zip(allocation.items, allocation.owners)]
+    score = {}
+    for i in allocation.agents:
+        values = rows[instance.agent_index(i)][0]
+        totals = score[i] = dict.fromkeys(allocation.agents, 0)
+        for c, owner in cells:
+            totals[owner] += values[c]
+    return score
+
+
+def reference_efk(allocation, instance, k):
+    rows = instance.integer_rows()
+    item_idx = instance._index_maps()[1]
+    score = reference_scores(allocation, instance)
+    bundles = reference_bundles(allocation)
+    for i in allocation.agents:
+        values, scale = rows[instance.agent_index(i)]
+        own = score[i][i]
+        for j in allocation.agents:
+            if i == j or own >= score[i][j]:
+                continue
+            chosen = sorted(bundles[j], key=lambda o: (-values[item_idx[o]], o))[:k]
+            left = score[i][j] - sum(values[item_idx[o]] for o in chosen)
+            if own < left:
+                return Report(f"ef{k}", False, violation={
+                    "envious": i, "envied": j, "best_removal": chosen,
+                    "gap": F(left - own, scale)})
+    return Report(f"ef{k}", True, witness={"k": k, "removal": "both"})
+
+
+def reference_sd_ef1(allocation, prefs):
+    bundles = reference_bundles(allocation)
+    witness = {}
+    for i in allocation.agents:
+        rank = prefs.tier_rank(i)
+        ranks = {a: sorted(map(rank.__getitem__, bundle)) for a, bundle in bundles.items()}
+        own = ranks.pop(i)
+        for j, other in ranks.items():
+            if len(own) >= len(other) and all(map(le, own, other)):
+                continue
+            if len(own) + 1 >= len(other) and all(map(le, own, other[1:])):
+                witness[f"{i}->{j}"] = min(bundles[j], key=lambda o: (rank[o], o))
+                continue
+            return Report("sdef1", False, violation={"envious": i, "envied": j})
+    return Report("sdef1", True, witness={"removals": witness})
+
+
+def reference_strong_ef1(allocation, instance):
+    rows = instance.integer_rows()
+    item_idx = instance._index_maps()[1]
+    score = reference_scores(allocation, instance)
+    witness = {}
+    for i, bundle in reference_bundles(allocation).items():
+        enviers = [j for j in allocation.agents if j != i and score[j][j] < score[j][i]]
+        if not enviers:
+            continue
+        found = next((o for o in bundle if all(
+            score[j][j] >= score[j][i] - rows[instance.agent_index(j)][0][item_idx[o]]
+            for j in enviers)), None)
+        if found is None:
+            return Report("strong-ef1", False, violation={"envied": i, "enviers": enviers})
+        witness[i] = found
+    return Report("strong-ef1", True, witness={"common_removals": witness})
+
+
+def reference_rb(allocation, prefs, c):
+    agents = allocation.agents
+    sizes = {a: len(allocation.bundle(a)) for a in agents}
+    if any(size not in (c, c - 1) for size in sizes.values()):
+        return Report("rb", False, violation={
+            "reason": "bundle sizes incompatible with balanced rounds", "sizes": sizes})
+    ranks = {a: prefs.tier_rank(a) for a in agents}
+    ordered = {a: sorted(bundle, key=lambda o: (ranks[a][o], o))
+               for a, bundle in reference_bundles(allocation).items()}
+    sequence, picks = [], []
+    for r in range(c):
+        participants = [a for a in agents if sizes[a] > r]
+        later = [ordered[a][r2] for a in agents for r2 in range(r + 1, sizes[a])]
+        for a in participants:
+            mine = ranks[a][ordered[a][r]]
+            for z in later:
+                if ranks[a][z] < mine:
+                    return Report("rb", False, violation={
+                        "agent": a, "round": r + 1, "own_item": ordered[a][r],
+                        "preferred_later_item": z})
+        succ = {a: [] for a in participants}
+        for i in participants:
+            mine = ranks[i][ordered[i][r]]
+            for j in participants:
+                if ranks[i][ordered[j][r]] < mine:
+                    succ[j].append(i)
+        order = _topological_order(succ)
+        if len(order) != len(participants):
+            cycle = sorted(set(participants) - set(order))
+            return Report("rb", False, violation={"round": r + 1, "trading_cycle_agents": cycle})
+        sequence.extend(order)
+        picks.extend(ordered[a][r] for a in order)
+    return Report("rb", True, witness={"sequence": sequence, "picks": picks})
+
+
+# name -> (checker, reference), both called as (allocation, instance, prefs, c)
+EX_POST = {
+    **{f"ef{k}": (lambda a, inst, prefs, c, k=k: check_efk(a, inst, k),
+                  lambda a, inst, prefs, c, k=k: reference_efk(a, inst, k))
+       for k in (0, 1, 2)},
+    "sdef1": (lambda a, inst, prefs, c: check_sd_ef1(a, prefs),
+              lambda a, inst, prefs, c: reference_sd_ef1(a, prefs)),
+    "strong-ef1": (lambda a, inst, prefs, c: check_strong_ef1(a, inst),
+                   lambda a, inst, prefs, c: reference_strong_ef1(a, inst)),
+    "rb": (lambda a, inst, prefs, c: check_rb(a, prefs, c),
+           lambda a, inst, prefs, c: reference_rb(a, prefs, c)),
+}
+
+
+@st.composite
+def supports(draw):
+    """A utility table (tied levels 0-3, or binary, zeros included) and a
+    support of up to 8 allocations drawn from up to 4 distinct ones, so
+    allocations repeat and bundles are empty, single or multi-item.  Each
+    distinct allocation moves one or two items of an earlier one, so a
+    bundle recurs beside different bundles.  The allocations list the
+    agents in an order of their own."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    agents = [f"a{i}" for i in range(1, n + 1)]
+    items = [f"o{j}" for j in range(1, m + 1)]
+    level = st.integers(0, draw(st.sampled_from([1, 3])))
+    table = {a: {o: draw(level) for o in items} for a in agents}
+    order = tuple(draw(st.permutations(agents)))
+    distinct = [tuple(draw(st.lists(st.sampled_from(agents), min_size=m, max_size=m)))]
+    for _ in range(draw(st.integers(0, 3))):
+        owners = list(draw(st.sampled_from(distinct)))
+        for j in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2)):
+            owners[j] = draw(st.sampled_from(agents))
+        distinct.append(tuple(owners))
+    picks = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=8))
+    return table, [DeterministicAllocation(order, tuple(items), p) for p in picks]
+
+
+def profiled(table):
+    inst = Instance.from_utilities(table)
+    return inst, ordinal_from_utilities(inst)
+
+
+@SETTINGS
+@given(supports())
+def test_cached_checkers_match_fresh_objects_and_the_reference(case):
+    # One warm instance and profile serve every property and allocation.
+    table, support = case
+    c = -(-len(support[0].items) // len(support[0].agents))
+    expected = [{name: reference(a, *profiled(table), c)
+                 for name, (_, reference) in EX_POST.items()} for a in support]
+    fresh = [{name: check(a, *profiled(table), c) for name, (check, _) in EX_POST.items()}
+             for a in support]
+    assert fresh == expected
+    for order in (1, -1):
+        warm = profiled(table)
+        got = [{name: check(a, *warm, c) for name, (check, _) in EX_POST.items()}
+               for a in support[::order]]
+        assert got == expected[::order]
+
+
+def test_caches_stay_with_their_instance():
+    # Same ids, different utilities: each instance keeps its own verdicts.
+    items = ["a", "b", "c"]
+    tables = [{"1": {"a": 3, "b": 0, "c": 0}, "2": {"a": 1, "b": 1, "c": 1}},
+              {"1": {"a": 0, "b": 0, "c": 3}, "2": {"a": 1, "b": 1, "c": 1}}]
+    support = [DeterministicAllocation(("1", "2"), tuple(items), owners)
+               for owners in (("2", "2", "1"), ("1", "2", "2"))]
+    for name, (check, reference) in EX_POST.items():
+        reports = []
+        for table in tables + tables[::-1]:
+            warm = profiled(table)
+            reports.append([check(a, *warm, 2) for a in support])
+            assert reports[-1] == [reference(a, *profiled(table), 2) for a in support], name
+        assert reports[:2] == reports[:1:-1], name
+    assert [check_efk(a, *profiled(t)[:1], 0).ok for t in tables for a in support] == [
+        False, True, True, False]

@@ -148,8 +148,15 @@ HAND = {
 }
 # (weight, owners of a..e)
 HAND_SUPPORT = (("1/3", "11111"), ("1/2", "32121"), ("1/6", "21331"))
+# On the same instance: allocations that pass ef1, efk and sdef1 come
+# first, then a failing one (2 envies 1's abc beyond one item), a repeat
+# of a passing one, the failing one again and a second failure (3 envies
+# 1's ab), so a verdict decided once per lottery is replayed in order.
+RECUR_SUPPORT = (("1/4", "13212"), ("1/8", "23113"), ("1/8", "11123"),
+                 ("1/4", "13212"), ("1/8", "11123"), ("1/8", "11223"))
+HAND_SUPPORTS = {"hand": HAND_SUPPORT, "recur": RECUR_SUPPORT}
 
-# (verify flags, instance kind or "hand", seed, n, m) -> sha256 of stdout
+# (verify flags, instance kind or a HAND_SUPPORTS key, seed, n, m) -> sha256 of stdout
 VERIFY_GOLDEN = {
     (("ef",), "tied", 2, 3, 7):
         "3fea234cd0395608ee1eecd3a869617dd795889cc5f5e225cfde3b30dbdaf0f8",
@@ -199,6 +206,38 @@ VERIFY_GOLDEN = {
         "4b17e7f03ab588228ed21d3a41a8a34aab8dba67942481a03ea0b65592587f68",
     (("rb",), "strict", 1, 4, 7):
         "f79472b181f0c07c77efb9ed2f4a81f9f78ac8a927f6fd607e162a69d4503c59",
+    # Multi-item bundles, so (envier, own bundle, other bundle) triples
+    # repeat across the support: 2-3 items per bundle in both.
+    (("ef1",), "tied", 5, 12, 30):
+        "a131c49df26097232fa6177d635f7ce60f4cda47d10ce26fab216cf974c76c42",
+    (("ef1",), "strict-ps", 5, 10, 25):
+        "59a8dd170a613116321974c4a1abdf9bfd69d9e04c0295d98df71bf29b3155e8",
+    (("ef1",), "recur", 0, 3, 5):
+        "e38da1620d2a04c6514d85c0f652e32f45f37e3e6526203e84e2fc4c0c19de00",
+    (("efk", "--k", "2"), "tied", 5, 12, 30):
+        "30a05b1d4473c01da18b896b3b7159be127ffa476eea99b2f219ac117289970f",
+    (("efk", "--k", "2"), "strict-ps", 5, 10, 25):
+        "86dcc63088b96d0c9e91885713efcbc9cbb43d6b1e94f5df124df994dc35f5c0",
+    (("efk", "--k", "2"), "recur", 0, 3, 5):
+        "db0564d27970e04c8d3b3b890146f9d04a0df5bea615e65cb0aa25fe6ffbb2f5",
+    (("sdef1",), "tied", 5, 12, 30):
+        "a7b527217bfde14d99347d935f65bf81373545252fcd907b9585bd3c05e50233",
+    (("sdef1",), "strict-ps", 5, 10, 25):
+        "a5820fe13499dc0ef2d57c0e715e0704e0a39abd07978d05747f1f2bbe2ed2ab",
+    (("sdef1",), "recur", 0, 3, 5):
+        "e54ecbe0a440b31bbc3578f2d4564ad9079ff43d1b034376c4433162381b7459",
+    (("strong-ef1",), "tied", 5, 12, 30):
+        "02429173924976fabd237113753f284e9b609af03ae03782cb63c516b71e101d",
+    (("strong-ef1",), "strict-ps", 5, 10, 25):
+        "d1042dd12bb274c1a9fc7b587f15c77a1f0d3c7ebd72e202ace8c24c6cdaad85",
+    (("strong-ef1",), "recur", 0, 3, 5):
+        "16786bd3554de1e7c641c8ebd968e9611202b3ee7adf4aced0e60730aa96a398",
+    (("rb",), "tied", 5, 12, 30):
+        "aa5b4d0fdedc17c491181e1b38c28da1b40025ad6f10409484ce4091e1a50d2b",
+    (("rb",), "strict-ps", 5, 10, 25):
+        "cccabfc9df679cac4a6cab3998cdd24ca5beddb8828c0f2781f6cffcff5e7dc5",
+    (("rb",), "recur", 0, 3, 5):
+        "541d74597c6ed225515a2a5dcd5f6bdd2e59e9d4b547f3056e38bc63df73ba68",
 }
 
 # (filter, instance kind or "hand", seed, n, m) -> sha256 of stdout
@@ -218,13 +257,13 @@ ORACLE_GOLDEN = {
 }
 
 
-def hand_files(tmp_path):
+def hand_files(tmp_path, kind="hand"):
     instance = tmp_path / "hand.json"
     instance.write_text(json.dumps(HAND))
     agents, items = tuple(HAND["agents"]), tuple(HAND["items"])
     lottery = Lottery(tuple(
         (Fraction(weight), DeterministicAllocation(agents, items, tuple(owners)))
-        for weight, owners in HAND_SUPPORT
+        for weight, owners in HAND_SUPPORTS[kind]
     ))
     path = tmp_path / "hand-lottery.json"
     path.write_text(fileio.dumps(fileio.lottery_to_obj(lottery)))
@@ -232,13 +271,15 @@ def hand_files(tmp_path):
 
 
 def checking_inputs(tmp_path, kind, seed, n, m):
-    """(instance file, lottery file, eps outcome file) of one case."""
-    if kind == "hand":
-        instance, lottery = hand_files(tmp_path)
+    """(instance file, lottery file, eps outcome file) of one case.  The
+    lottery is built with eps, or with ps on a "strict-ps" instance."""
+    if kind in HAND_SUPPORTS:
+        instance, lottery = hand_files(tmp_path, kind)
     else:
+        kind, rule = ("strict", "ps") if kind == "strict-ps" else (kind, "eps")
         instance = instance_file(tmp_path, kind, seed, n, m)
         lottery = str(tmp_path / "lottery.json")
-        code, _ = run(["lottery", "--rule", "eps", "--input", instance, "--out", lottery])
+        code, _ = run(["lottery", "--rule", rule, "--input", instance, "--out", lottery])
         assert code == 0
     code, out = run(["solve", "--rule", "eps", "--input", instance])
     assert code == 0
