@@ -60,6 +60,15 @@ def _load_json(path: str, what: str) -> dict:
         raise FormatError(
             f"{what} {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} {path}: {exc}") from None
+    except ValueError:
+        # json.load converts integer literals with int(), which refuses more
+        # digits than Python's limit and names no position.
+        raise FormatError(
+            f"{what} {path}: a JSON number has more than "
+            f"{sys.get_int_max_str_digits()} digits; write it as a string"
+        ) from None
 
 
 def _load_instance(path: str) -> Instance:

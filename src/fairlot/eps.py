@@ -11,7 +11,10 @@ and everyone else keeps eating.  This realizes the parametric-flow
 computation of the eating outcome with plain max-flow calls: the duration
 of each step is found by a Dinkelbach iteration (guess the full-set
 ratio, test by max-flow, tighten the guess with the min-cut's violating
-set) that needs at most one round per agent.
+set) that needs at most one round per agent.  Each round's network lives
+on one integer scale, the lcm of the denominators of its capacities, so
+the max-flow adds and compares plain ints; one search from the source
+per failing round yields the violating set.
 
 On strict preference profiles every tier is a singleton, all splits are
 forced, and the outcome coincides exactly with the serial eating rule.
@@ -22,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Mapping, Sequence
 
 from .model import (
@@ -46,8 +50,10 @@ _ZERO = Fraction(0)
 
 
 class _Flow:
-    """Max-flow on a small graph with exact rational capacities.
+    """Max-flow on a small graph with exact capacities.
 
+    Arithmetic is whatever the capacities bring (``int`` on the eating
+    path; ``Fraction`` works too), and reverse edges start at ``0``.
     Edges are stored in pairs (forward at even index, its reverse right
     after), so ``edge ^ 1`` flips direction.  Deterministic: BFS follows
     insertion order.
@@ -56,24 +62,25 @@ class _Flow:
     def __init__(self, n_nodes: int) -> None:
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
         self.to: list[int] = []
-        self.cap: list[Fraction] = []
+        self.cap: list = []
 
-    def add(self, u: int, v: int, cap: Fraction) -> int:
+    def add(self, u: int, v: int, cap) -> int:
         e = len(self.to)
         self.adj[u].append(e)
         self.to.append(v)
         self.cap.append(cap)
         self.adj[v].append(e + 1)
         self.to.append(u)
-        self.cap.append(Fraction(0))
+        self.cap.append(0)
         return e
 
-    def flow_on(self, e: int) -> Fraction:
+    def flow_on(self, e: int):
         return self.cap[e ^ 1]
 
-    def maxflow(self, s: int, t: int) -> Fraction:
-        total = Fraction(0)
-        n = len(self.adj)
+    def maxflow(self, s: int, t: int):
+        adj, to, cap = self.adj, self.to, self.cap
+        total = 0
+        n = len(adj)
         while True:
             prev = [-1] * n
             prev[s] = -2
@@ -82,25 +89,23 @@ class _Flow:
                 u = queue.popleft()
                 if u == t:
                     break
-                for e in self.adj[u]:
-                    v = self.to[e]
-                    if prev[v] == -1 and self.cap[e] > 0:
+                for e in adj[u]:
+                    v = to[e]
+                    if prev[v] == -1 and cap[e] > 0:
                         prev[v] = e
                         queue.append(v)
             if prev[t] == -1:
                 return total
-            bottleneck = None
+            path = []
             v = t
             while v != s:
                 e = prev[v]
-                bottleneck = self.cap[e] if bottleneck is None else min(bottleneck, self.cap[e])
-                v = self.to[e ^ 1]
-            v = t
-            while v != s:
-                e = prev[v]
-                self.cap[e] -= bottleneck
-                self.cap[e ^ 1] += bottleneck
-                v = self.to[e ^ 1]
+                path.append(e)
+                v = to[e ^ 1]
+            bottleneck = min(cap[e] for e in path)
+            for e in path:
+                cap[e] -= bottleneck
+                cap[e ^ 1] += bottleneck
             total += bottleneck
 
     def reachable_from(self, s: int) -> set[int]:
@@ -187,22 +192,31 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
     # node ids: 0 = source, 1 = sink, then eaters, then items
     eater_node = {e: 2 + i for i, e in enumerate(eaters)}
     item_node = {o: 2 + len(eaters) + j for j, o in enumerate(items)}
-    big = sum(cap.values()) + sum(network.demand_of(e) for e in eaters) + 1
+    pairs = [(eater_node[e], item_node[o]) for e in eaters for o in sorted(eligible[e])]
+    cap_scale = lcm(*(c.denominator for c in cap.values()))
 
-    def build(duration: Fraction) -> tuple[_Flow, dict[Hashable, int], Fraction]:
+    def build(duration: Fraction) -> tuple[_Flow, int, int]:
+        """The round's network on one integer scale L: the lcm of the
+        denominators of every source capacity (demand + duration) and
+        every item capacity.  Returns the network, L and the total
+        demand on that scale."""
+        demand = [network.demand_of(e) + duration for e in eaters]
+        scale = lcm(cap_scale, *(d.denominator for d in demand))
         net = _Flow(2 + len(eaters) + len(items))
-        source_edges = {}
-        want = Fraction(0)
-        for e in eaters:
-            d = network.demand_of(e) + duration
-            want += d
-            source_edges[e] = net.add(0, eater_node[e], d)
-        for e in eaters:
-            for o in sorted(eligible[e]):
-                net.add(eater_node[e], item_node[o], big)
-        for o in items:
-            net.add(item_node[o], 1, cap[o])
-        return net, source_edges, want
+        want = 0
+        for e, d in zip(eaters, demand):
+            units = d.numerator * (scale // d.denominator)
+            want += units
+            net.add(0, eater_node[e], units)
+        sink = [cap[o].numerator * (scale // cap[o].denominator) for o in items]
+        # No augmenting path can fill an edge of more than the whole sink
+        # capacity, so eater-item edges never bound or cut a flow.
+        big = sum(sink) + 1
+        for u, v in pairs:
+            net.add(u, v, big)
+        for o, c in zip(items, sink):
+            net.add(item_node[o], 1, c)
+        return net, scale, want
 
     total_fixed = sum(network.demand_of(e) for e in eaters)
     full_cap = sum(cap.values())
@@ -211,11 +225,11 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
     delta = Fraction(full_cap - total_fixed, len(eaters))
 
     while True:
-        net, source_edges, want = build(delta)
-        pushed = net.maxflow(0, 1)
-        if pushed == want:
+        net, scale, want = build(delta)
+        if net.maxflow(0, 1) == want:
             break
-        violator = [e for e in eaters if eater_node[e] in net.reachable_from(0)]
+        reach = net.reachable_from(0)
+        violator = [e for e in eaters if eater_node[e] in reach]
         vio_cap = sum(cap[o] for o in sorted({o for e in violator for o in eligible[e]}))
         vio_fixed = sum(network.demand_of(e) for e in violator)
         new_delta = Fraction(vio_cap - vio_fixed, len(violator))
@@ -237,7 +251,7 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
                 amount = net.flow_on(edge)
                 if amount > 0:
                     o = items[net.to[edge] - 2 - len(eaters)]
-                    flows[e][o] = amount
+                    flows[e][o] = Fraction(amount, scale)
 
     # Prefer the even split for the tight group whenever it exactly
     # saturates the tight items: symmetric situations then yield the

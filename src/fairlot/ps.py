@@ -3,8 +3,13 @@ rule, multi-unit variant).
 
 All agents eat their single most-preferred remaining item at unit speed;
 when items run out they move on, until nothing is left.  The simulation is
-discrete: it jumps from one item-finishing time to the next, so the whole
-run takes at most n*m stage updates.
+discrete: it jumps from one item-finishing time to the next.  An agent
+eats one item without a break until the item runs out, so its share is
+the length of that one interval, finish - start, and the trace holds
+exactly one segment per (agent, item) pair eaten.  An item's eaten mass
+and finishing time are recomputed only when agents join its group, so the
+rational arithmetic of a run is one update per pair, not one per agent per
+stage.
 """
 
 from __future__ import annotations
@@ -37,46 +42,62 @@ def ps_outcome(
     orders = {a: strict_prefs.strict_order(a) for a in agents}
 
     remaining = set(items)
-    eaten: dict[str, Fraction] = {o: Fraction(0) for o in items}
     shares: dict[str, dict[str, Fraction]] = {a: {} for a in agents}
     segments: dict[str, list[TraceSegment]] = {a: [] for a in agents}
+    # Each item being eaten has a group of eaters; its mass is exact as of
+    # ``since``, when the group last grew.
+    groups: dict[str, list[str]] = {}
+    start: dict[str, Fraction] = {}
+    mass: dict[str, Fraction] = {}
+    since: dict[str, Fraction] = {}
+    finish_of: dict[str, Fraction] = {}
     # cursor[a] scans the agent's order left to right; preferences are
     # consumed monotonically so the total scan cost is O(nm).
     cursor = {a: 0 for a in agents}
-    time = Fraction(0)
 
-    while remaining:
-        eaters: dict[str, list[str]] = {}
-        for a in agents:
+    def sit(movers: list[str], time: Fraction) -> None:
+        """Seat each mover at its best remaining item from ``time`` on."""
+        joined: dict[str, list[str]] = {}
+        for a in movers:
             order = orders[a]
             k = cursor[a]
             while order[k] not in remaining:
                 k += 1
             cursor[a] = k
-            eaters.setdefault(order[k], []).append(a)
+            item = order[k]
+            if item not in joined:
+                if item in groups:
+                    mass[item] += (time - since[item]) * len(groups[item])
+                else:
+                    groups[item], mass[item] = [], Fraction(0)
+                since[item] = time
+                joined[item] = groups[item]
+            joined[item].append(a)
+            start[a] = time
+        for item, group in joined.items():
+            finish_of[item] = time + (1 - mass[item]) / len(group)
 
+    sit(list(agents), Fraction(0))
+    while remaining:
         # The stage ends when the first item being eaten runs out; every
         # item finishing at that moment leaves together.
-        finish_of = {
-            item: time + (1 - eaten[item]) / len(group) for item, group in eaters.items()
-        }
         finish = min(finish_of.values())
         finishing = [item for item, t in finish_of.items() if t == finish]
-        span = finish - time
-        for item, group in eaters.items():
-            for a in group:
-                shares[a][item] = shares[a].get(item, Fraction(0)) + span
-                segs = segments[a]
-                if segs and segs[-1].item == item and segs[-1].end == time:
-                    segs[-1] = TraceSegment(item, segs[-1].start, finish, segs[-1].amount + span)
-                else:
-                    segs.append(TraceSegment(item, time, finish, span))
-            eaten[item] += span * len(group)
+        movers = []
         for item in finishing:
-            if eaten[item] != 1:
-                raise AssertionError(f"item {item!r} finished with mass {eaten[item]}")
+            group = groups.pop(item)
+            eaten = mass.pop(item) + (finish - since.pop(item)) * len(group)
+            if eaten != 1:
+                raise AssertionError(f"item {item!r} finished with mass {eaten}")
+            del finish_of[item]
             remaining.discard(item)
-        time = finish
+            for a in group:
+                share = finish - start[a]
+                shares[a][item] = share
+                segments[a].append(TraceSegment(item, start[a], finish, share))
+            movers += group
+        if remaining:
+            sit(movers, finish)
 
     horizon = Fraction(len(items), len(agents))
     entries = tuple(

@@ -594,6 +594,35 @@ def test_malformed_json_diagnostic(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("file, flag", [
+    ("instance file", "--input"), ("lottery file", "--lottery"),
+], ids=["instance", "lottery"])
+def test_json_number_past_4300_digits_is_located(tmp_path, example_file, capsys, file, flag):
+    # The same digits are read when written as a string (see
+    # test_literals_past_4300_digits_read_back); as a JSON number
+    # json.load refuses them before any key is known.
+    path = tmp_path / "number.json"
+    path.write_text(json.dumps(EXAMPLE).replace('"4"', BIG, 1))
+    if flag == "--input":
+        argv = ["solve", "--rule", "ps", "--input", str(path)]
+    else:
+        argv = ["verify", "--property", "ef1", "--input", example_file, "--lottery", str(path)]
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"fairlot: error: {file} {path}: a JSON number has more than 4300 digits;"
+        " write it as a string\n")
+
+
+def test_undecodable_file_is_located(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(EXAMPLE).replace('"a"', '"\xe9"').encode("latin-1"))
+    code = main(["solve", "--rule", "ps", "--input", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"fairlot: error: instance file {path}: 'utf-8' codec can't decode")
+
+
 def test_incomplete_instance_diagnostic(tmp_path):
     path = tmp_path / "partial.json"
     path.write_text(json.dumps({

@@ -3,8 +3,9 @@ Pareto filter against brute force written from the definitions, the
 SD-efficiency graph test against the exact improvement LP,
 support reduction against a dense full-width elimination, the eating
 engine's max-flow against networkx, and the integer-scaled Birkhoff
-decomposition, bistochasticity test and ordinal profile against their
-``Fraction`` formulations.
+decomposition, bistochasticity test, ordinal profile and eating-step
+duration against their ``Fraction`` formulations; the serial eating rule
+against its stage-by-stage loop.
 
 The checkers compare per-agent integer-scaled utilities, so instances
 here carry fractional utilities (denominators up to 12), zeros and ties:
@@ -18,12 +19,14 @@ from math import gcd
 from operator import le
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st, target
 
 from fairlot import (
     DeterministicAllocation,
+    EatingNetwork,
     Instance,
     Lottery,
+    OrdinalProfile,
     RandomAllocation,
     Report,
     SdRelation,
@@ -38,6 +41,7 @@ from fairlot import (
     eps_outcome,
     expected_allocation,
     is_bistochastic,
+    max_eating_duration,
     ordinal_from_utilities,
     ps_outcome,
     reduce_support,
@@ -46,8 +50,9 @@ from fairlot import (
 )
 from fairlot.birkhoff import _complete_matching
 from fairlot.cli import _pareto_flags
-from fairlot.eps import _Flow
+from fairlot.eps import DurationResult, _Flow, _forced_duration
 from fairlot.fairness import _topological_order
+from fairlot.model import EatingTrace, TraceSegment
 from fairlot.oracle import enumerate_allocations, sd_improvement_exists
 from test_fairness import slow_efk, slow_sd_ef1
 
@@ -755,3 +760,186 @@ def test_caches_stay_with_their_instance():
         assert reports[:2] == reports[:1:-1], name
     assert [check_efk(a, *profiled(t)[:1], 0).ok for t in tables for a in support] == [
         False, True, True, False]
+
+
+# The eating-step duration as the library computed it before each
+# Dinkelbach round moved onto one integer scale: every capacity a
+# ``Fraction``, and the round count returned beside the result.
+def reference_max_eating_duration(network):
+    eaters = tuple(network.eaters)
+    if not eaters:
+        raise ValueError("no eaters")
+    eligible = {}
+    for e in eaters:
+        live = network.live_eligible(e)
+        if not live:
+            raise ValueError(f"eater {e!r} has no eligible items left")
+        eligible[e] = live
+    if all(len(live) == 1 for live in eligible.values()):
+        return _forced_duration(network, eaters, eligible), 0
+    items = sorted({o for live in eligible.values() for o in live})
+    cap = {o: network.capacity[o] for o in items}
+    eater_node = {e: 2 + i for i, e in enumerate(eaters)}
+    item_node = {o: 2 + len(eaters) + j for j, o in enumerate(items)}
+    big = sum(cap.values()) + sum(network.demand_of(e) for e in eaters) + 1
+
+    def build(duration):
+        net = _Flow(2 + len(eaters) + len(items))
+        want = F(0)
+        for e in eaters:
+            d = network.demand_of(e) + duration
+            want += d
+            net.add(0, eater_node[e], d)
+        for e in eaters:
+            for o in sorted(eligible[e]):
+                net.add(eater_node[e], item_node[o], big)
+        for o in items:
+            net.add(item_node[o], 1, cap[o])
+        return net, want
+
+    total_fixed = sum(network.demand_of(e) for e in eaters)
+    full_cap = sum(cap.values())
+    if full_cap < total_fixed:
+        raise ValueError("prior demands already exceed the available capacity")
+    delta = F(full_cap - total_fixed, len(eaters))
+    rounds = 0
+    while True:
+        rounds += 1
+        net, want = build(delta)
+        if net.maxflow(0, 1) == want:
+            break
+        violator = [e for e in eaters if eater_node[e] in net.reachable_from(0)]
+        vio_cap = sum(cap[o] for o in sorted({o for e in violator for o in eligible[e]}))
+        vio_fixed = sum(network.demand_of(e) for e in violator)
+        new_delta = F(vio_cap - vio_fixed, len(violator))
+        if new_delta < 0:
+            raise ValueError("prior demands are infeasible")
+        assert new_delta < delta
+        delta = new_delta
+
+    blocked = net.cannot_reach(1)
+    tight = [e for e in eaters if eater_node[e] in blocked]
+    tight_items = sorted({o for e in tight for o in eligible[e]})
+    flows = {e: {} for e in eaters}
+    for e in eaters:
+        for edge in net.adj[eater_node[e]]:
+            if edge % 2 == 0 and net.to[edge] != 0 and net.flow_on(edge) > 0:
+                flows[e][items[net.to[edge] - 2 - len(eaters)]] = net.flow_on(edge)
+    fill = {o: F(0) for o in tight_items}
+    uniform = {}
+    for e in tight:
+        share = (network.demand_of(e) + delta) / len(eligible[e])
+        uniform[e] = {o: share for o in sorted(eligible[e])} if share > 0 else {}
+        for o in eligible[e]:
+            fill[o] += share
+    if all(fill[o] == cap[o] for o in tight_items):
+        for e in tight:
+            flows[e] = uniform[e]
+    for o in tight_items:
+        assert sum(flows[e].get(o, F(0)) for e in tight) == cap[o]
+    return DurationResult(
+        duration=delta,
+        tight_eaters=tuple(sorted(tight, key=str)),
+        tight_items=tuple(tight_items),
+        flow=flows,
+    ), rounds
+
+
+@st.composite
+def eating_networks(draw):
+    """Eaters over shared items, with rational capacities (zeros make dead
+    items) and prior demands: most draws run the Dinkelbach loop, some
+    take the single-item path, and some demands are infeasible."""
+    items = [f"o{j}" for j in range(draw(st.integers(2, 9)))]
+    eaters = tuple(f"e{i}" for i in range(draw(st.integers(1, 9))))
+    capacity = {o: draw(utilities) for o in items}
+    pick = st.sets(st.sampled_from(items), min_size=1, max_size=3).map(frozenset)
+    eligible = {e: draw(pick) for e in eaters}
+    demands = {e: draw(utilities) / draw(st.sampled_from([2, 8])) for e in eaters
+               if draw(st.booleans())}
+    return EatingNetwork(eaters, eligible, capacity, demands)
+
+
+@SETTINGS
+@given(eating_networks())
+def test_integer_duration_matches_fraction_reference(network):
+    try:
+        expected, rounds = reference_max_eating_duration(network)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            max_eating_duration(network)
+        assert str(raised.value) == str(exc)
+        event(f"ValueError: {exc}")
+        return
+    event(f"{rounds} Dinkelbach rounds")
+    target(rounds)
+    got = max_eating_duration(network)
+    assert got == expected
+    assert type(got.duration) is F
+    assert all(type(v) is F for row in got.flow.values() for v in row.values())
+
+
+# The serial eating rule as the library ran it before each agent's share
+# became one interval: every stage regroups all agents and adds one
+# ``Fraction`` per agent, merging adjacent trace segments.
+def reference_ps_outcome(agents, items, strict_prefs):
+    orders = {a: strict_prefs.strict_order(a) for a in agents}
+    remaining = set(items)
+    eaten = {o: F(0) for o in items}
+    shares = {a: {} for a in agents}
+    segments = {a: [] for a in agents}
+    cursor = {a: 0 for a in agents}
+    time = F(0)
+    while remaining:
+        eaters = {}
+        for a in agents:
+            order = orders[a]
+            k = cursor[a]
+            while order[k] not in remaining:
+                k += 1
+            cursor[a] = k
+            eaters.setdefault(order[k], []).append(a)
+        finish_of = {
+            item: time + (1 - eaten[item]) / len(group) for item, group in eaters.items()
+        }
+        finish = min(finish_of.values())
+        span = finish - time
+        for item, group in eaters.items():
+            for a in group:
+                shares[a][item] = shares[a].get(item, F(0)) + span
+                segs = segments[a]
+                if segs and segs[-1].item == item and segs[-1].end == time:
+                    segs[-1] = TraceSegment(item, segs[-1].start, finish, segs[-1].amount + span)
+                else:
+                    segs.append(TraceSegment(item, time, finish, span))
+            eaten[item] += span * len(group)
+        for item in [item for item, t in finish_of.items() if t == finish]:
+            assert eaten[item] == 1
+            remaining.discard(item)
+        time = finish
+    entries = tuple(tuple(shares[a].get(o, F(0)) for o in items) for a in agents)
+    trace = EatingTrace(agents, items, {a: tuple(segments[a]) for a in agents},
+                        F(len(items), len(agents)))
+    return RandomAllocation(agents, items, entries), trace
+
+
+@st.composite
+def strict_profiles(draw):
+    """Strict orders up to 10x25; agents drawing the same order eat the
+    same items side by side, so groups share items and finish together."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 25))
+    agents = tuple(f"a{i}" for i in range(1, n + 1))
+    items = tuple(f"o{j:02d}" for j in range(1, m + 1))
+    orders = draw(st.lists(st.permutations(items), min_size=1, max_size=n))
+    tiers = {a: tuple((o,) for o in draw(st.sampled_from(orders))) for a in agents}
+    return OrdinalProfile(agents, items, tiers)
+
+
+@SETTINGS
+@given(strict_profiles())
+def test_ps_outcome_matches_stage_loop(prefs):
+    outcome, trace = ps_outcome(prefs.agents, prefs.items, prefs)
+    assert (outcome, trace) == reference_ps_outcome(prefs.agents, prefs.items, prefs)
+    for segs in trace.segments.values():
+        assert len({seg.item for seg in segs}) == len(segs)

@@ -14,6 +14,7 @@ from fairlot import (
     ps_outcome,
     utility_of_bundle,
 )
+from fairlot.eps import _Flow
 from fairlot.oracle import leximin_bruteforce, sd_improvement_exists
 from conftest import binary_instance, strict_instance, weak_instance
 
@@ -273,3 +274,24 @@ def test_singleton_duration_rejects_excess_demand():
     with pytest.raises(ValueError):
         max_eating_duration(net)
 
+
+
+def test_one_residual_search_per_failing_dinkelbach_round(monkeypatch):
+    # Each Dinkelbach round runs one max-flow; a round that falls short
+    # reads its violator set off one search from the source, and a
+    # multi-item step ends with one search towards the sink.
+    calls = {"maxflow": 0, "reachable_from": 0, "cannot_reach": 0}
+    for name in calls:
+        original = getattr(_Flow, name)
+
+        def counted(self, node, *rest, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, node, *rest)
+
+        monkeypatch.setattr(_Flow, name, counted)
+    inst = weak_instance(random.Random(2), 30, 60, 20)
+    out, _ = eps_outcome(inst, mode="standard")
+    assert all(sum(out.row(a).values()) == 2 for a in inst.agents)
+    failing = calls["maxflow"] - calls["cannot_reach"]
+    assert calls["maxflow"] >= 10 and failing >= 10
+    assert calls["reachable_from"] <= failing

@@ -19,7 +19,14 @@ from fairlot import DeterministicAllocation, Lottery, fileio
 from fairlot.cli import main
 from conftest import binary_instance, strict_instance, weak_instance
 
-MAKERS = {"strict": strict_instance, "tied": weak_instance, "binary": binary_instance}
+MAKERS = {
+    "strict": strict_instance,
+    "tied": weak_instance,
+    "binary": binary_instance,
+    # Twenty utility levels leave small top tiers that overlap, so eating
+    # runs many Dinkelbach rounds (45 at seed 2, 30x60) instead of one.
+    "tied20": lambda rng, n, m: weak_instance(rng, n, m, 20),
+}
 
 # (command and flags, instance kind, seed, n, m) -> sha256 of stdout
 GOLDEN = {
@@ -49,6 +56,8 @@ GOLDEN = {
         "a61fc7fc832568df45572cdf5dd04e4d0e94f98d8f1d32f7b94d1fa87f61c64e",
     (("lottery", "--rule", "eps", "--skip-zero"), "binary", 13, 12, 30):
         "bc3186e726f310002bd245e10ca80d2b53ce8bfe6ed5b816b44838815d318669",
+    (("lottery", "--rule", "eps"), "tied20", 2, 30, 60):
+        "5bab1fa4d84aad558442232a43e1d8ac048f4ae10479e75c203b29fcd5881456",
     (("solve", "--rule", "ps"), "strict", 1, 4, 7):
         "49307c741bcd324d1ce31ec7b950357e9fa6ed63bec909293f9873bf457b3efa",
     (("solve", "--rule", "ps"), "tied", 5, 4, 9):
