@@ -107,8 +107,11 @@ def cmd_lottery(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(document)
     else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(document)
+        except OSError as exc:
+            raise FormatError(f"output file {args.out}: {exc}") from None
     return EX_OK
 
 

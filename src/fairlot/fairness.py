@@ -72,6 +72,8 @@ class Report:
 
     def to_json(self) -> dict:
         def encode(value):
+            if type(value) is str:  # most witness entries are item or agent ids
+                return value
             if isinstance(value, Fraction):
                 return format_rational(value)
             if isinstance(value, RandomAllocation):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
 from typing import Any, Mapping
 
 from .model import (
@@ -39,7 +40,50 @@ class FormatError(ValueError):
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
+    writes it, byte for byte, without json's pure-Python indented encoder.
+
+    Only str, int, bool, None, lists, tuples and str-keyed dicts are
+    written; anything else raises ``TypeError``.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+_string = json.encoder.encode_basestring_ascii  # the C escaper json uses
+
+
+def _encode(value: Any, newline: str) -> str:
+    """One JSON value, whose own line starts with ``newline`` (a newline
+    and its indent).  A container whose members are all strings is one
+    C-level join; only other members recurse."""
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, dict):
+        keys = sorted(value)
+        members = list(map(value.__getitem__, keys))
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        keys, members, brackets = None, value, "[]"
+    elif value is None:
+        return "null"
+    elif value is True:
+        return "true"
+    elif value is False:
+        return "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not members:
+        return brackets
+    inner = newline + "  "
+    try:
+        parts = list(map(_string, members))
+    except TypeError:
+        parts = [_encode(v, inner) for v in members]
+    if keys is not None:
+        parts = map(": ".join, zip(map(_string, keys), parts))
+    return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
 
 
 def _require(obj: Mapping, key: str, where: str):
@@ -84,16 +128,21 @@ def instance_from_obj(obj: Mapping) -> Instance:
     utilities = _require(obj, "utilities", "instance")
     _strings(agents, "instance.agents")
     _strings(items, "instance.items")
-    table = {}
-    for a in agents:
-        row = _require(utilities, a, "instance.utilities")
-        table[a] = {
-            o: _rational_at(_require(row, o, f"instance.utilities[{a!r}]"),
-                            f"instance.utilities[{a!r}][{o!r}]")
-            for o in items
-        }
+    if not agents:
+        raise FormatError("instance: no agents given")
     try:
-        return Instance.from_utilities(table, agents=agents, items=items)
+        values = tuple(tuple(map(rational, map(utilities[a].__getitem__, items)))
+                       for a in agents)
+    except (AttributeError, LookupError, TypeError, ValueError, ZeroDivisionError):
+        # Name the first bad cell, in the order of the lists.
+        for a in agents:
+            row = _require(utilities, a, "instance.utilities")
+            for o in items:
+                _rational_at(_require(row, o, f"instance.utilities[{a!r}]"),
+                             f"instance.utilities[{a!r}][{o!r}]")
+        raise
+    try:
+        return Instance(tuple(agents), tuple(items), values)
     except ValueError as exc:
         raise FormatError(f"instance: {exc}") from None
 
@@ -102,7 +151,7 @@ def matrix_to_obj(p: RandomAllocation, extra: Mapping | None = None) -> dict:
     obj = {
         "rows": [str(r) if not isinstance(r, str) else r for r in p.rows],
         "items": list(p.items),
-        "entries": [[format_rational(v) for v in row] for row in p.entries],
+        "entries": [list(map(format_rational, row)) for row in p.entries],
     }
     if extra:
         obj.update(extra)
@@ -115,12 +164,16 @@ def matrix_from_obj(obj: Mapping) -> RandomAllocation:
     entries = _require(obj, "entries", "matrix")
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise FormatError("matrix.entries: expected a list of lists")
-    parsed = []
-    for i, row in enumerate(entries):
-        parsed.append(tuple(_rational_at(v, f"matrix.entries[{i}][{j}]")
-                            for j, v in enumerate(row)))
     try:
-        return RandomAllocation(tuple(rows), tuple(items), tuple(parsed))
+        parsed = tuple(tuple(map(rational, row)) for row in entries)
+    except (TypeError, ValueError, ZeroDivisionError):
+        # Name the first bad entry.
+        for i, row in enumerate(entries):
+            for j, v in enumerate(row):
+                _rational_at(v, f"matrix.entries[{i}][{j}]")
+        raise
+    try:
+        return RandomAllocation(tuple(rows), tuple(items), parsed)
     except ValueError as exc:
         raise FormatError(f"matrix: {exc}") from None
 
@@ -135,11 +188,11 @@ def lottery_to_obj(
     return {
         "agents": list(lottery.agents),
         "items": list(lottery.items),
-        "expected": [[format_rational(v) for v in row] for row in expected.entries],
+        "expected": [list(map(format_rational, row)) for row in expected.entries],
         "support": [
             {
                 "weight": format_rational(weight),
-                "assignment": {o: a for o, a in zip(alloc.items, alloc.owners)},
+                "assignment": dict(zip(alloc.items, alloc.owners)),
             }
             for weight, alloc in lottery.entries
         ],
@@ -159,7 +212,7 @@ def lottery_from_obj(obj: Mapping) -> tuple[Lottery, RandomAllocation, dict]:
                               f"lottery.support[{k}].weight")
         assignment = _require(element, "assignment", f"lottery.support[{k}]")
         if not isinstance(assignment, Mapping) or not all(
-            isinstance(o, str) and isinstance(a, str) for o, a in assignment.items()
+            map(isinstance, [*assignment, *assignment.values()], repeat(str))
         ):
             raise FormatError(
                 f"lottery.support[{k}].assignment: expected a mapping of item id "

@@ -74,6 +74,15 @@ def rational(value: RationalLike) -> Fraction:
         if isinstance(value, int):
             return Fraction(value)
         raise TypeError(f"cannot interpret a {type(value).__name__} as an exact rational")
+    if len(value) <= 600 and value.isascii():
+        # "p" and "p/q" in ASCII digits ("²".isdigit() holds, but int
+        # refuses it), below int's digit limit (at least 640) and the caps
+        # below; anything else, a zero denominator too, takes the grammar.
+        if value.isdigit():
+            return Fraction(int(value))
+        num, _, den = value.partition("/")
+        if num.isdigit() and den.isdigit() and den.strip("0"):
+            return Fraction(int(num), int(den))
     if len(value) > _MAX_LITERAL:
         raise ValueError(f"longer than {_MAX_LITERAL} characters")
     match = _LITERAL.match(value)
@@ -129,7 +138,8 @@ def _decimal(n: int) -> str:
 
 def format_rational(value: Fraction) -> str:
     """Canonical text form: "3" for integers, "p/q" otherwise."""
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return _decimal(value.numerator)
     return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
@@ -165,14 +175,18 @@ class Instance:
             raise ValueError("duplicate item ids")
         if len(self.values) != len(self.agents):
             raise ValueError("one utility row per agent required")
+        scaled = []
         for row in self.values:
             if len(row) != len(self.items):
                 raise ValueError("one utility per item required in every row")
-            for v in row:
-                if not isinstance(v, Fraction):
-                    raise TypeError("utilities must be Fractions; use Instance.from_utilities")
-                if v < 0:
-                    raise ValueError("utilities must be nonnegative")
+            if not all(isinstance(v, Fraction) for v in row):
+                raise TypeError("utilities must be Fractions; use Instance.from_utilities")
+            scale = math.lcm(*(v.denominator for v in row))
+            ints = tuple(v.numerator * (scale // v.denominator) for v in row)
+            if min(ints) < 0:
+                raise ValueError("utilities must be nonnegative")
+            scaled.append((ints, scale))
+        object.__setattr__(self, "_int", tuple(scaled))
 
     @classmethod
     def from_utilities(
@@ -223,17 +237,10 @@ class Instance:
         A positive per-agent scale preserves every comparison that agent
         makes, and Pareto dominance coordinate by coordinate, so checkers
         can work on these exact integers; a scaled total ``t`` is the
-        utility ``Fraction(t, scale)``.
+        utility ``Fraction(t, scale)``.  Built once, by ``__post_init__``,
+        which tests the signs on them.
         """
-        cached = self.__dict__.get("_int")
-        if cached is None:
-            cached = []
-            for row in self.values:
-                scale = math.lcm(*(v.denominator for v in row))
-                cached.append((tuple(v.numerator * (scale // v.denominator) for v in row), scale))
-            cached = tuple(cached)
-            object.__setattr__(self, "_int", cached)
-        return cached
+        return self._int
 
     def agent_index(self, agent: str) -> int:
         return self._index_maps()[0][agent]
@@ -402,15 +409,15 @@ class DeterministicAllocation:
         if len(self.owners) != len(self.items):
             raise ValueError("every item needs exactly one owner")
         agent_set = set(self.agents)
-        for a in self.owners:
-            if a not in agent_set:
-                raise ValueError(f"unknown owner {a!r}")
+        if not agent_set.issuperset(self.owners):
+            unknown = next(a for a in self.owners if a not in agent_set)
+            raise ValueError(f"unknown owner {unknown!r}")
 
     @classmethod
     def from_mapping(
         cls, agents: Sequence[str], items: Sequence[str], owner: Mapping[str, str]
     ) -> "DeterministicAllocation":
-        return cls(tuple(agents), tuple(items), tuple(owner[o] for o in items))
+        return cls(tuple(agents), tuple(items), tuple(map(owner.__getitem__, items)))
 
     def owner_of(self, item: str) -> str:
         return self.owners[self.items.index(item)]

@@ -129,6 +129,18 @@ def test_lottery_to_stdout(example_file):
     json.loads(out)
 
 
+@pytest.mark.parametrize("out, reason", [
+    ("", "Is a directory"), ("missing/lottery.json", "No such file or directory"),
+], ids=["directory", "missing-directory"])
+def test_lottery_out_to_a_bad_path_exits_2(tmp_path, example_file, capsys, out, reason):
+    target = tmp_path / out
+    code, _ = run(["lottery", "--rule", "ps", "--input", example_file, "--out", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fairlot: error: output file {target}: [Errno ")
+    assert reason in err and "Traceback" not in err
+
+
 def test_lottery_single_agent(tmp_path):
     path = tmp_path / "solo.json"
     path.write_text(json.dumps({
@@ -585,6 +597,45 @@ def test_bad_literal_exits_2(tmp_path, capsys, literal, shown):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("cell, value, where", [
+    ("o150", "x", "['a150']['o150']: bad rational literal 'x' (not a rational literal)"),
+    ("o77", "3/0", "['a150']['o77']: bad rational literal '3/0' (zero denominator)"),
+    ("o149", None, "['a150']: missing required key 'o149'"),
+], ids=["last-cell", "zero-denominator", "missing"])
+def test_bad_utility_in_the_last_row_is_located(tmp_path, capsys, cell, value, where):
+    code, generated = run(["gen", "--agents", "150", "--items", "150", "--seed", "3"])
+    assert code == 0
+    doc = json.loads(generated)
+    if value is None:
+        del doc["utilities"]["a150"][cell]
+    else:
+        doc["utilities"]["a150"][cell] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(["solve", "--rule", "ps", "--input", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"fairlot: error: instance.utilities{where}\n"
+
+
+def test_bad_expected_entry_deep_in_a_lottery_is_located(tmp_path, capsys):
+    code, generated = run(["gen", "--agents", "40", "--items", "40", "--seed", "3"])
+    assert code == 0
+    instance = tmp_path / "instance.json"
+    instance.write_text(generated)
+    lottery = tmp_path / "lottery.json"
+    code, _ = run(["lottery", "--rule", "ps", "--input", str(instance), "--out", str(lottery)])
+    assert code == 0
+    doc = json.loads(lottery.read_text())
+    doc["expected"][39][37] = "1/2/3"
+    lottery.write_text(json.dumps(doc))
+    code, _ = run(["verify", "--property", "ef", "--input", str(instance),
+                   "--lottery", str(lottery)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "fairlot: error: matrix.entries[39][37]: bad rational literal '1/2/3' "
+        "(not a rational literal)\n")
+
+
 def test_malformed_json_diagnostic(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
@@ -646,6 +697,24 @@ def test_matrix_roundtrip():
     }
     matrix = fileio.matrix_from_obj(obj)
     assert fileio.matrix_to_obj(matrix) == obj
+
+
+def test_documents_bypass_the_python_json_encoder(tmp_path, example_file, monkeypatch):
+    # json.dumps(..., indent=...) always runs json's pure-Python encoder.
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    lottery = tmp_path / "lot.json"
+    for argv in (
+        ["gen", "--agents", "3", "--items", "5", "--seed", "1"],
+        ["solve", "--rule", "eps", "--input", example_file],
+        ["lottery", "--rule", "ps", "--input", example_file, "--out", str(lottery)],
+        ["verify", "--property", "sdef", "--input", example_file, "--lottery", str(lottery)],
+        ["verify", "--property", "rb", "--input", example_file, "--lottery", str(lottery)],
+    ):
+        code, _ = run(argv)
+        assert code == 0, argv
 
 
 def test_pipeline_byte_determinism(tmp_path, example_file):

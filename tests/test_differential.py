@@ -5,7 +5,8 @@ support reduction against a dense full-width elimination, the eating
 engine's max-flow against networkx, and the integer-scaled Birkhoff
 decomposition, bistochasticity test, ordinal profile and eating-step
 duration against their ``Fraction`` formulations; the serial eating rule
-against its stage-by-stage loop.
+against its stage-by-stage loop; the literal reader against its
+grammar-only form, and the document writer against ``json.dumps``.
 
 The checkers compare per-agent integer-scaled utilities, so instances
 here carry fractional utilities (denominators up to 12), zeros and ties:
@@ -13,6 +14,9 @@ a wrong scale would pass every integer-utility test.  Certificates are
 replayed with exact ``Fraction`` arithmetic.
 """
 
+import json
+import re
+import sys
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -52,7 +56,8 @@ from fairlot.birkhoff import _complete_matching
 from fairlot.cli import _pareto_flags
 from fairlot.eps import DurationResult, _Flow, _forced_duration
 from fairlot.fairness import _topological_order
-from fairlot.model import EatingTrace, TraceSegment
+from fairlot.fileio import dumps
+from fairlot.model import EatingTrace, TraceSegment, rational
 from fairlot.oracle import enumerate_allocations, sd_improvement_exists
 from test_fairness import slow_efk, slow_sd_ef1
 
@@ -943,3 +948,135 @@ def test_ps_outcome_matches_stage_loop(prefs):
     assert (outcome, trace) == reference_ps_outcome(prefs.agents, prefs.items, prefs)
     for segs in trace.segments.values():
         assert len({seg.item for seg in segs}) == len(segs)
+
+
+# ``rational`` as the library read literals before its ASCII-digit fast
+# path: every string through the grammar.
+REFERENCE_LITERAL = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(?:_\d+)*)
+    (?:/(?P<den>\d+(?:_\d+)*)
+    |(?:\.(?P<dec>\d*|\d+(?:_\d+)*))?(?:E(?P<exp>[-+]?\d+(?:_\d+)*))?)
+    \s*\Z
+""", re.VERBOSE | re.IGNORECASE)
+
+
+def reference_integer(digits):
+    digits = digits.replace("_", "")
+    if len(digits) <= 600:
+        return int(digits or "0")
+    half = len(digits) // 2
+    return reference_integer(digits[:-half]) * 10 ** half + reference_integer(digits[-half:])
+
+
+def reference_rational(value):
+    if not isinstance(value, str):
+        if isinstance(value, F):
+            return value
+        if isinstance(value, bool):
+            raise TypeError("booleans are not rationals")
+        if isinstance(value, int):
+            return F(value)
+        raise TypeError(f"cannot interpret a {type(value).__name__} as an exact rational")
+    if len(value) > 2 * 8600 + 2:
+        raise ValueError(f"longer than {2 * 8600 + 2} characters")
+    match = REFERENCE_LITERAL.match(value)
+    if match is None:
+        raise ValueError("not a rational literal")
+    num = reference_integer(match["num"])
+    den = reference_integer(match["den"]) if match["den"] else 1
+    if match["dec"]:
+        decimals = match["dec"].replace("_", "")
+        num = num * 10 ** len(decimals) + reference_integer(decimals)
+        den = den * 10 ** len(decimals)
+    if match["exp"]:
+        digits = match["exp"].lstrip("+-").replace("_", "").lstrip("0") or "0"
+        if len(digits) > len(str(4300)) or int(digits) > 4300:
+            raise ValueError("exponent beyond 4300 in magnitude")
+        if match["exp"].startswith("-"):
+            den *= 10 ** int(digits)
+        else:
+            num *= 10 ** int(digits)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if num >= 10 ** 8600 or den >= 10 ** 8600:
+        raise ValueError("more than 8600 digits in its numerator or denominator")
+    return F(-num if match["sign"] == "-" else num, den)
+
+
+def outcome(function, value):
+    try:
+        return function(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+LITERALS = [
+    "007", "12/8", "-3/6", "+7", " 7", "7 ", "1_000", "²", "١٢", "3/0", "0/00", "0/1",
+    "/3", "3/", "1/2/3", "", "0", "1.5", "1e3", "٣/٤", "12/٠", "9" * 600, "9" * 601,
+    "1" * 300 + "/" + "3" * 299, "1" * 300 + "/" + "3" * 300, "0" * 599 + "/", "9" * 650,
+    "1" * 320 + "/" + "3" * 320, "1" * 4400,
+]
+
+
+@pytest.mark.parametrize("literal", LITERALS, ids=range(len(LITERALS)))
+@pytest.mark.parametrize("int_digits", [None, 640], ids=["default", "lowest-int-limit"])
+def test_rational_matches_grammar_reference_on_edge_literals(literal, int_digits):
+    # 640 is the lowest digit limit Python lets int() be given.
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(int_digits or default)
+    try:
+        assert outcome(rational, literal) == outcome(reference_rational, literal)
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+@SETTINGS
+@given(st.one_of(
+    st.text(alphabet="0123456789/+-_ .e²١٣", max_size=12),
+    st.builds("{}/{}".format, st.integers(0, 10 ** 30), st.integers(0, 10 ** 30)),
+    st.builds(lambda n, k: str(n).zfill(k), st.integers(0), st.integers(590, 610)),
+    st.text(max_size=8),
+))
+def test_rational_matches_grammar_reference(literal):
+    got, want = outcome(rational, literal), outcome(reference_rational, literal)
+    assert got == want
+    if isinstance(want, F):
+        assert type(got) is F
+
+
+def json_strings():
+    """Any text, with escapes json must write: control characters,
+    quotes, backslashes, line separators and lone surrogates."""
+    special = st.sampled_from(["\x00", "\x1f", "\x7f", '"', "\\", " ", "\ud800", "é", "😀"])
+    return st.lists(st.one_of(st.text(max_size=4), special), max_size=4).map("".join)
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), json_strings(),
+    st.integers(), st.integers(-10 ** 400, 10 ** 400),
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.lists(json_strings(), max_size=3), max_size=3),
+        st.dictionaries(json_strings(), children, max_size=4),
+        st.dictionaries(json_strings(), json_strings(), max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@SETTINGS
+@given(json_trees)
+def test_dumps_matches_indented_json(tree):
+    assert dumps(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    1.5, F(1, 2), {"a": [0.5]}, ["x", F(3)], {"a": {1, 2}}, {1: "a"}, ("x", b"y"),
+], ids=["float", "fraction", "nested-float", "fraction-in-strings", "set", "int-key", "bytes"])
+def test_dumps_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        dumps(value)

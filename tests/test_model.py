@@ -43,6 +43,18 @@ def test_instance_validation():
         Instance.from_utilities({"1": {"a": -1}}, agents=["1"], items=["a"])
     with pytest.raises(ValueError):
         Instance.from_utilities({"1": {"a": 1}}, agents=["1"], items=["a", "b"])
+    with pytest.raises(ValueError, match="utilities must be nonnegative"):
+        Instance(("1",), ("a", "b"), ((F(1, 3), F(-1, 7)),))
+    with pytest.raises(TypeError, match="utilities must be Fractions"):
+        Instance(("1",), ("a", "b"), ((F(1, 3), 2),))
+    with pytest.raises(ValueError, match="unknown owner 'z'"):
+        DeterministicAllocation(("1", "2"), ("a", "b", "c"), ("1", "z", "y"))
+
+
+def test_integer_rows_scale_each_agent_by_its_lcm():
+    inst = Instance(("1", "2"), ("a", "b", "c"),
+                    ((F(1, 2), F(0), F(2, 3)), (F(4), F(1, 4), F(5, 6))))
+    assert inst.integer_rows() == (((3, 0, 4), 6), ((48, 3, 10), 12))
 
 
 def test_ordinal_from_utilities(example_instance):
