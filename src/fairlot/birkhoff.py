@@ -1,7 +1,8 @@
 """Decomposition of bistochastic rational matrices into convex combinations
 of permutation matrices.
 
-Matrices are sequences of sequences of Fractions.  Permutations are given
+Matrices are sequences of sequences of Fractions (another entry type
+raises ``TypeError``, as in ``RandomAllocation``).  Permutations are given
 as a tuple ``perm`` with ``perm[row] = column``.  Each extraction step
 finds a perfect matching on the positivity graph (guaranteed to exist
 while the residual is a positive multiple of a bistochastic matrix;
@@ -10,19 +11,23 @@ reproducible byte for byte), subtracts the smallest matched entry and
 repeats; at least one entry hits zero per step, so a k-by-k matrix needs
 at most k^2 - 2k + 2 steps.
 
-All arithmetic runs on one integer scale: the matrix is multiplied once by
-L, the lcm of its denominators, and the residual is kept as sparse integer
-rows (column -> positive int), a cell leaving its row as soon as it hits
-zero.  Every comparison is scale-invariant, so the matchings are those of
-the rational residual, and each part's weight is ``Fraction(w, L)`` for
-the smallest matched integer w.
+All arithmetic runs on one integer scale.  A bistochastic matrix is a
+square random allocation whose rows sum to 1 as well, so the matrix is
+checked and scaled as a ``RandomAllocation``: its integer form holds the
+matrix times L, the lcm of its denominators, as sparse rows (column ->
+positive int).  The residual starts as a copy of those rows, and a cell
+leaves its row as soon as it hits zero.  Every comparison is
+scale-invariant, so the matchings are those of the rational residual,
+and each part's weight is ``Fraction(w, L)`` for the smallest matched
+integer w.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
+
+from .model import RandomAllocation
 
 __all__ = [
     "is_bistochastic",
@@ -32,38 +37,23 @@ __all__ = [
 Matrix = Sequence[Sequence[Fraction]]
 
 
-def _scaled_rows(matrix: Matrix) -> tuple[list[dict[int, int]], int] | None:
-    """The matrix times L, the lcm of its denominators, as sparse rows
-    (column -> positive int) together with L; None unless the matrix is
-    square with entries in [0, L] and every row and column summing to L.
-    (Nonnegative entries of a row summing to L cannot exceed L.)
-    """
-    k = len(matrix)
-    if any(len(row) != k for row in matrix):
+def _residual(matrix: Matrix) -> tuple[list[dict[int, int]], int] | None:
+    """The matrix's integer form as a random allocation, rows to mutate
+    and L (``RandomAllocation.integer_form``); None unless it is square,
+    its columns sum to 1 and its rows sum to 1 too."""
+    labels = tuple(range(len(matrix)))
+    try:
+        rows, scale = RandomAllocation(labels, labels, tuple(map(tuple, matrix))).integer_form()
+    except ValueError:
         return None
-    nonzero = [[(j, *v.as_integer_ratio()) for j, v in enumerate(row) if v] for row in matrix]
-    scale = math.lcm(*{q for row in nonzero for _, _, q in row})
-    rows = []
-    column_sums = [0] * k
-    for row in nonzero:
-        scaled = {}
-        for j, p, q in row:
-            if p < 0:
-                return None
-            x = p * (scale // q)
-            scaled[j] = x
-            column_sums[j] += x
-        if sum(scaled.values()) != scale:
-            return None
-        rows.append(scaled)
-    if any(total != scale for total in column_sums):
+    if any(sum(row.values()) != scale for row in rows):
         return None
-    return rows, scale
+    return [dict(row) for row in rows], scale
 
 
 def is_bistochastic(matrix: Matrix) -> bool:
     """Square, entries in [0, 1], every row and column sums to exactly 1."""
-    return _scaled_rows(matrix) is not None
+    return _residual(matrix) is not None
 
 
 def _augment(adjacency: Sequence[Sequence[int]], row: int,
@@ -104,7 +94,7 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]
     Weights are in (0, 1] and sum to exactly 1; the recomposition equals
     the input structurally; the number of parts is at most k^2 - 2k + 2.
     """
-    scaled = _scaled_rows(matrix)
+    scaled = _residual(matrix)
     if scaled is None:
         raise ValueError("matrix is not bistochastic")
     residual, scale = scaled

@@ -62,6 +62,9 @@ def _load_json(path: str, what: str) -> dict:
         ) from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{what} {path}: {exc}") from None
+    except RecursionError:
+        # json's decoder recurses once per nested array or object.
+        raise FormatError(f"{what} {path}: JSON nested too deeply to read") from None
     except ValueError:
         # json.load converts integer literals with int(), which refuses more
         # digits than Python's limit and names no position.

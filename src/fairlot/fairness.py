@@ -6,6 +6,8 @@ that re-fails when replayed in isolation.
 The ex-ante checkers take a ``RandomAllocation``, the ex-post ones a
 ``DeterministicAllocation``.  All compare exact integers or ranks; none
 solves an LP (SD-efficiency is a cycle test on a trade graph of items).
+The ex-ante checkers read sparse integer rows (nonzero cells on one lcm
+scale, ``RandomAllocation.integer_form``), not all n * m cells.
 The ex-post checkers keep what they learn about a bundle (every agent's
 value of it, an agent's best-first order of it) and their ``sdef1``
 verdict on an (envier, own bundle, other bundle) triple on the
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,10 +30,8 @@ from .model import (
     Instance,
     OrdinalProfile,
     RandomAllocation,
-    SdRelation,
-    _sd_relation,
-    _tier_prefixes,
     format_rational,
+    sd_compare,
 )
 
 __all__ = [
@@ -92,30 +91,22 @@ class Report:
         return payload
 
 
-def _scaled_rows(p: RandomAllocation) -> tuple[dict[Any, dict[str, int]], int]:
-    """p's rows as item -> int maps on one scale L, the lcm of all its
-    denominators: entry v becomes v * L."""
-    scale = math.lcm(*(v.denominator for row in p.entries for v in row))
-    rows = {
-        a: {o: v.numerator * (scale // v.denominator) for o, v in zip(p.items, row)}
-        for a, row in zip(p.rows, p.entries)
-    }
-    return rows, scale
-
-
 def check_ef(p: RandomAllocation, instance: Instance) -> Report:
     """Envy-freeness: every agent values its own row at least as much as
     anyone else's.  Agent i sums its integer utilities (``integer_rows``,
-    scale s) over entries scaled by one lcm L (``_scaled_rows``), so a
+    scale s) over the nonzero cells of p's integer form (scale L), so a
     scaled gap g is the utility gap g / (L * s)."""
-    rows, scale = _scaled_rows(p)
+    rows, scale = p.integer_form()
     item_idx = instance._index_maps()[1]
-    for i in p.rows:
+    columns = [item_idx[o] for o in p.items]
+    for i, row_i in zip(p.rows, rows):
         values, own_scale = instance.integer_rows()[instance.agent_index(i)]
-        totals = {a: sum(values[item_idx[o]] * v for o, v in row.items()) for a, row in rows.items()}
-        for j, other in totals.items():
-            if other > totals[i]:
-                gap = Fraction(other - totals[i], scale * own_scale)
+        values = [values[c] for c in columns]
+        mine = sum(values[c] * x for c, x in row_i.items())
+        for j, row in zip(p.rows, rows):
+            other = sum(values[c] * x for c, x in row.items())
+            if other > mine:
+                gap = Fraction(other - mine, scale * own_scale)
                 return Report("ef", False, violation={"envious": i, "envied": j, "gap": gap})
     return Report("ef", True, witness={"pairs_checked": len(p.rows) * (len(p.rows) - 1)})
 
@@ -124,23 +115,28 @@ def check_sd_ef(p: RandomAllocation, prefs: OrdinalProfile) -> Report:
     """Stochastic-dominance envy-freeness: own row weakly SD-dominates
     every other row, agent by agent.
 
-    Entries are scaled to integers by one common positive factor, which
-    preserves every comparison of prefix sums; each envier then computes
-    the prefix sums of every row once, in its own tier order.
+    Runs on p's integer form, each nonzero cell at the envier's tier rank.
+    Another row's mass on the upper contour sets rises only at the ranks
+    where it has mass, and the own row's never falls, so own dominates
+    other iff it holds at least as much at those ranks.  ``sd_compare``
+    names the relation of a failing pair.
     """
     agents = p.rows
-    scaled, _ = _scaled_rows(p)
-    for i in agents:
-        tiers = prefs.tiers[i]
-        prefixes = {a: _tier_prefixes(tiers, scaled[a]) for a in agents}
-        for j in agents:
-            rel = _sd_relation(prefixes[i], prefixes[j])
-            if rel not in (SdRelation.DOMINATES, SdRelation.EQUIVALENT):
-                return Report(
-                    "sdef",
-                    False,
-                    violation={"envious": i, "envied": j, "relation": rel.value},
-                )
+    rows, _ = p.integer_form()
+    for i, own in zip(agents, rows):
+        rank = prefs.tier_rank(i)
+        ranks = [rank[o] for o in p.items]
+        masses = [0] * len(prefs.tiers[i])
+        for c, x in own.items():
+            masses[ranks[c]] += x
+        ceiling = list(itertools.accumulate(masses))
+        for j, row in zip(agents, rows):
+            cells = sorted(zip(map(ranks.__getitem__, row), row.values()))
+            if not all(map(operator.le, itertools.accumulate(x for _, x in cells),
+                           (ceiling[t] for t, _ in cells))):
+                rel = sd_compare(prefs, i, p.row(i), p.row(j))
+                return Report("sdef", False,
+                              violation={"envious": i, "envied": j, "relation": rel.value})
     return Report("sdef", True, witness={"pairs_checked": len(agents) * (len(agents) - 1)})
 
 
@@ -445,11 +441,9 @@ def check_sd_efficient(p: RandomAllocation, prefs: OrdinalProfile) -> Report:
     index = {o: k for k, o in enumerate(items)}
     # edges[x][y] = (backing agent, whether it ranks x strictly above y)
     edges: dict[str, dict[str, tuple[Any, bool]]] = {o: {} for o in items}
-    for a, row in zip(p.rows, p.entries):
+    for a, row in zip(p.rows, p.integer_form()[0]):
         rank = prefs.tier_rank(a)
-        for y, amount in zip(items, row):
-            if not amount:
-                continue
+        for y in map(items.__getitem__, row):
             held = rank[y]
             for x in items:
                 if x != y and rank[x] <= held:

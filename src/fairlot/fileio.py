@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Mapping
 
 from .model import (
@@ -208,11 +208,17 @@ def lottery_from_obj(obj: Mapping) -> tuple[Lottery, RandomAllocation, dict]:
         raise FormatError("lottery.support: expected a list")
     entries = []
     for k, element in enumerate(support):
-        weight = _rational_at(_require(element, "weight", f"lottery.support[{k}]"),
-                              f"lottery.support[{k}].weight")
-        assignment = _require(element, "assignment", f"lottery.support[{k}]")
+        # Locations are formatted only once an entry has failed.
+        try:
+            weight = rational(element["weight"])
+            assignment = element["assignment"]
+        except (LookupError, TypeError, ValueError, ZeroDivisionError):
+            where = f"lottery.support[{k}]"
+            _rational_at(_require(element, "weight", where), f"{where}.weight")
+            _require(element, "assignment", where)
+            raise
         if not isinstance(assignment, Mapping) or not all(
-            map(isinstance, [*assignment, *assignment.values()], repeat(str))
+            map(isinstance, chain(assignment, assignment.values()), repeat(str))
         ):
             raise FormatError(
                 f"lottery.support[{k}].assignment: expected a mapping of item id "
@@ -229,10 +235,12 @@ def lottery_from_obj(obj: Mapping) -> tuple[Lottery, RandomAllocation, dict]:
         raise FormatError(f"lottery: {exc}") from None
     raw = _require(obj, "expected", "lottery")
     expected = matrix_from_obj({"rows": list(agents), "items": list(items), "entries": raw})
-    totals, scale = _support_totals(lottery)  # entry v must equal t / L
-    if any(v.numerator * scale != t * v.denominator
-           for row, total in zip(expected.entries, totals.values())
-           for v, t in zip(row, total)):
+    # x / L must equal t / T; columns sum to L and to T, so L divides T.
+    rows, scale = expected.integer_form()
+    totals, total_scale = _support_totals(lottery)
+    step = total_scale // scale
+    if list(totals.values()) != [
+            [row.get(j, 0) * step for j in range(len(items))] for row in rows]:
         raise FormatError("lottery: expected matrix does not equal the recomposed support")
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, Mapping):

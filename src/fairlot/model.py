@@ -9,6 +9,7 @@ structural equality of canonical rationals.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 import re
@@ -364,21 +365,33 @@ class RandomAllocation:
         for row in self.entries:
             if len(row) != len(self.items):
                 raise ValueError("row length must match the item count")
-            ratio_row = []
-            for v in row:
+            cells = []
+            for j, v in enumerate(row):
                 if not isinstance(v, Fraction):
                     raise TypeError("entries must be Fractions")
-                p, q = v.as_integer_ratio()
-                if p < 0 or p > q:
-                    raise ValueError("entries must lie in [0, 1]")
-                ratio_row.append((p, q))
-            ratios.append(ratio_row)
+                if v:
+                    p, q = v.as_integer_ratio()
+                    if p < 0 or p > q:
+                        raise ValueError("entries must lie in [0, 1]")
+                    cells.append((j, p, q))
+            ratios.append(cells)
+        scale = math.lcm(*{q for cells in ratios for _, _, q in cells})
+        rows = tuple({j: p * (scale // q) for j, p, q in cells} for cells in ratios)
+        totals = [0] * len(self.items)
+        for row in rows:
+            for j, x in row.items():
+                totals[j] += x
         for j, item in enumerate(self.items):
-            column = [row[j] for row in ratios]
-            scale = math.lcm(*{q for _, q in column})
-            if sum(p * (scale // q) for p, q in column) != scale:
+            if totals[j] != scale:
                 total = sum(row[j] for row in self.entries)
                 raise ValueError(f"column {item!r} sums to {total}, expected 1")
+        object.__setattr__(self, "_int", (rows, scale))
+
+    def integer_form(self) -> tuple[tuple[dict[int, int], ...], int]:
+        """Per row, its nonzero cells as column index -> entry times L, and
+        L, the lcm of their denominators (1 if none); built once, by
+        ``__post_init__``.  Callers must not mutate the rows."""
+        return self._int
 
     def entry(self, row: Hashable, item: str) -> Fraction:
         return self.entries[self.rows.index(row)][self.items.index(item)]
@@ -397,6 +410,11 @@ class RandomAllocation:
         )
 
 
+# A lottery's support allocations share one agents tuple: its set is
+# built once, not once per allocation.
+_agent_set = functools.lru_cache(maxsize=16)(frozenset)
+
+
 @dataclass(frozen=True)
 class DeterministicAllocation:
     """Total assignment of items to agents; ``owners[j]`` owns ``items[j]``."""
@@ -408,7 +426,7 @@ class DeterministicAllocation:
     def __post_init__(self) -> None:
         if len(self.owners) != len(self.items):
             raise ValueError("every item needs exactly one owner")
-        agent_set = set(self.agents)
+        agent_set = _agent_set(self.agents)
         if not agent_set.issuperset(self.owners):
             unknown = next(a for a in self.owners if a not in agent_set)
             raise ValueError(f"unknown owner {unknown!r}")

@@ -371,11 +371,19 @@ def _example_lottery():
     ("owner", ["1"], "lottery.support[0].assignment"),
     ("agents", "12", "lottery.agents"),
     ("support", {"weight": "1"}, "lottery.support"),
+    ("element", "1", "lottery.support[0]"),
+    ("weight", None, "lottery.support[0]"),
+    ("weight", "1/0", "lottery.support[0].weight"),
+    ("assignment", None, "lottery.support[0]"),
 ])
 def test_malformed_lottery_exits_2(tmp_path, example_file, capsys, field, value, where):
     doc = _example_lottery()
-    if field == "assignment":
-        doc["support"][0]["assignment"] = value
+    if value is None:
+        del doc["support"][0][field]
+    elif field == "element":
+        doc["support"][0] = value
+    elif field in ("assignment", "weight"):
+        doc["support"][0][field] = value
     elif field == "owner":
         doc["support"][0]["assignment"]["a"] = value
     else:
@@ -663,6 +671,28 @@ def test_json_number_past_4300_digits_is_located(tmp_path, example_file, capsys,
     assert capsys.readouterr().err == (
         f"fairlot: error: {file} {path}: a JSON number has more than 4300 digits;"
         " write it as a string\n")
+
+
+@pytest.mark.parametrize("file, flag", [
+    ("instance file", "--input"), ("lottery file", "--lottery"),
+    ("allocation file", "--allocation"),
+], ids=["solve-input", "verify-lottery", "oracle-allocation"])
+def test_deep_nesting_is_located(tmp_path, example_file, capsys, file, flag):
+    # json.load recurses once per level and raises RecursionError, which
+    # is neither a JSONDecodeError nor a ValueError.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    argv = {
+        "--input": ["solve", "--rule", "ps", "--input", str(path)],
+        "--lottery": ["verify", "--property", "ef", "--input", example_file,
+                      "--lottery", str(path)],
+        "--allocation": ["oracle", "--filter", "ef1-po", "--input", example_file,
+                         "--allocation", str(path)],
+    }[flag]
+    code, out = run(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"fairlot: error: {file} {path}: JSON nested too deeply to read\n")
 
 
 def test_undecodable_file_is_located(tmp_path, capsys):

@@ -19,7 +19,7 @@ import re
 import sys
 from fractions import Fraction as F
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import le
 
 import pytest
@@ -35,6 +35,7 @@ from fairlot import (
     Report,
     SdRelation,
     birkhoff_decompose,
+    check_ef,
     check_efk,
     check_po_bruteforce,
     check_rb,
@@ -57,7 +58,13 @@ from fairlot.cli import _pareto_flags
 from fairlot.eps import DurationResult, _Flow, _forced_duration
 from fairlot.fairness import _topological_order
 from fairlot.fileio import dumps
-from fairlot.model import EatingTrace, TraceSegment, rational
+from fairlot.model import (
+    EatingTrace,
+    TraceSegment,
+    _sd_relation,
+    _tier_prefixes,
+    rational,
+)
 from fairlot.oracle import enumerate_allocations, sd_improvement_exists
 from test_fairness import slow_efk, slow_sd_ef1
 
@@ -518,11 +525,12 @@ def test_birkhoff_matches_fraction_loop(matrix):
 def perturbed(draw):
     """A bistochastic matrix, untouched or broken one way: a ragged row,
     a missing row or an extra column, a negative entry offset by one above
-    1 (rows and columns keep their sums), or one entry off by 1/L, where
-    L is the lcm of the denominators."""
+    1 (rows and columns keep their sums), one entry off by 1/L, where L is
+    the lcm of the denominators, or one entry's mass moved to another row
+    of its column (columns keep their sums, two rows do not)."""
     matrix = draw(bistochastic())
     k = len(matrix)
-    how = draw(st.sampled_from(["none", "ragged", "short", "wide", "sign", "off"]))
+    how = draw(st.sampled_from(["none", "ragged", "short", "wide", "sign", "off", "rows"]))
     r, c = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
     if how == "ragged":
         matrix[r] = matrix[r][:-1]
@@ -545,6 +553,10 @@ def perturbed(draw):
         delta = draw(st.sampled_from([F(1, scale), F(-1, scale)]))
         if matrix[r][c] + delta >= 0:
             matrix[r][c] += delta
+    elif how == "rows" and k > 1:
+        r2 = (r + 1) % k
+        matrix[r2][c] += matrix[r][c]
+        matrix[r][c] = F(0)
     return matrix
 
 
@@ -556,6 +568,257 @@ def test_is_bistochastic_matches_fraction_definition(matrix):
     if not expected:
         with pytest.raises(ValueError, match="^matrix is not bistochastic$"):
             birkhoff_decompose(matrix)
+
+
+def assert_integer_form(matrix, rows, scale):
+    """``rows`` on the scale ``scale`` give back every nonzero entry of
+    ``matrix`` as ``Fraction(x, scale)``, in column order, and hold no
+    zero cell; ``scale`` is the lcm of those entries' denominators."""
+    assert scale == lcm(*(v.denominator for row in matrix for v in row if v))
+    assert len(rows) == len(matrix)
+    for row, entries in zip(rows, matrix):
+        assert list(row) == sorted(row)
+        assert all(x > 0 for x in row.values())
+        assert {j: F(x, scale) for j, x in row.items()} == {
+            j: v for j, v in enumerate(entries) if v}
+
+
+# RandomAllocation's checks as the Fraction definition states them, in
+# the order the constructor makes them: the first fault is the one named.
+def fraction_allocation_fault(rows, items, entries):
+    """(exception type, message) of the first fault of a would-be
+    ``RandomAllocation``, or None when it is valid."""
+    if len(set(rows)) != len(rows):
+        return ValueError, "duplicate row labels"
+    if len(entries) != len(rows):
+        return ValueError, "one entry row per row label required"
+    for row in entries:
+        if len(row) != len(items):
+            return ValueError, "row length must match the item count"
+        for v in row:
+            if not isinstance(v, F):
+                return TypeError, "entries must be Fractions"
+            if not 0 <= v <= 1:
+                return ValueError, "entries must lie in [0, 1]"
+    for j, item in enumerate(items):
+        total = sum(row[j] for row in entries)
+        if total != 1:
+            return ValueError, f"column {item!r} sums to {total}, expected 1"
+    return None
+
+
+@st.composite
+def ex_ante_cases(draw):
+    """An instance with ties (each utility one of up to four fractional
+    levels, zeros included), sometimes with an agent that values nothing,
+    and a random allocation on it: its eps outcome, or a random matrix,
+    dense or with one or two holders per column, whose listed rows hold
+    nothing.  The allocation lists its rows and columns in orders of its
+    own, as a lottery document may."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    agents = [f"a{i}" for i in range(1, n + 1)]
+    items = [f"o{j}" for j in range(1, m + 1)]
+    levels = draw(st.lists(utilities, min_size=1, max_size=4))
+    table = {a: {o: draw(st.sampled_from(levels)) for o in items} for a in agents}
+    if draw(st.booleans()):
+        table[draw(st.sampled_from(agents))] = dict.fromkeys(items, 0)
+    inst = Instance.from_utilities(table, agents=agents, items=items)
+    source = draw(st.sampled_from(["eps", "dense", "sparse"]))
+    event(source)
+    rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(m)))
+    if source == "eps":
+        p = eps_outcome(inst)[0]
+    else:
+        p = random_matrix(draw, inst, source)
+    return inst, RandomAllocation(tuple(p.rows[i] for i in rows), tuple(p.items[j] for j in cols),
+                                  tuple(tuple(p.entries[i][j] for j in cols) for i in rows))
+
+
+def random_matrix(draw, inst, source):
+    """A random column-stochastic matrix on the instance, dense or with
+    one or two holders per column; some rows hold nothing."""
+    n = inst.n
+    empty = set(draw(st.lists(st.integers(0, n - 1), max_size=n - 1)))
+    live = [i for i in range(n) if i not in empty]
+    columns = []
+    for _ in inst.items:
+        weights = [0] * n
+        if source == "dense":
+            for i in live:
+                weights[i] = draw(st.integers(1, 12))
+        else:
+            for i in draw(st.lists(st.sampled_from(live), min_size=1, max_size=2)):
+                weights[i] += draw(st.integers(1, 5))
+        columns.append([F(w, sum(weights)) for w in weights])
+    return RandomAllocation(
+        inst.agents, inst.items, tuple(tuple(col[i] for col in columns) for i in range(n))
+    )
+
+
+@st.composite
+def allocation_inputs(draw):
+    """(rows, items, entries) of a random allocation, or of a square
+    ``perturbed`` matrix, broken in up to two ways: a repeated label, a
+    missing entry row, a short row, a non-Fraction entry, an entry pushed
+    below 0 or above 1, or one entry off by 1/L."""
+    if draw(st.booleans()):
+        matrix = draw(perturbed())
+        rows, items = list(range(len(matrix))), [f"o{j}" for j in range(len(matrix))]
+        entries = [list(row) for row in matrix]
+    else:
+        _, p = draw(ex_ante_cases())
+        rows, items, entries = list(p.rows), list(p.items), [list(row) for row in p.entries]
+    faults = ["label", "count", "short", "type", "low", "high", "off"]
+    for how in draw(st.lists(st.sampled_from(faults), max_size=2)):
+        if how == "label":
+            rows[:1] = rows[-1:]
+            continue
+        row = draw(st.sampled_from(entries)) if entries else []
+        if how == "count" and entries:
+            entries.remove(row)
+        elif row:
+            c = draw(st.integers(0, len(row) - 1))
+            if how == "short":
+                del row[c]
+            elif how == "type":
+                row[c] = draw(st.sampled_from([0, 1, 0.5, True, "1/2"]))
+            elif isinstance(row[c], F):
+                scale = lcm(*(v.denominator for r in entries for v in r if isinstance(v, F)))
+                off = F(draw(st.sampled_from([1, -1])), scale)
+                row[c] += {"low": -1, "high": 1, "off": off}[how]
+    return rows, items, entries
+
+
+@SETTINGS
+@given(allocation_inputs())
+def test_random_allocation_checks_match_fraction_definition(case):
+    rows, items, entries = case
+    fault = fraction_allocation_fault(rows, items, entries)
+    event(str(fault and fault[1].split(" sums")[0]))
+    try:
+        p = RandomAllocation(tuple(rows), tuple(items), tuple(map(tuple, entries)))
+    except (TypeError, ValueError) as exc:
+        assert (type(exc), str(exc)) == fault
+    else:
+        assert fault is None
+        assert_integer_form(p.entries, *p.integer_form())
+
+
+# The ex-ante checkers as the library ran them before they read the
+# sparse integer form: dense rows on one lcm scale, every cell visited.
+def dense_scaled_rows(p):
+    scale = lcm(*(v.denominator for row in p.entries for v in row))
+    rows = {
+        a: {o: v.numerator * (scale // v.denominator) for o, v in zip(p.items, row)}
+        for a, row in zip(p.rows, p.entries)
+    }
+    return rows, scale
+
+
+def reference_ef(p, instance):
+    rows, scale = dense_scaled_rows(p)
+    item_idx = instance._index_maps()[1]
+    for i in p.rows:
+        values, own_scale = instance.integer_rows()[instance.agent_index(i)]
+        totals = {a: sum(values[item_idx[o]] * v for o, v in row.items())
+                  for a, row in rows.items()}
+        for j, other in totals.items():
+            if other > totals[i]:
+                gap = F(other - totals[i], scale * own_scale)
+                return Report("ef", False, violation={"envious": i, "envied": j, "gap": gap})
+    return Report("ef", True, witness={"pairs_checked": len(p.rows) * (len(p.rows) - 1)})
+
+
+def reference_sd_ef(p, prefs):
+    agents = p.rows
+    scaled, _ = dense_scaled_rows(p)
+    for i in agents:
+        tiers = prefs.tiers[i]
+        prefixes = {a: _tier_prefixes(tiers, scaled[a]) for a in agents}
+        for j in agents:
+            rel = _sd_relation(prefixes[i], prefixes[j])
+            if rel not in (SdRelation.DOMINATES, SdRelation.EQUIVALENT):
+                return Report("sdef", False,
+                              violation={"envious": i, "envied": j, "relation": rel.value})
+    return Report("sdef", True, witness={"pairs_checked": len(agents) * (len(agents) - 1)})
+
+
+def reference_sd_efficient(p, prefs):
+    items = p.items
+    index = {o: k for k, o in enumerate(items)}
+    edges = {o: {} for o in items}
+    for a, row in zip(p.rows, p.entries):
+        rank = prefs.tier_rank(a)
+        for y, amount in zip(items, row):
+            if not amount:
+                continue
+            held = rank[y]
+            for x in items:
+                if x != y and rank[x] <= held:
+                    backer = edges[x].get(y)
+                    if backer is None or (rank[x] < held and not backer[1]):
+                        edges[x][y] = (a, rank[x] < held)
+    reach = [sum(1 << index[y] for y in edges[x]) for x in items]
+    for k, through in enumerate(reach):
+        for i, row in enumerate(reach):
+            if row >> k & 1:
+                reach[i] = row | through
+
+    def reaches(u, v):
+        return reach[index[u]] >> index[v] & 1
+
+    on_cycle = [(x, y) for x in items for y, (_, strict) in edges[x].items()
+                if strict and reaches(y, x)]
+    if not on_cycle:
+        cls = {}
+        ordered = sorted(items)
+        for o in ordered:
+            if o not in cls:
+                members = tuple(v for v in ordered if v == o or reaches(o, v) and reaches(v, o))
+                cls.update(dict.fromkeys(members, members))
+        condensed = {
+            c: {cls[y] for x in c for y in edges[x]} - {c} for c in dict.fromkeys(cls.values())
+        }
+        order = _topological_order(condensed)
+        witness = {"topological_order": [o for c in order for o in c]}
+        if len(order) < len(items):
+            witness["classes"] = [list(c) for c in order if len(c) > 1]
+        return Report("sdeff", True, witness=witness)
+    x, y = min(on_cycle)
+    parent = {y: y}
+    queue = [y]
+    for u in queue:
+        for v in sorted(edges[u]):
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    path = [x]
+    while path[-1] != y:
+        path.append(parent[path[-1]])
+    cycle = [x] + path[::-1]
+    rows = {a: p.row(a) for a in p.rows}
+    trades = [(edges[u][v][0], u, v) for u, v in zip(cycle, cycle[1:])]
+    eps = min(rows[b][v] for b, _, v in trades)
+    for b, u, v in trades:
+        rows[b][u] += eps
+        rows[b][v] -= eps
+    better = RandomAllocation(p.rows, items, tuple(tuple(r.values()) for r in rows.values()))
+    return Report("sdeff", False,
+                  violation={"trading_cycle": cycle, "dominating_allocation": better})
+
+
+@SETTINGS
+@given(ex_ante_cases())
+def test_ex_ante_checkers_match_dense_references(case):
+    inst, p = case
+    prefs = ordinal_from_utilities(inst)
+    assert_integer_form(p.entries, *p.integer_form())
+    for check, reference, table in [(check_ef, reference_ef, inst),
+                                    (check_sd_ef, reference_sd_ef, prefs),
+                                    (check_sd_efficient, reference_sd_efficient, prefs)]:
+        report = check(p, table)
+        assert report == reference(p, table)
+        event(f"{report.prop} {'PASS' if report.ok else 'FAIL'}")
 
 
 def fraction_tiers(inst):

@@ -247,6 +247,20 @@ VERIFY_GOLDEN = {
         "cccabfc9df679cac4a6cab3998cdd24ca5beddb8828c0f2781f6cffcff5e7dc5",
     (("rb",), "recur", 0, 3, 5):
         "541d74597c6ed225515a2a5dcd5f6bdd2e59e9d4b547f3056e38bc63df73ba68",
+    # The ex-ante checkers on sparse matrices: multi-item bundles leave
+    # most cells of the expected matrix zero.
+    (("ef",), "tied", 5, 12, 30):
+        "a9126db61835d5a626dce4d0df0dc22e7cb13933cd9b31a78025740ff938275a",
+    (("ef",), "strict-ps", 5, 10, 25):
+        "94295ac95e76a893a6cfbc01845cd93fa37beaf7297923f8a351b8ce1df560ff",
+    (("sdef",), "tied", 5, 12, 30):
+        "a3b245aa6988663d6931a8f80bda5f4cc7d7ad77d31010b912133737be38ec89",
+    (("sdef",), "strict-ps", 5, 10, 25):
+        "34c40411c001d8caf88218ef54d080a8738199d176a11171981e1c17c87984b6",
+    (("sdeff",), "tied", 5, 12, 30):
+        "d891a86ad814d9aabd1a673117292f7e6d7c888e3f1ee17f95964a27f83a5ce8",
+    (("sdeff",), "strict-ps", 5, 10, 25):
+        "4095f2a8b8c54038ecd862deeb246d73edf14c4d0b26fb2c13d14e8cee679e53",
 }
 
 # (filter, instance kind or "hand", seed, n, m) -> sha256 of stdout

@@ -161,6 +161,16 @@ def test_random_allocation_validation():
         RandomAllocation(("1",), ("a",), ((F(0),),))
     with pytest.raises(TypeError):
         RandomAllocation(("1",), ("a",), ((0.5,),))
+    # With several faults, the first in row order is named, as an entry
+    # by entry scan would meet it.
+    with pytest.raises(ValueError, match=r"^entries must lie in \[0, 1\]$"):
+        RandomAllocation(("1",), ("a", "b"), ((F(2), 0.5),))
+    with pytest.raises(TypeError, match="^entries must be Fractions$"):
+        RandomAllocation(("1",), ("a", "b"), ((0.5, F(2)),))
+    with pytest.raises(ValueError, match=r"^entries must lie in \[0, 1\]$"):
+        RandomAllocation(("1", "2"), ("a", "b"), ((F(2), F(0)), (F(0),)))
+    with pytest.raises(ValueError, match="^row length must match the item count$"):
+        RandomAllocation(("1", "2"), ("a", "b"), ((F(1), F(0)), (F(2),)))
 
 
 def test_deterministic_allocation_views():
