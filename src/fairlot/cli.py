@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import random
 import sys
 from typing import Sequence
@@ -32,7 +31,7 @@ from .fairness import (
     check_sd_ef1,
     check_sd_efficient,
     check_strong_ef1,
-    utility_vectors,
+    pareto_front,
 )
 from .fileio import FormatError, dumps
 from .model import Instance, format_rational, ordinal_from_utilities
@@ -51,9 +50,21 @@ EX_USAGE = 2
 
 
 def _load_json(path: str, what: str) -> dict:
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise FormatError(f"{what} {path}: duplicate key {key!r}")
+                seen.add(key)
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique_keys)
+    except FormatError:
+        raise
     except OSError as exc:
         raise FormatError(f"{what} {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -99,9 +110,7 @@ def cmd_lottery(args: argparse.Namespace) -> int:
         "rule": args.rule,
         "skip_zero": bool(args.skip_zero),
         "reduced": bool(args.reduce),
-        "tie_break": {
-            a: list(padded.prefs_strict.strict_order(a)) for a in instance.agents
-        },
+        "tie_break": {a: list(padded.orders[a]) for a in instance.agents},
         "support_bound": support_bound(padded.c, instance.n),
     }
     if args.skip_zero:
@@ -179,47 +188,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EX_OK if ok else EX_FAIL
 
 
-def _pareto_flags(instance: Instance, allocations) -> list[bool]:
-    """True per allocation iff no other allocation Pareto-dominates it."""
-    vectors = list(utility_vectors(instance, allocations))
-    # A dominator has a strictly larger sum, so in descending-sum order
-    # every maximal vector is met before the vectors it dominates; and a
-    # dominated vector is always dominated by a maximal one, so each
-    # vector is tested against the maxima found so far alone.
-    maxima: list[tuple[int, ...]] = []
-    for v in sorted(set(vectors), key=sum, reverse=True):
-        if not any(all(map(operator.ge, w, v)) for w in maxima):
-            maxima.append(v)
-    maximal = set(maxima)
-    return [v in maximal for v in vectors]
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
     target = fileio.matrix_from_obj(_load_json(args.allocation, "allocation file"))
     if tuple(target.rows) != instance.agents or target.items != instance.items:
         raise FormatError("allocation matrix universe does not match the instance")
-    allocations = enumerate_allocations(instance.agents, instance.items)
-
     if args.filter == "none":
-        allowed = allocations
+        allowed = enumerate_allocations(instance.agents, instance.items)
     else:
-        po_flags = _pareto_flags(instance, allocations)
+        allocations, vectors, maximal = pareto_front(instance)
+        optima = [alloc for alloc, v in zip(allocations, vectors) if v in maximal]
         if args.filter == "ef1-po":
-            allowed = [
-                alloc
-                for alloc, po in zip(allocations, po_flags)
-                if po and check_ef1(alloc, instance).ok
-            ]
+            allowed = [alloc for alloc in optima if check_ef1(alloc, instance).ok]
         else:
             low, high = instance.m // instance.n, -(-instance.m // instance.n)
             allowed = [
                 alloc
-                for alloc, po in zip(allocations, po_flags)
-                if po
-                and all(
-                    low <= len(alloc.bundle(a)) <= high for a in instance.agents
-                )
+                for alloc in optima
+                if all(low <= len(alloc.bundle(a)) <= high for a in instance.agents)
             ]
 
     result = implementable_by(target, allowed)

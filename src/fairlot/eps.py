@@ -31,7 +31,6 @@ from typing import Hashable, Mapping, Sequence
 from .model import (
     EatingTrace,
     Instance,
-    OrdinalProfile,
     RandomAllocation,
     TraceSegment,
     ordinal_from_utilities,
@@ -460,18 +459,14 @@ def globally_unwanted(instance: Instance) -> tuple[str, ...]:
 
 
 def eps_outcome(
-    instance: Instance,
-    mode: str = "standard",
-    profile: OrdinalProfile | None = None,
+    instance: Instance, mode: str = "standard"
 ) -> tuple[RandomAllocation, EatingTrace]:
     """Coordinated-eating outcome of an instance.
 
     In ``standard`` mode agents eat their way down the weak order derived
-    from the utilities (or an explicitly supplied ``profile``, whose
-    agents and items then define the outcome's universe) until everything
-    is consumed; the result is an SD-efficient fractional allocation that
-    coincides exactly with the serial eating rule whenever the profile is
-    strict.
+    from the utilities until everything is consumed; the result is an
+    SD-efficient fractional allocation that coincides exactly with the
+    serial eating rule whenever the profile is strict.
 
     In ``skip_zero`` mode (binary utilities only) an agent eats only items
     it values at 1 and stops when those run out.  Items nobody values are
@@ -481,8 +476,7 @@ def eps_outcome(
     """
     if mode not in ("standard", "skip_zero"):
         raise ValueError(f"unknown mode {mode!r}")
-    source = instance if profile is None else profile
-    agents, items = source.agents, source.items
+    agents, items = instance.agents, instance.items
 
     if mode == "skip_zero":
         if not instance.is_binary():
@@ -495,8 +489,7 @@ def eps_outcome(
             a: ((liked[a],) if liked[a] else ()) for a in agents
         }
     else:
-        if profile is None:
-            profile = ordinal_from_utilities(instance)
+        profile = ordinal_from_utilities(instance)
         tiers = {a: tuple(frozenset(t) for t in profile.tiers[a]) for a in agents}
 
     rows, windows, leftovers = _run_fluid(agents, items, tiers)

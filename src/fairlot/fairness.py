@@ -46,6 +46,7 @@ __all__ = [
     "check_rb",
     "check_sd_efficient",
     "check_po_bruteforce",
+    "pareto_front",
     "utility_vectors",
 ]
 
@@ -526,28 +527,54 @@ def utility_vectors(
         yield tuple(totals)
 
 
+def pareto_front(
+    instance: Instance,
+) -> tuple[list[DeterministicAllocation], list[tuple[int, ...]], set[tuple[int, ...]]]:
+    """Every deterministic allocation of the instance (``enumerate_allocations``
+    order), their ``utility_vectors``, and the set of Pareto-maximal ones.
+    Enumerated once per instance; the budget is checked on every call.
+    """
+    from .oracle import _check_budget, enumerate_allocations  # local import to avoid a cycle
+
+    _check_budget(instance.n, instance.m)
+    cache = _memo(instance, "_pareto")
+    if "front" not in cache:
+        allocations = enumerate_allocations(instance.agents, instance.items)
+        vectors = list(utility_vectors(instance, allocations))
+        # A dominator has a strictly larger sum, so in descending-sum order
+        # every maximal vector is met before the vectors it dominates; and a
+        # dominated vector is always dominated by a maximal one, so each
+        # vector is tested against the maxima found so far alone.
+        maxima: list[tuple[int, ...]] = []
+        for v in sorted(set(vectors), key=sum, reverse=True):
+            if not any(all(map(operator.ge, w, v)) for w in maxima):
+                maxima.append(v)
+        cache["front"] = (allocations, vectors, set(maxima))
+    return cache["front"]
+
+
 def check_po_bruteforce(allocation: DeterministicAllocation, instance: Instance) -> Report:
-    """Pareto optimality among deterministic allocations, by enumeration.
+    """Pareto optimality among deterministic allocations, by enumeration
+    (``pareto_front``); a violation names the first dominating allocation.
 
     Refuses (raises BudgetExceeded) when n^m exceeds the enumeration
     budget rather than silently sampling.
     """
-    from .oracle import enumerate_allocations  # local import to avoid a cycle
-
-    candidates = enumerate_allocations(instance.agents, instance.items)
+    candidates, vectors, maximal = pareto_front(instance)
     (base,) = utility_vectors(instance, [allocation])
-    for candidate, values in zip(candidates, utility_vectors(instance, candidates)):
-        if values != base and all(map(operator.ge, values, base)):
-            scales = [scale for _, scale in instance.integer_rows()]
-            return Report(
-                "po",
-                False,
-                violation={
-                    "improving_allocation": candidate.owner_map(),
-                    "utilities": {
-                        a: Fraction(v, scale)
-                        for a, v, scale in zip(instance.agents, values, scales)
+    if base not in maximal:
+        for candidate, values in zip(candidates, vectors):
+            if values != base and all(map(operator.ge, values, base)):
+                scales = [scale for _, scale in instance.integer_rows()]
+                return Report(
+                    "po",
+                    False,
+                    violation={
+                        "improving_allocation": candidate.owner_map(),
+                        "utilities": {
+                            a: Fraction(v, scale)
+                            for a, v, scale in zip(instance.agents, values, scales)
+                        },
                     },
-                },
-            )
+                )
     return Report("po", True, witness={"searched": len(instance.agents) ** len(instance.items)})

@@ -325,8 +325,12 @@ def ordinal_from_utilities(instance: Instance) -> OrdinalProfile:
     utility is at least y's.  Equal utilities share a tier.
 
     Tiers come from each agent's integer-scaled row (``integer_rows``);
-    a positive per-agent scale keeps the order and the ties.
+    a positive per-agent scale keeps the order and the ties.  Built once
+    per instance and kept on it, as ``integer_rows`` is.
     """
+    profile = instance.__dict__.get("_ordinal")
+    if profile is not None:
+        return profile
     tiers = {}
     for agent, (row, _scale) in zip(instance.agents, instance.integer_rows()):
         by_value: dict[int, list[str]] = {}
@@ -335,7 +339,9 @@ def ordinal_from_utilities(instance: Instance) -> OrdinalProfile:
         tiers[agent] = tuple(
             tuple(sorted(by_value[value])) for value in sorted(by_value, reverse=True)
         )
-    return OrdinalProfile(instance.agents, instance.items, tiers)
+    profile = OrdinalProfile(instance.agents, instance.items, tiers)
+    object.__setattr__(instance, "_ordinal", profile)
+    return profile
 
 
 Row = Mapping[str, Fraction]
@@ -399,15 +405,6 @@ class RandomAllocation:
     def row(self, label: Hashable) -> dict[str, Fraction]:
         values = self.entries[self.rows.index(label)]
         return dict(zip(self.items, values))
-
-    def restrict_items(self, keep: Sequence[str]) -> "RandomAllocation":
-        """Project onto a subset of columns (they must still sum to one)."""
-        idx = [self.items.index(o) for o in keep]
-        return RandomAllocation(
-            self.rows,
-            tuple(keep),
-            tuple(tuple(row[j] for j in idx) for row in self.entries),
-        )
 
 
 # A lottery's support allocations share one agents tuple: its set is

@@ -61,6 +61,15 @@ def configured_budget() -> int:
     return value
 
 
+def _check_budget(n: int, m: int) -> None:
+    """Refuse (raise BudgetExceeded) when the n^m allocations of n agents
+    and m items exceed the configured budget."""
+    limit = configured_budget()
+    count = n ** m
+    if count > limit:
+        raise BudgetExceeded(f"{n}^{m} = {count} allocations exceed the budget {limit}")
+
+
 def enumerate_allocations(
     agents: Sequence[str], items: Sequence[str]
 ) -> list[DeterministicAllocation]:
@@ -68,12 +77,7 @@ def enumerate_allocations(
     order; refuses beyond the configured budget."""
     agents = tuple(agents)
     items = tuple(items)
-    limit = configured_budget()
-    count = len(agents) ** len(items)
-    if count > limit:
-        raise BudgetExceeded(
-            f"{len(agents)}^{len(items)} = {count} allocations exceed the budget {limit}"
-        )
+    _check_budget(len(agents), len(items))
     return [
         DeterministicAllocation(agents, items, owners)
         for owners in product(agents, repeat=len(items))

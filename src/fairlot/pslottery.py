@@ -1,7 +1,8 @@
-"""End-to-end lottery construction: pad the instance with dummy items,
-run an eating rule, re-eat each bundle into a square bistochastic matrix
-over agent representatives, decompose it into permutations, and project
-the permutations back to deterministic allocations of the real items.
+"""End-to-end lottery construction: run an eating rule on the instance,
+pad it with dummy items and fill every bundle up with dummy mass, re-eat
+each bundle into a square bistochastic matrix over agent
+representatives, decompose it into permutations, and project the
+permutations back to deterministic allocations of the real items.
 
 The lottery's expectation reproduces the eating outcome exactly, and every
 support allocation is a picking-sequence outcome under a recursively
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import ceil, gcd
 from typing import Mapping, Sequence
 
 from .birkhoff import birkhoff_decompose
@@ -22,7 +24,6 @@ from .model import (
     DeterministicAllocation,
     Instance,
     Lottery,
-    OrdinalProfile,
     RandomAllocation,
     ordinal_from_utilities,
 )
@@ -55,37 +56,30 @@ def _fresh_dummy_ids(items: Sequence[str], count: int) -> tuple[str, ...]:
 class PaddedInstance:
     """An instance expanded to c*n items and c representatives per agent.
 
-    ``prefs_strict`` breaks every tie lexicographically (smaller item id
-    preferred) with dummies strictly last; ``prefs_weak`` keeps the real
-    ties and only orders the dummies.  Representatives are (agent, k)
-    pairs with k in 1..c.
+    ``orders[agent]`` is the agent's re-eating order: the real items best
+    first, ties broken lexicographically (smaller item id preferred), then
+    the dummies.  Representatives are (agent, k) pairs with k in 1..c.
     """
 
-    def __init__(self, instance: Instance, c: int | None = None) -> None:
-        n, m = instance.n, instance.m
-        base = -(-m // n)  # ceil(m/n)
-        if c is None:
-            c = base
-        elif c < base:
+    def __init__(self, instance: Instance, c: int) -> None:
+        if c * instance.n < instance.m:
             raise ValueError("c must be at least ceil(m/n)")
         self.instance = instance
         self.c = c
-        self.dummies = _fresh_dummy_ids(instance.items, c * n - m)
+        self.dummies = _fresh_dummy_ids(instance.items, c * instance.n - instance.m)
         self.items = instance.items + self.dummies
         self.representatives = tuple(
             (agent, k) for agent in instance.agents for k in range(1, c + 1)
         )
-        profile = ordinal_from_utilities(instance)
-        dummy_tail = tuple((d,) for d in self.dummies)
-        weak_tiers = {a: profile.tiers[a] + dummy_tail for a in instance.agents}
-        self.prefs_weak = OrdinalProfile(instance.agents, self.items, weak_tiers)
-        self.prefs_strict = self.prefs_weak.strictified()
+        tiers = ordinal_from_utilities(instance).tiers
+        self.orders = {
+            a: tuple(chain.from_iterable(tiers[a])) + self.dummies for a in instance.agents
+        }
 
 
-def pad_with_dummies(instance: Instance, c: int | None = None) -> PaddedInstance:
-    """Add fresh dummy items (ranked below everything) until the item
-    count is a multiple of the agent count; no-op padding when it already
-    is.  ``c`` may be raised above ceil(m/n) when bundles are larger.
+def pad_with_dummies(instance: Instance, c: int) -> PaddedInstance:
+    """Add c*n - m fresh dummy items, ranked below everything, so that
+    every agent's bundle can hold c units (c at least ceil(m/n)).
     """
     return PaddedInstance(instance, c)
 
@@ -112,7 +106,7 @@ def re_eat(
         if total != c:
             raise ValueError(f"bundle of {agent!r} has mass {total}, expected {c}")
         clock = Fraction(0)
-        for o in padded.prefs_strict.strict_order(agent):
+        for o in padded.orders[agent]:
             amount = row.get(o)
             if amount is None:
                 continue
@@ -169,57 +163,51 @@ class Plan:
     bundles: Mapping[str, Mapping[str, Fraction]]
 
 
-def _skip_zero_plan(instance: Instance) -> Plan:
-    """Pad binary-mode bundles (which include the uniform slivers of
-    unwanted items) with dummy mass up to a common size c, enlarging c when
-    some agent ate more than ceil(m/n).  Dummy mass is dealt out in one
-    sweep over agents so dummy columns still sum to one.
-    """
-    outcome, _trace = eps_outcome(instance, mode="skip_zero")
-    n, m = instance.n, instance.m
-    rows = {a: {o: v for o, v in outcome.row(a).items() if v > 0} for a in instance.agents}
-    loads = {a: sum(rows[a].values(), Fraction(0)) for a in instance.agents}
-    c = max(-(-m // n), max(-(-load.numerator // load.denominator) for load in loads.values()))
-    padded = pad_with_dummies(instance, c)
-    pos = 0  # index into the concatenated unit-mass dummy line
-    offset = Fraction(0)
-    for agent in instance.agents:
-        need = c - loads[agent]
-        while need > 0:
-            bite = min(need, 1 - offset)
-            dummy = padded.dummies[pos]
-            rows[agent][dummy] = rows[agent].get(dummy, Fraction(0)) + bite
-            need -= bite
-            offset += bite
-            if offset == 1:
-                offset = Fraction(0)
-                pos += 1
-    return Plan(outcome, padded, rows)
-
-
 def plan(instance: Instance, rule: str = "ps", skip_zero: bool = False) -> Plan:
-    """Run the eating rule once and pad the instance to match.
+    """Run the eating rule on the instance, then pad it to match.
 
     rule="ps" breaks all preference ties lexicographically and runs the
     serial eating rule; rule="eps" keeps real ties and runs coordinated
     eating (the outcome is then SD-efficient).  ``skip_zero`` (binary
     utilities, rule="eps" only) makes agents ignore zero-valued items.
-    Dummies sit below every real item, so eating the padded instance
-    leaves the outcome over the real items unchanged.
+
+    Each bundle is then filled up with dummy mass to c units, the largest
+    load rounded up (at least ceil(m/n), as the loads add up to m).
+    Without ``skip_zero`` every agent eats m/n and gets 1/n of every
+    dummy: the bundles of eating the padded instance, where the dummies
+    rank below every real item and all n agents eat each one together.
+    With ``skip_zero`` the loads differ, and dummy mass is dealt out in
+    one sweep over the agents so that dummy columns still sum to one.
     """
     if rule not in ("ps", "eps"):
         raise ValueError(f"unknown rule {rule!r}")
     if skip_zero and rule != "eps":
         raise ValueError("skip_zero is only available with rule='eps'")
-    if skip_zero:
-        return _skip_zero_plan(instance)
-    padded = pad_with_dummies(instance)
     if rule == "ps":
-        outcome, _trace = ps_outcome(instance.agents, padded.items, padded.prefs_strict)
+        strict = ordinal_from_utilities(instance).strictified()
+        outcome, _trace = ps_outcome(instance.agents, instance.items, strict)
     else:
-        outcome, _trace = eps_outcome(instance, profile=padded.prefs_weak)
-    bundles = {a: outcome.row(a) for a in instance.agents}
-    return Plan(outcome.restrict_items(instance.items), padded, bundles)
+        outcome, _trace = eps_outcome(instance, "skip_zero" if skip_zero else "standard")
+    rows = {a: {o: v for o, v in outcome.row(a).items() if v} for a in instance.agents}
+    loads = {a: sum(rows[a].values(), Fraction(0)) for a in instance.agents}
+    c = max(map(ceil, loads.values()))
+    padded = pad_with_dummies(instance, c)
+    if not skip_zero:
+        share = Fraction(1, instance.n)
+        for row in rows.values():
+            row.update(dict.fromkeys(padded.dummies, share))
+    else:
+        pos, offset = 0, Fraction(0)  # a point on the line of unit-mass dummies
+        for agent in instance.agents:
+            need = c - loads[agent]
+            while need > 0:
+                bite = min(need, 1 - offset)
+                rows[agent][padded.dummies[pos]] = bite
+                need -= bite
+                offset += bite
+                if offset == 1:
+                    pos, offset = pos + 1, Fraction(0)
+    return Plan(outcome, padded, rows)
 
 
 def implement(planned: Plan) -> Lottery:

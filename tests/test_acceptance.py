@@ -35,10 +35,10 @@ from fairlot import (
     utility_of_bundle,
 )
 from fairlot.birkhoff import is_bistochastic
-from fairlot.cli import _pareto_flags, main
+from fairlot.cli import main
+from fairlot.fairness import pareto_front
 from fairlot.oracle import (
     InfeasibilityCertificate,
-    enumerate_allocations,
     implementable_by,
     leximin_bruteforce,
     sd_improvement_exists,
@@ -199,12 +199,11 @@ def test_criterion_05_oracle_desk_scale(tmp_path):
     for n, m in [(2, 4), (2, 8), (2, 12), (3, 7), (4, 6)]:
         assert n ** m <= 4096
         inst = strict_instance(rng, n, m)
-        allocations = enumerate_allocations(inst.agents, inst.items)
-        po_flags = _pareto_flags(inst, allocations)
+        allocations, vectors, maximal = pareto_front(inst)
         allowed = [
             alloc
-            for alloc, po in zip(allocations, po_flags)
-            if po and check_ef1(alloc, inst).ok
+            for alloc, v in zip(allocations, vectors)
+            if v in maximal and check_ef1(alloc, inst).ok
         ]
         _, target = ps_lottery(inst, rule="ps")
         result = implementable_by(target, allowed)
@@ -242,13 +241,12 @@ def test_criterion_05_oracle_desk_scale(tmp_path):
 
 
 def test_criterion_06_impossibility_regression():
-    allocations = enumerate_allocations(IMPOSSIBILITY_INSTANCE.agents, IMPOSSIBILITY_INSTANCE.items)
+    allocations, vectors, maximal = pareto_front(IMPOSSIBILITY_INSTANCE)
     assert len(allocations) == 16
-    po_flags = _pareto_flags(IMPOSSIBILITY_INSTANCE, allocations)
     allowed = [
         alloc
-        for alloc, po in zip(allocations, po_flags)
-        if po and check_ef1(alloc, IMPOSSIBILITY_INSTANCE).ok
+        for alloc, v in zip(allocations, vectors)
+        if v in maximal and check_ef1(alloc, IMPOSSIBILITY_INSTANCE).ok
     ]
     assert allowed, "the EF1-and-PO set must be nonempty"
     assert all(alloc.owner_of("a") == "1" for alloc in allowed)

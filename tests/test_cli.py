@@ -695,6 +695,47 @@ def test_deep_nesting_is_located(tmp_path, example_file, capsys, file, flag):
         f"fairlot: error: {file} {path}: JSON nested too deeply to read\n")
 
 
+@pytest.mark.parametrize("flag, nested", [
+    ("--input", False), ("--input", True), ("--lottery", False), ("--lottery", True),
+    ("--allocation", False), ("--allocation", True),
+])
+def test_duplicate_keys_are_located(tmp_path, example_file, capsys, flag, nested):
+    # json.load keeps the last of two equal keys; reading on would judge a
+    # document other than the one written.
+    lottery, matrix = tmp_path / "lottery.json", tmp_path / "matrix.json"
+    assert run(["lottery", "--rule", "ps", "--input", example_file,
+                "--out", str(lottery)])[0] == 0
+    code, out = run(["solve", "--rule", "ps", "--input", example_file])
+    matrix.write_text(out)
+    file, source, (old, new, key) = {
+        "--input": ("instance file", example_file, (
+            ('"b": "2",', '"b": "2", "b": "5",', "b") if nested else
+            ('"utilities": {', '"utilities": {}, "utilities": {', "utilities"))),
+        "--lottery": ("lottery file", lottery, (
+            ('"assignment": {', '"assignment": {"d": "1",', "d") if nested else
+            ('"agents": [', '"agents": [], "agents": [', "agents"))),
+        "--allocation": ("allocation file", matrix, (
+            ('"entries": [', '"entries": [{"x": 0, "x": 1}, ', "x") if nested else
+            ('"items": [', '"items": [], "items": [', "items"))),
+    }[flag]
+    text = open(source).read()
+    assert old in text
+    path = tmp_path / "duplicate.json"
+    path.write_text(text.replace(old, new, 1))
+    argv = {
+        "--input": ["solve", "--rule", "ps", "--input", str(path)],
+        "--lottery": ["verify", "--property", "ef", "--input", example_file,
+                      "--lottery", str(path)],
+        "--allocation": ["oracle", "--filter", "ef1-po", "--input", example_file,
+                         "--allocation", str(path)],
+    }[flag]
+    capsys.readouterr()
+    code, out = run(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"fairlot: error: {file} {path}: duplicate key {key!r}\n")
+
+
 def test_undecodable_file_is_located(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(json.dumps(EXAMPLE).replace('"a"', '"\xe9"').encode("latin-1"))

@@ -5,7 +5,8 @@ support reduction against a dense full-width elimination, the eating
 engine's max-flow against networkx, and the integer-scaled Birkhoff
 decomposition, bistochasticity test, ordinal profile and eating-step
 duration against their ``Fraction`` formulations; the serial eating rule
-against its stage-by-stage loop; the literal reader against its
+against its stage-by-stage loop; the lottery plan, which eats before it
+pads, against the pad-first plan; the literal reader against its
 grammar-only form, and the document writer against ``json.dumps``.
 
 The checkers compare per-agent integer-scaled utilities, so instances
@@ -54,9 +55,8 @@ from fairlot import (
     utility_of_bundle,
 )
 from fairlot.birkhoff import _complete_matching
-from fairlot.cli import _pareto_flags
 from fairlot.eps import DurationResult, _Flow, _forced_duration
-from fairlot.fairness import _topological_order
+from fairlot.fairness import _topological_order, pareto_front
 from fairlot.fileio import dumps
 from fairlot.model import (
     EatingTrace,
@@ -66,6 +66,7 @@ from fairlot.model import (
     rational,
 )
 from fairlot.oracle import enumerate_allocations, sd_improvement_exists
+from fairlot.pslottery import _fresh_dummy_ids, plan
 from test_fairness import slow_efk, slow_sd_ef1
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -299,7 +300,10 @@ def test_pareto_flags_match_definition(inst):
     allocations = enumerate_allocations(inst.agents, inst.items)
     vectors = [vector(inst, alloc) for alloc in allocations]
     expected = [not any(dominates(w, v) for w in vectors) for v in vectors]
-    assert _pareto_flags(inst, allocations) == expected
+    front, scaled, maximal = pareto_front(inst)
+    assert front == allocations
+    assert [v in maximal for v in scaled] == expected
+    assert pareto_front(inst)[0] is front  # enumerated once per instance
 
 
 @st.composite
@@ -1343,3 +1347,77 @@ def test_dumps_matches_indented_json(tree):
 def test_dumps_refuses_other_types(value):
     with pytest.raises(TypeError):
         dumps(value)
+
+
+# The lottery plan as the library built it before eating moved ahead of
+# padding: pad to c = ceil(m/n) first, eat the padded instance with the
+# dummies ranked below every real item (in dummy order), and cut the
+# dummies off the outcome.  The padded eps run is an instance whose real
+# utilities are shifted up past the dummies' values, which keeps every
+# real comparison and tie.  Skip-zero ate the real items and dealt dummy
+# mass in one sweep over the agents.
+def reference_plan(inst, rule, skip_zero):
+    n, m = inst.n, inst.m
+    if skip_zero:
+        outcome, _ = eps_outcome(inst, mode="skip_zero")
+        rows = {a: {o: v for o, v in outcome.row(a).items() if v > 0} for a in inst.agents}
+        loads = {a: sum(rows[a].values(), F(0)) for a in inst.agents}
+        c = max(-(-m // n), max(-(-x.numerator // x.denominator) for x in loads.values()))
+        dummies = _fresh_dummy_ids(inst.items, c * n - m)
+        pos, offset = 0, F(0)
+        for a in inst.agents:
+            need = c - loads[a]
+            while need > 0:
+                bite = min(need, 1 - offset)
+                rows[a][dummies[pos]] = rows[a].get(dummies[pos], F(0)) + bite
+                need -= bite
+                offset += bite
+                if offset == 1:
+                    offset, pos = F(0), pos + 1
+        return outcome, c, dummies, rows
+    c = -(-m // n)
+    dummies = _fresh_dummy_ids(inst.items, c * n - m)
+    items = inst.items + dummies
+    if rule == "ps":
+        tiers = ordinal_from_utilities(inst).tiers
+        padded = OrdinalProfile(inst.agents, items, {
+            a: tiers[a] + tuple((d,) for d in dummies) for a in inst.agents})
+        outcome, _ = ps_outcome(inst.agents, items, padded.strictified())
+    else:
+        lift = len(dummies) + 1
+        outcome, _ = eps_outcome(Instance.from_utilities({
+            a: {**{o: inst.utility(a, o) + lift for o in inst.items},
+                **{d: lift - k for k, d in enumerate(dummies, 1)}}
+            for a in inst.agents}, agents=inst.agents, items=items))
+    expected = RandomAllocation(inst.agents, inst.items,
+                                tuple(row[:m] for row in outcome.entries))
+    rows = {a: {o: v for o, v in outcome.row(a).items() if v} for a in inst.agents}
+    return expected, c, dummies, rows
+
+
+@st.composite
+def plan_cases(draw):
+    """(instance, rule, skip_zero) with n not dividing m, ties, and
+    items nobody values: binary utilities for skip-zero, else utilities
+    from a few levels, zero included."""
+    rule, skip_zero = draw(st.sampled_from([("ps", False), ("eps", False), ("eps", True)]))
+    n = draw(st.integers(2, 4))
+    m = n * draw(st.integers(0, 2)) + draw(st.integers(1, n - 1))
+    agents = [f"a{i}" for i in range(1, n + 1)]
+    items = [f"o{j}" for j in range(1, m + 1)]
+    unwanted = draw(st.sets(st.sampled_from(items), max_size=m - 1))
+    levels = st.sampled_from([F(0), F(1)] if skip_zero else [F(0), F(1, 3), F(1), F(2)])
+    table = {a: {o: F(0) if o in unwanted else draw(levels) for o in items} for a in agents}
+    return Instance.from_utilities(table, agents=agents, items=items), rule, skip_zero
+
+
+@SETTINGS
+@given(plan_cases())
+def test_plan_matches_pad_first_reference(case):
+    inst, rule, skip_zero = case
+    expected, c, dummies, rows = reference_plan(inst, rule, skip_zero)
+    got = plan(inst, rule, skip_zero)
+    event(f"c = {c}, {len(dummies)} dummies")
+    assert got.expected == expected
+    assert (got.padded.c, got.padded.dummies) == (c, dummies)
+    assert {a: {o: v for o, v in row.items() if v} for a, row in got.bundles.items()} == rows

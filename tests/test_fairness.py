@@ -359,6 +359,13 @@ def test_check_po_budget_refusal(example_instance, monkeypatch):
     monkeypatch.setenv("FAIRLOT_BUDGET", "3")
     with pytest.raises(BudgetExceeded):
         check_po_bruteforce(split, example_instance)
+    # The allocations are enumerated once per instance, but the budget is
+    # read again on every call.
+    monkeypatch.delenv("FAIRLOT_BUDGET")
+    assert check_po_bruteforce(split, example_instance).ok
+    monkeypatch.setenv("FAIRLOT_BUDGET", "3")
+    with pytest.raises(BudgetExceeded, match=r"^2\^4 = 16 allocations exceed the budget 3$"):
+        check_po_bruteforce(split, example_instance)
 
 
 def test_implication_chain_fuzz():

@@ -58,6 +58,16 @@ GOLDEN = {
         "bc3186e726f310002bd245e10ca80d2b53ce8bfe6ed5b816b44838815d318669",
     (("lottery", "--rule", "eps"), "tied20", 2, 30, 60):
         "5bab1fa4d84aad558442232a43e1d8ac048f4ae10479e75c203b29fcd5881456",
+    # n does not divide m: every bundle carries dummy mass into re-eating
+    # (5, 2, 5 and 5 dummies).
+    (("lottery", "--rule", "ps"), "strict", 11, 7, 30):
+        "1bcde92c431fdcabf1ce5e39d32457fe14c411fc10fc7fe278b0ad4bee3d0b8b",
+    (("lottery", "--rule", "eps"), "tied", 3, 8, 30):
+        "66b801a668eede6e7165d1d6348a23384c6c26734aad46ae1b273c1f822843cf",
+    (("lottery", "--rule", "ps", "--reduce"), "tied", 4, 9, 40):
+        "0da5ae24899a7da59e02e18b0401950af4a11511ed1eab349b48493c7691c3eb",
+    (("lottery", "--rule", "eps", "--skip-zero"), "binary", 7, 7, 30):
+        "662eb1ec66853ef507564213f8491e04f24cea597d0405fbad49361a73b4e68f",
     (("solve", "--rule", "ps"), "strict", 1, 4, 7):
         "49307c741bcd324d1ce31ec7b950357e9fa6ed63bec909293f9873bf457b3efa",
     (("solve", "--rule", "ps"), "tied", 5, 4, 9):

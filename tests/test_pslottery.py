@@ -28,21 +28,23 @@ from conftest import binary_instance, strict_instance, weak_instance
 
 
 def test_padding_counts(example_instance):
-    padded = pad_with_dummies(example_instance)
+    padded = pad_with_dummies(example_instance, c=2)
     assert padded.c == 2 and padded.dummies == ()
     assert padded.items == example_instance.items
 
     inst = strict_instance(random.Random(0), 2, 3)
-    padded = pad_with_dummies(inst)
+    padded = pad_with_dummies(inst, c=2)
     assert padded.c == 2 and len(padded.dummies) == 1
 
     inst = strict_instance(random.Random(0), 3, 2)
-    padded = pad_with_dummies(inst)
+    padded = pad_with_dummies(inst, c=1)
     assert padded.c == 1 and len(padded.dummies) == 1
     assert len(padded.items) == 3
     # dummies are fresh and ordered
     assert all(d not in inst.items for d in padded.dummies)
     assert list(padded.dummies) == sorted(padded.dummies)
+    with pytest.raises(ValueError, match=r"^c must be at least ceil\(m/n\)$"):
+        pad_with_dummies(strict_instance(random.Random(0), 2, 3), c=1)
 
 
 def test_dummy_ids_sort_in_creation_order_past_999():
@@ -58,8 +60,9 @@ def test_padded_preferences():
     inst = Instance.from_utilities(
         {"1": {"x": 2, "a": 2, "z": 1}}, agents=["1"], items=["x", "a", "z"]
     )
-    padded = pad_with_dummies(inst)  # c = 3, two dummies? m=3,n=1 -> c=3, no dummies
+    padded = pad_with_dummies(inst, c=3)  # m = 3, n = 1: no dummies
     assert padded.dummies == ()
+    assert padded.orders["1"] == ("a", "x", "z")
     inst2 = Instance.from_utilities(
         {"1": {"x": 2, "a": 2}, "2": {"x": 1, "a": 1}},
         agents=["1", "2"], items=["x", "a"],
@@ -67,13 +70,11 @@ def test_padded_preferences():
     padded2 = pad_with_dummies(inst2, c=2)
     d1, d2 = padded2.dummies
     # strict order breaks the x~a tie lexicographically, dummies last
-    assert padded2.prefs_strict.strict_order("1") == ("a", "x", d1, d2)
-    # the weak profile keeps the real tie and orders only the dummies
-    assert padded2.prefs_weak.tiers["1"] == (("a", "x"), (d1,), (d2,))
+    assert padded2.orders["1"] == ("a", "x", d1, d2)
 
 
 def test_re_eat_example_rows(example_instance):
-    padded = pad_with_dummies(example_instance)
+    padded = pad_with_dummies(example_instance, c=2)
     bundles = {
         "1": {"a": F(1, 2), "b": F(1), "d": F(1, 2)},
         "2": {"a": F(1, 2), "c": F(1), "d": F(1, 2)},
@@ -88,7 +89,7 @@ def test_re_eat_example_rows(example_instance):
 
 
 def test_re_eat_integral_bundles(example_instance):
-    padded = pad_with_dummies(example_instance)
+    padded = pad_with_dummies(example_instance, c=2)
     bundles = {"1": {"a": F(1), "b": F(1)}, "2": {"c": F(1), "d": F(1)}}
     matrix = re_eat(bundles, padded)
     rows = {rep: row for rep, row in zip(padded.representatives, matrix)}
@@ -100,7 +101,7 @@ def test_re_eat_integral_bundles(example_instance):
 
 
 def test_re_eat_rejects_bad_mass(example_instance):
-    padded = pad_with_dummies(example_instance)
+    padded = pad_with_dummies(example_instance, c=2)
     with pytest.raises(ValueError, match="^bundle of '1' has mass 1, expected 2$"):
         re_eat({"1": {"a": F(1)}, "2": {"c": F(2)}}, padded)
     # The mass is right, but agent 1 would eat -1 of its first choice.
@@ -110,7 +111,7 @@ def test_re_eat_rejects_bad_mass(example_instance):
 
 
 def test_project_example(example_instance):
-    padded = pad_with_dummies(example_instance)
+    padded = pad_with_dummies(example_instance, c=2)
     first = project((0, 1, 2, 3), padded)
     assert first.bundle("1") == ("a", "b") and first.bundle("2") == ("c", "d")
     second = project((1, 3, 0, 2), padded)
@@ -121,7 +122,7 @@ def test_project_drops_dummies():
     inst = Instance.from_utilities(
         {"1": {"x": 3}, "2": {"x": 1}}, agents=["1", "2"], items=["x"]
     )
-    padded = pad_with_dummies(inst)
+    padded = pad_with_dummies(inst, c=1)
     assert len(padded.dummies) == 1
     alloc = project((0, 1), padded)
     assert alloc.bundle("1") == ("x",) and alloc.bundle("2") == ()
@@ -166,6 +167,36 @@ def test_ps_lottery_rejects_bad_arguments(example_instance):
         ps_lottery(example_instance, rule="nope")
     with pytest.raises(ValueError):
         ps_lottery(example_instance, rule="ps", skip_zero=True)
+
+
+@pytest.mark.parametrize("rule, skip_zero", [("ps", False), ("eps", False), ("eps", True)])
+def test_eating_never_sees_a_dummy(monkeypatch, rule, skip_zero):
+    import fairlot.pslottery as pslottery
+
+    # 3 agents, 7 items (binary: ties everywhere, and nobody values o07):
+    # c = 3 and two dummies in every mode.
+    inst = binary_instance(random.Random(5), 3, 7)
+    table = {a: inst.utility_row(a) for a in inst.agents}
+    table["a1"]["o07"] = table["a2"]["o07"] = table["a3"]["o07"] = 0
+    inst = Instance.from_utilities(table, agents=inst.agents, items=inst.items)
+    eaten = []  # the item sets each engine was handed
+
+    def spy(engine, universes):
+        def run(*args, **kwargs):
+            eaten.append(universes(*args, **kwargs))
+            return engine(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(pslottery, "ps_outcome", spy(
+        ps_outcome, lambda agents, items, prefs: (tuple(items), prefs.items)))
+    monkeypatch.setattr(pslottery, "eps_outcome", spy(
+        eps_outcome, lambda instance, mode: (instance.items,)))
+    planned = pslottery.plan(inst, rule, skip_zero)
+    assert len(planned.padded.dummies) == 2
+    assert eaten == [(inst.items,) * (2 if rule == "ps" else 1)]
+    bundles = planned.bundles.values()
+    assert all(sum(row.values()) == planned.padded.c for row in bundles)
+    assert all(sum(row.get(d, 0) for row in bundles) == 1 for d in planned.padded.dummies)
 
 
 def test_eps_rule_matches_eps_outcome():
