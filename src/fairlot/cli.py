@@ -14,35 +14,49 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
+from importlib import import_module
 from typing import Sequence
 
 from . import fileio
-from .eps import globally_unwanted
-from .fairness import (
-    BudgetExceeded,
-    check_ef,
-    check_ef1,
-    check_efk,
-    check_po_bruteforce,
-    check_rb,
-    check_sd_ef,
-    check_sd_ef1,
-    check_sd_efficient,
-    check_strong_ef1,
-    pareto_front,
-)
 from .fileio import FormatError, dumps
-from .model import Instance, format_rational, ordinal_from_utilities
-from .oracle import InfeasibilityCertificate, enumerate_allocations, implementable_by
-from .pslottery import implement, plan, reduce_support, support_bound
+from .model import BudgetExceeded, Instance, format_rational, ordinal_from_utilities
 
-# Not called here: bound because benchmarks/spans.py looks them up on this module.
-from .eps import eps_outcome
-from .oracle import sd_improvement_exists
-from .ps import ps_outcome
-from .pslottery import pad_with_dummies, ps_lottery
+# Loaded by the commands that run them (``_need``), by defining module.
+# Names no command calls are here too, because benchmarks/spans.py looks
+# them up on this module.
+_LAZY = {
+    "eps": ("eps_outcome", "globally_unwanted"),
+    "fairness": ("check_ef", "check_ef1", "check_efk", "check_po_bruteforce", "check_rb",
+                 "check_sd_ef", "check_sd_ef1", "check_sd_efficient", "check_strong_ef1",
+                 "pareto_front"),
+    "oracle": ("InfeasibilityCertificate", "enumerate_allocations", "implementable_by",
+               "sd_improvement_exists"),
+    "ps": ("ps_outcome",),
+    "pslottery": ("implement", "pad_with_dummies", "plan", "ps_lottery", "reduce_support",
+                  "support_bound"),
+}
+
+
+def _need(*modules: str) -> None:
+    """Import ``modules`` and bind their ``_LAZY`` names here.  A name
+    already bound is kept, so a wrapper set on this module from outside
+    stays the one the command calls."""
+    namespace = globals()
+    for module in modules:
+        loaded = import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            if name not in namespace:
+                namespace[name] = getattr(loaded, name)
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _need(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EX_OK = 0
 EX_FAIL = 1
@@ -90,6 +104,7 @@ def _load_instance(path: str) -> Instance:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    _need("eps", "pslottery")
     instance = _load_instance(args.input)
     outcome = plan(instance, args.rule, args.skip_zero).expected
     extra = {}
@@ -100,6 +115,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_lottery(args: argparse.Namespace) -> int:
+    _need("eps", "pslottery")
     instance = _load_instance(args.input)
     planned = plan(instance, args.rule, args.skip_zero)
     lottery = implement(planned)
@@ -129,12 +145,14 @@ def cmd_lottery(args: argparse.Namespace) -> int:
 
 _EX_ANTE = ("ef", "sdef", "sdeff")
 _EX_POST = ("ef1", "efk", "sdef1", "strong-ef1", "rb", "po")
+_ORDINAL = ("sdef", "sdeff", "sdef1", "rb")  # the checks that read preference orders
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _need("fairness")
     instance = _load_instance(args.input)
-    prefs = ordinal_from_utilities(instance)
     prop = args.property
+    prefs = ordinal_from_utilities(instance) if prop in _ORDINAL else None
 
     if args.lottery is None:
         raise FormatError(f"--property {prop} needs --lottery FILE")
@@ -189,6 +207,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    _need("fairness", "oracle")
     instance = _load_instance(args.input)
     target = fileio.matrix_from_obj(_load_json(args.allocation, "allocation file"))
     if tuple(target.rows) != instance.agents or target.items != instance.items:
@@ -236,6 +255,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    import random
+
     if args.agents < 1 or args.items < 1:
         raise FormatError("--agents and --items must be at least 1")
     rng = random.Random(args.seed)

@@ -26,6 +26,7 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from .fileio import matrix_to_obj
 from .model import (
+    BudgetExceeded,
     DeterministicAllocation,
     Instance,
     OrdinalProfile,
@@ -49,10 +50,6 @@ __all__ = [
     "pareto_front",
     "utility_vectors",
 ]
-
-
-class BudgetExceeded(RuntimeError):
-    """Raised when a brute-force check would exceed its enumeration budget."""
 
 
 @dataclass(frozen=True)
@@ -534,7 +531,8 @@ def pareto_front(
     order), their ``utility_vectors``, and the set of Pareto-maximal ones.
     Enumerated once per instance; the budget is checked on every call.
     """
-    from .oracle import _check_budget, enumerate_allocations  # local import to avoid a cycle
+    # Imported here: only ``po`` enumerates, so the other checks never load the oracle.
+    from .oracle import _check_budget, enumerate_allocations
 
     _check_budget(instance.n, instance.m)
     cache = _memo(instance, "_pareto")

@@ -165,7 +165,14 @@ def matrix_from_obj(obj: Mapping) -> RandomAllocation:
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise FormatError("matrix.entries: expected a list of lists")
     try:
-        parsed = tuple(tuple(map(rational, row)) for row in entries)
+        # Cells repeat a few literals ("0" most of all), so each distinct
+        # one is converted once; only when all are strings, since 1, 1.0
+        # and True are one dict key.
+        literals = dict.fromkeys(chain.from_iterable(entries))
+        convert = rational
+        if all(type(v) is str for v in literals):
+            convert = {v: rational(v) for v in literals}.__getitem__
+        parsed = tuple(tuple(map(convert, row)) for row in entries)
     except (TypeError, ValueError, ZeroDivisionError):
         # Name the first bad entry.
         for i, row in enumerate(entries):

@@ -36,7 +36,12 @@ __all__ = [
     "utility_of_bundle",
     "sd_compare",
     "expected_allocation",
+    "BudgetExceeded",
 ]
+
+
+class BudgetExceeded(RuntimeError):
+    """Raised when a brute-force check would exceed its enumeration budget."""
 
 
 # The grammar of ``Fraction``'s string form: "p", "p/q", decimals and

@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .fairness import BudgetExceeded
 from .model import (
+    BudgetExceeded,
     DeterministicAllocation,
     Instance,
     Lottery,

@@ -7,7 +7,8 @@ decomposition, bistochasticity test, ordinal profile and eating-step
 duration against their ``Fraction`` formulations; the serial eating rule
 against its stage-by-stage loop; the lottery plan, which eats before it
 pads, against the pad-first plan; the literal reader against its
-grammar-only form, and the document writer against ``json.dumps``.
+grammar-only form, the matrix reader against conversion cell by cell, and
+the document writer against ``json.dumps``.
 
 The checkers compare per-agent integer-scaled utilities, so instances
 here carry fractional utilities (denominators up to 12), zeros and ties:
@@ -24,7 +25,7 @@ from math import gcd, lcm
 from operator import le
 
 import pytest
-from hypothesis import event, given, settings, strategies as st, target
+from hypothesis import event, example, given, settings, strategies as st, target
 
 from fairlot import (
     DeterministicAllocation,
@@ -57,12 +58,13 @@ from fairlot import (
 from fairlot.birkhoff import _complete_matching
 from fairlot.eps import DurationResult, _Flow, _forced_duration
 from fairlot.fairness import _topological_order, pareto_front
-from fairlot.fileio import dumps
+from fairlot.fileio import FormatError, dumps, matrix_from_obj
 from fairlot.model import (
     EatingTrace,
     TraceSegment,
     _sd_relation,
     _tier_prefixes,
+    format_rational,
     rational,
 )
 from fairlot.oracle import enumerate_allocations, sd_improvement_exists
@@ -1309,6 +1311,87 @@ def test_rational_matches_grammar_reference(literal):
     assert got == want
     if isinstance(want, F):
         assert type(got) is F
+
+
+def per_cell_matrix(obj):
+    """``matrix_from_obj`` on a document with rows, items and a list of
+    lists, as it read entries before converting each distinct literal
+    once: ``rational`` on every cell, the first bad one named."""
+    cells = []
+    for i, row in enumerate(obj["entries"]):
+        converted = []
+        for j, v in enumerate(row):
+            try:
+                converted.append(rational(v))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                text = repr(v)
+                shown = text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+                raise FormatError(
+                    f"matrix.entries[{i}][{j}]: bad rational literal {shown} ({exc})") from None
+        cells.append(tuple(converted))
+    try:
+        return RandomAllocation(tuple(obj["rows"]), tuple(obj["items"]), tuple(cells))
+    except ValueError as exc:
+        raise FormatError(f"matrix: {exc}") from None
+
+
+BAD_CELLS = st.one_of(
+    # Equal as dict keys to the ints 1 and 0, which are good cells.
+    st.sampled_from([True, False, 1.0, 0.0]),
+    st.sampled_from([
+        "x", "1/0", "0/0", "3/00", "", " ", "1/2/3", "-1/2", "2", "1" * 45, None, [], ["0"],
+        {"0": "1"}, -1,
+    ]),
+    st.text(alphabet="0123456789/-x", max_size=5),
+)
+
+
+@st.composite
+def matrix_documents(draw):
+    """Column-stochastic matrices whose cells repeat a few literals, each
+    written in one of several equal forms ("1/2", "2/4"; 1 or "1"), some
+    cells then replaced by malformed, zero-denominator, out-of-range or
+    non-string values."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    columns = []
+    for _ in range(m):
+        q = draw(st.integers(1, 4))
+        cuts = sorted(draw(st.lists(st.integers(0, q), min_size=n - 1, max_size=n - 1)))
+        columns.append([F(b - a, q) for a, b in zip([0, *cuts], [*cuts, q])])
+    entries = []
+    for i in range(n):
+        row = []
+        for column in columns:
+            x, k = column[i], draw(st.integers(1, 3))
+            forms = [format_rational(x), f"{x.numerator * k}/{x.denominator * k}"]
+            if x.denominator == 1:
+                forms += [x.numerator] * 2
+            row.append(draw(st.sampled_from(forms)))
+        entries.append(row)
+    for _ in range(draw(st.integers(0, 3))):
+        entries[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = draw(BAD_CELLS)
+    return {"rows": [f"a{i}" for i in range(n)], "items": [f"o{j}" for j in range(m)],
+            "entries": entries}
+
+
+@SETTINGS
+@given(matrix_documents())
+@example({"rows": ["a0"], "items": ["o0", "o1", "o2"], "entries": [[1, True, 1.0]]})
+@example({"rows": ["a0", "a1"], "items": ["o0"], "entries": [[0], [False]]})
+def test_matrix_reader_matches_per_cell_conversion(obj):
+    def read(reader):
+        try:
+            matrix = reader(obj)
+        except Exception as exc:  # the type is part of the outcome
+            return type(exc), str(exc)
+        return matrix.rows, matrix.items, matrix.entries
+
+    got, want = read(matrix_from_obj), read(per_cell_matrix)
+    if isinstance(want[0], tuple):
+        event("read")
+    else:
+        event("bad cell" if "bad rational literal" in want[1] else "bad matrix")
+    assert got == want
 
 
 def json_strings():
