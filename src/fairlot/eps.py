@@ -1,23 +1,28 @@
-"""Coordinated eating for weak preference orders, plus the binary-utility
-mode in which agents never touch items they value at zero.
+"""The eating loop: the serial rule for strict orders, coordinated eating
+for weak ones, and the binary-utility mode in which agents never touch
+items they value at zero.
 
-Agents eat from their best tier of remaining items, but the split of an
-agent's consumption across a tier is kept *fluid*: only the total eaten is
-tracked until a bottleneck event pins it down.  A bottleneck is a set of
-agents whose eligible items run out exactly when their accumulated demand
-meets the items' remaining capacity; at that moment the group's
+Agents eat at unit speed from their best tier of live items, but the
+split of an agent's consumption across a tier is kept *fluid*: only the
+total eaten is tracked until a bottleneck event pins it down.  Agents
+linked through the live items they eat form a group, and each group runs
+out at its own time, computed when the group forms or changes.  A
+bottleneck is a set of agents whose eligible items run out exactly when
+their accumulated demand meets the items' capacity; at that moment their
 consumption is fixed by a witness max-flow, the items leave the market,
-and everyone else keeps eating.  This realizes the parametric-flow
-computation of the eating outcome with plain max-flow calls: the duration
-of each step is found by a Dinkelbach iteration (guess the full-set
+and everyone else keeps eating.
+
+A group eating one item is the serial rule: its k eaters empty the item
+at (1 + the sum of their start times) / k, with no max-flow.  On strict
+profiles every group is such a group, so ``ps_outcome`` runs this loop and
+there is no second engine or fast path.  For a group of more items the
+time comes from the parametric-flow computation of the eating outcome
+with plain max-flow calls: a Dinkelbach iteration (guess the full-set
 ratio, test by max-flow, tighten the guess with the min-cut's violating
 set) that needs at most one round per agent.  Each round's network lives
 on one integer scale, the lcm of the denominators of its capacities, so
 the max-flow adds and compares plain ints; one search from the source
 per failing round yields the violating set.
-
-On strict preference profiles every tier is a singleton, all splits are
-forced, and the outcome coincides exactly with the serial eating rule.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import count
 from math import lcm
 from typing import Hashable, Mapping, Sequence
 
@@ -136,7 +143,7 @@ class _Flow:
 
 @dataclass(frozen=True)
 class EatingNetwork:
-    """Feasibility network for one eating step.
+    """Feasibility network for one eating step of a group of eaters.
 
     Each eater draws from its eligible items (its current best tier);
     ``demands`` holds consumption already accumulated but not yet pinned,
@@ -172,8 +179,18 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
     sets S: (capacity of items eligible to S minus S's prior demand)
     divided by the number of eaters in S.  Returns the maximal
     tight set, the items it exhausts, and a witness flow at the optimum
-    (used to pin the tight eaters' consumption).
+    (used to pin the tight eaters' consumption), split evenly when that
+    exhausts the tight items exactly.  There is no fast path: a network
+    whose eaters each have one item runs the same iteration.
     """
+    step = _bottleneck(network)
+    _split_evenly([(network, step)])
+    return step
+
+
+def _bottleneck(network: EatingNetwork) -> DurationResult:
+    """``max_eating_duration`` before the even split: the flow is the
+    max-flow witness."""
     eaters = tuple(network.eaters)
     if not eaters:
         raise ValueError("no eaters")
@@ -183,8 +200,6 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
         if not live:
             raise ValueError(f"eater {e!r} has no eligible items left")
         eligible[e] = live
-    if all(len(live) == 1 for live in eligible.values()):
-        return _forced_duration(network, eaters, eligible)
     items = sorted({o for live in eligible.values() for o in live})
     cap = {o: network.capacity[o] for o in items}
 
@@ -252,29 +267,6 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
                     o = items[net.to[edge] - 2 - len(eaters)]
                     flows[e][o] = Fraction(amount, scale)
 
-    # Prefer the even split for the tight group whenever it exactly
-    # saturates the tight items: symmetric situations then yield the
-    # symmetric outcome instead of an arbitrary vertex of the flow
-    # polytope.  (Only tight eaters are pinned by callers, and their
-    # eligible items are exactly the tight ones, so swapping their rows
-    # keeps the witness valid.)
-    fill = {o: Fraction(0) for o in tight_items}
-    uniform: dict[Hashable, dict[str, Fraction]] = {}
-    for e in tight:
-        total = network.demand_of(e) + delta
-        share = total / len(eligible[e])
-        uniform[e] = {o: share for o in sorted(eligible[e])} if share > 0 else {}
-        for o in eligible[e]:
-            fill[o] += share
-    if all(fill[o] == cap[o] for o in tight_items):
-        for e in tight:
-            flows[e] = uniform[e]
-
-    for o in tight_items:
-        inflow = sum(flows[e].get(o, Fraction(0)) for e in tight)
-        if inflow != cap[o]:
-            raise AssertionError(f"tight item {o!r} not exactly exhausted")
-
     return DurationResult(
         duration=delta,
         tight_eaters=tuple(sorted(tight, key=str)),
@@ -283,170 +275,219 @@ def max_eating_duration(network: EatingNetwork) -> DurationResult:
     )
 
 
-def _forced_duration(
-    network: EatingNetwork,
-    eaters: tuple[Hashable, ...],
-    eligible: Mapping[Hashable, frozenset[str]],
-) -> DurationResult:
-    """``max_eating_duration`` when every eater has a single live item.
+def _split_evenly(steps: Sequence[tuple[EatingNetwork, DurationResult]]) -> None:
+    """Give every tight eater of ``steps`` the even split of its total over
+    its eligible items instead of its witness flow, if that split exactly
+    exhausts every tight item of every step; else keep every witness.
 
-    Each eater's flow is forced onto its item, so the bottleneck ratio is
-    taken item by item: (capacity - prior demand of its eaters) / number of
-    its eaters.  The items the minimum exhausts are the tight ones and
-    their eaters the maximal tight set, as the min-cut would find.
+    Symmetric situations then yield the symmetric outcome instead of an
+    arbitrary vertex of the flow polytope.  Steps that end at one instant
+    are decided together, as the steps of one network would be.  (Only
+    tight eaters are pinned, and their eligible items are exactly the
+    tight ones, so swapping their rows keeps the witness valid.)
     """
-    item_of: dict[Hashable, str] = {}
-    fixed: dict[str, Fraction] = {}
-    rate: dict[str, int] = {}
-    for e in eaters:
-        (o,) = eligible[e]
-        item_of[e] = o
-        fixed[o] = fixed.get(o, _ZERO) + network.demand_of(e)
-        rate[o] = rate.get(o, 0) + 1
-    cap = network.capacity
-    slack = {o: cap[o] - fixed[o] for o in fixed}
-    if any(v < 0 for v in slack.values()):
-        if sum(cap[o] for o in sorted(fixed)) < sum(fixed.values()):
-            raise ValueError("prior demands already exceed the available capacity")
-        raise ValueError("prior demands are infeasible")
-    ratio = {o: Fraction(slack[o], rate[o]) for o in fixed}
-    delta = min(ratio.values())
-    exhausted = {o for o in fixed if ratio[o] == delta}
-    flows: dict[Hashable, dict[str, Fraction]] = {}
-    for e in eaters:
-        amount = network.demand_of(e) + delta
-        flows[e] = {item_of[e]: amount} if amount > 0 else {}
-    return DurationResult(
-        duration=delta,
-        tight_eaters=tuple(sorted((e for e in eaters if item_of[e] in exhausted), key=str)),
-        tight_items=tuple(sorted(exhausted)),
-        flow=flows,
-    )
-
-
-@dataclass
-class _Epoch:
-    start: Fraction
-    duration: Fraction
-    eligible: frozenset[str]
-
-
-def _run_fluid(
-    agents: Sequence[str],
-    items: Sequence[str],
-    tiers: Mapping[str, Sequence[frozenset[str]]],
-) -> tuple[
-    dict[str, dict[str, Fraction]],
-    list[tuple[str, Fraction, Fraction, dict[str, Fraction]]],
-    dict[str, Fraction],
-]:
-    """Drive the fluid eating process until no agent can eat.
-
-    Returns per-agent consumption rows, the pinned fluid windows (for the
-    trace), and whatever items were left over (nonempty only when agents
-    may run out of acceptable items).
-    """
-    live = {o: Fraction(1) for o in items}
-    rows: dict[str, dict[str, Fraction]] = {a: {} for a in agents}
-    windows: list[tuple[str, Fraction, Fraction, dict[str, Fraction]]] = []
-    epoch: dict[str, _Epoch] = {}
-    # Items only ever leave the market, so a tier found empty stays empty:
-    # each agent's search resumes at the first tier that was still alive.
-    first = {a: 0 for a in agents}
-    active = [a for a in agents]
-    t = Fraction(0)
-
-    while True:
-        still_active = []
-        for a in active:
-            current: frozenset[str] | None = None
-            for k in range(first[a], len(tiers[a])):
-                alive = frozenset(o for o in tiers[a][k] if o in live)
-                if alive:
-                    current = alive
-                    first[a] = k
-                    break
-            if current is None:
-                old = epoch.pop(a, None)
-                if old is not None and old.duration != 0:
-                    raise AssertionError(f"agent {a!r} ran dry with unpinned demand")
-                continue
-            still_active.append(a)
-            if a in epoch:
-                ep = epoch[a]
-                alive_part = frozenset(o for o in ep.eligible if o in live)
-                if alive_part != current:
-                    if ep.duration != 0:
-                        raise AssertionError(f"agent {a!r} switched tiers with unpinned demand")
-                    epoch[a] = _Epoch(t, Fraction(0), current)
-                else:
-                    ep.eligible = alive_part
-            else:
-                epoch[a] = _Epoch(t, Fraction(0), current)
-        active = still_active
-        if not active:
-            break
-
-        network = EatingNetwork(
-            eaters=tuple(active),
-            eligible={a: epoch[a].eligible for a in active},
-            capacity=live,
-            demands={a: epoch[a].duration for a in active},
-        )
-        step = max_eating_duration(network)
-        if step.duration <= 0:
-            raise AssertionError("eating step of zero length")
-        t += step.duration
-        for a in active:
-            epoch[a].duration += step.duration
-        for a in step.tight_eaters:
-            ep = epoch.pop(a)
-            amounts = {o: v for o, v in sorted(step.flow[a].items()) if v > 0}
-            if sum(amounts.values()) != ep.duration:
-                raise AssertionError("pinned window does not match its duration")
-            row = rows[a]
-            for o, v in amounts.items():
-                row[o] = row.get(o, Fraction(0)) + v
-            windows.append((a, ep.start, ep.duration, amounts))
+    uniform: dict[Hashable, dict[str, Fraction]] = {}
+    even = True
+    for network, step in steps:
+        fill = dict.fromkeys(step.tight_items, _ZERO)
+        for e in step.tight_eaters:
+            live = sorted(network.live_eligible(e))
+            share = (network.demand_of(e) + step.duration) / len(live)
+            uniform[e] = dict.fromkeys(live, share) if share > 0 else {}
+            for o in live:
+                fill[o] += share
+        even = even and all(fill[o] == network.capacity[o] for o in step.tight_items)
+    for network, step in steps:
+        if even:
+            for e in step.tight_eaters:
+                step.flow[e] = uniform[e]
         for o in step.tight_items:
-            del live[o]
+            inflow = sum(step.flow[e].get(o, _ZERO) for e in step.tight_eaters)
+            if inflow != network.capacity[o]:
+                raise AssertionError(f"tight item {o!r} not exactly exhausted")
 
-    return rows, windows, live
+
+class _Group:
+    """Agents linked through the live items they eat: a connected
+    component of the eligibility graph, and its entry in the loop's heap."""
+
+    __slots__ = ("eaters", "items", "starts", "seq", "plan")
+
+    def __init__(self) -> None:
+        self.eaters: list[str] = []
+        self.items: list[str] = []
+        self.starts = _ZERO  # the sum of the eaters' window starts
+        self.seq: int | None = None  # of its live heap entry
+        # the network and step of a group of more than one item
+        self.plan: tuple[EatingNetwork, DurationResult] | None = None
 
 
-def _trace_from_windows(
-    agents: Sequence[str],
-    items: Sequence[str],
-    windows: list[tuple[str, Fraction, Fraction, dict[str, Fraction]]],
-    horizon: Fraction,
-    padding: Mapping[str, Sequence[tuple[str, Fraction]]] | None = None,
-) -> EatingTrace:
-    """Lay each pinned fluid window out as consecutive segments (items in
-    lexicographic order inside a window) and merge adjacent same-item runs.
+def _eat(
+    agents: tuple[str, ...],
+    items: tuple[str, ...],
+    tiers: Mapping[str, Sequence[Sequence[str]]],
+    skip_zero: bool = False,
+) -> tuple[RandomAllocation, EatingTrace]:
+    """The eating loop behind ``eps_outcome`` and ``ps_outcome``.
+
+    Each agent eats at unit speed from the live items of its best tier
+    that has any (``tiers[a]``, best first), in a window that opened at
+    s_a, when it last sat down.  A live item still has all of its unit:
+    whatever was eaten of it is unpinned window time.  So a group finishes
+    at T = min over eater sets S of (|N(S)| + sum of s_a over S) / |S|,
+    N(S) being the items S eats from, and T does not depend on the clock:
+    it is computed once, when the group forms or changes.  For one item
+    it is (1 + sum of s_a) / k, the serial rule; for more, the bottleneck
+    of the group's own network.  Each step takes the earliest T off a
+    heap, pins the tight eaters of every group finishing then, removes
+    their items and seats them again; other groups keep their T.
+
+    With ``skip_zero`` an agent whose tiers run dry stops, and the items
+    left over are split evenly after the horizon.
     """
-    per_agent: dict[str, list[TraceSegment]] = {a: [] for a in agents}
-    for a, start, _duration, amounts in sorted(windows, key=lambda w: (str(w[0]), w[1])):
-        clock = start
-        for o in sorted(amounts):
-            v = amounts[o]
-            segs = per_agent[a]
-            if segs and segs[-1].item == o and segs[-1].end == clock:
-                segs[-1] = TraceSegment(o, segs[-1].start, clock + v, segs[-1].amount + v)
+    index = {a: i for i, a in enumerate(agents)}
+    live = set(items)
+    first = dict.fromkeys(agents, 0)  # tier cursor: emptied tiers stay empty
+    start: dict[str, Fraction] = {}
+    rows: dict[str, dict[str, Fraction]] = {a: {} for a in agents}
+    segments: dict[str, list[TraceSegment]] = {a: [] for a in agents}
+    owner: dict[str, _Group] = {}
+    dirty: dict[_Group, None] = {}
+    # Entries lead with float(T), whose order never contradicts T's, so
+    # most heap comparisons are of floats; T decides when they tie.
+    heap: list[tuple[float, Fraction, int, _Group]] = []
+    seqs = count()
+
+    def join(a: str, eligible: list[str]) -> None:
+        """Put agent a in the group of the items it eats, merging every
+        group those items link."""
+        touched: list[_Group] = []
+        fresh = []
+        for o in eligible:
+            other = owner.get(o)
+            if other is None:
+                fresh.append(o)
+            elif other not in touched:
+                touched.append(other)
+        if not touched:
+            group = _Group()
+        else:
+            group = max(touched, key=lambda g: len(g.eaters))
+            for other in touched:
+                if other is not group:
+                    group.eaters += other.eaters
+                    group.items += other.items
+                    group.starts += other.starts
+                    for o in other.items:
+                        owner[o] = group
+                    other.seq = None
+                    dirty.pop(other, None)
+        for o in fresh:
+            owner[o] = group
+        group.items += fresh
+        group.eaters.append(a)
+        group.starts += start[a]
+        dirty[group] = None
+
+    def seat(a: str, t: Fraction) -> None:
+        start[a] = t
+        own, k = tiers[a], first[a]
+        while k < len(own) and live.isdisjoint(own[k]):
+            k += 1
+        if k < len(own):
+            first[a] = k
+            join(a, [o for o in own[k] if o in live])
+
+    def refresh(t: Fraction) -> None:
+        for group in dirty:
+            if len(group.items) == 1:
+                finish = (1 + group.starts) / len(group.eaters)
             else:
-                segs.append(TraceSegment(o, clock, clock + v, v))
-            clock += v
-    if padding:
-        for a, slices in padding.items():
-            clock = max(horizon, per_agent[a][-1].end if per_agent[a] else Fraction(0))
-            for o, v in slices:
-                per_agent[a].append(TraceSegment(o, clock, clock + v, v))
-                clock += v
-    return EatingTrace(
-        agents=tuple(agents),
-        items=tuple(items),
-        segments={a: tuple(per_agent[a]) for a in agents},
-        horizon=horizon,
-    )
+                eaters = tuple(sorted(group.eaters, key=index.__getitem__))
+                network = EatingNetwork(
+                    eaters=eaters,
+                    eligible={a: frozenset(o for o in tiers[a][first[a]] if o in live)
+                              for a in eaters},
+                    capacity=dict.fromkeys(group.items, Fraction(1)),
+                    demands={a: t - start[a] for a in eaters},
+                )
+                group.plan = network, _bottleneck(network)
+                finish = t + group.plan[1].duration
+            group.seq = next(seqs)
+            heappush(heap, (float(finish), finish, group.seq, group))
+        dirty.clear()
+
+    t = _ZERO
+    for a in agents:
+        seat(a, t)
+    refresh(t)
+    while heap:
+        _, finish, seq, group = heappop(heap)
+        if seq != group.seq:
+            continue
+        if finish <= t:
+            raise AssertionError("eating step of zero length")
+        t = finish
+        done = [group]
+        while heap and heap[0][1] == t:
+            _, _, seq, group = heappop(heap)
+            if seq == group.seq:
+                done.append(group)
+        _split_evenly([g.plan for g in done if len(g.items) > 1])
+        movers: list[str] = []
+        rest: list[str] = []
+        for group in done:
+            for o in group.items:
+                del owner[o]
+            if len(group.items) == 1:
+                tight, gone = group.eaters, group.items
+                flow = {a: {gone[0]: t - start[a]} for a in tight}
+            else:
+                step = group.plan[1]
+                tight, gone, flow = step.tight_eaters, step.tight_items, step.flow
+            for a in tight:
+                clock = start[a]
+                for o, v in sorted(flow[a].items()):
+                    rows[a][o] = v
+                    segments[a].append(TraceSegment(o, clock, clock + v, v))
+                    clock += v
+                if clock != t:
+                    raise AssertionError("pinned window does not match its duration")
+            live.difference_update(gone)
+            movers += tight
+            pinned = set(tight)
+            rest += [a for a in group.eaters if a not in pinned]
+        for a in rest:
+            eligible = [o for o in tiers[a][first[a]] if o in live]
+            if not eligible:
+                raise AssertionError(f"agent {a!r} ran dry with unpinned demand")
+            join(a, eligible)
+        for a in movers:
+            seat(a, t)
+        refresh(t)
+
+    if skip_zero:
+        horizon = Fraction(-(-len(items) // len(agents)))  # ceil(m/n)
+        # Items nobody wants are split uniformly.  Handing any single agent
+        # a whole leftover would let it profit from dropping an item it
+        # alone likes (it would come straight back), breaking truthfulness;
+        # a 1/n sliver cannot outweigh the forfeited eating share.
+        share = Fraction(1, len(agents))
+        leftovers = sorted(live)
+        for a in agents:
+            segs = segments[a]
+            clock = max(horizon, segs[-1].end if segs else _ZERO)
+            for o in leftovers:
+                rows[a][o] = share
+                segs.append(TraceSegment(o, clock, clock + share, share))
+                clock += share
+    else:
+        if live:
+            raise AssertionError("standard mode must consume every item")
+        horizon = Fraction(len(items), len(agents))
+    entries = tuple(tuple(rows[a].get(o, _ZERO) for o in items) for a in agents)
+    trace = EatingTrace(agents, items, {a: tuple(segments[a]) for a in agents}, horizon)
+    return RandomAllocation(agents, items, entries), trace
 
 
 def globally_unwanted(instance: Instance) -> tuple[str, ...]:
@@ -481,40 +522,10 @@ def eps_outcome(
     if mode == "skip_zero":
         if not instance.is_binary():
             raise ValueError("skip_zero mode requires binary (0/1) utilities")
-        liked = {
-            a: frozenset(o for j, o in enumerate(items) if instance.values[i][j] == 1)
-            for i, a in enumerate(agents)
-        }
-        tiers: dict[str, Sequence[frozenset[str]]] = {
-            a: ((liked[a],) if liked[a] else ()) for a in agents
-        }
+        tiers: Mapping[str, Sequence[Sequence[str]]] = {}
+        for a, row in zip(agents, instance.values):
+            liked = tuple(o for o, v in zip(items, row) if v == 1)
+            tiers[a] = (liked,) if liked else ()
     else:
-        profile = ordinal_from_utilities(instance)
-        tiers = {a: tuple(frozenset(t) for t in profile.tiers[a]) for a in agents}
-
-    rows, windows, leftovers = _run_fluid(agents, items, tiers)
-
-    padding: dict[str, list[tuple[str, Fraction]]] = {}
-    if mode == "standard":
-        if leftovers:
-            raise AssertionError("standard mode must consume every item")
-    else:
-        # Items nobody wants are split uniformly.  Handing any single agent
-        # a whole leftover would let it profit from dropping an item it
-        # alone likes (it would come straight back), breaking truthfulness;
-        # a 1/n sliver cannot outweigh the forfeited eating share.
-        share = Fraction(1, len(agents))
-        for o in sorted(leftovers):
-            for a in agents:
-                rows[a][o] = share
-                padding.setdefault(a, []).append((o, share))
-
-    if mode == "skip_zero":
-        horizon = Fraction(-(-len(items) // len(agents)))  # ceil(m/n)
-    else:
-        horizon = Fraction(len(items), len(agents))
-    trace = _trace_from_windows(agents, items, windows, horizon, padding)
-    entries = tuple(
-        tuple(rows[a].get(o, Fraction(0)) for o in items) for a in agents
-    )
-    return RandomAllocation(agents, items, entries), trace
+        tiers = ordinal_from_utilities(instance).tiers
+    return _eat(agents, items, tiers, mode == "skip_zero")

@@ -2,22 +2,20 @@
 rule, multi-unit variant).
 
 All agents eat their single most-preferred remaining item at unit speed;
-when items run out they move on, until nothing is left.  The simulation is
-discrete: it jumps from one item-finishing time to the next.  An agent
-eats one item without a break until the item runs out, so its share is
-the length of that one interval, finish - start, and the trace holds
-exactly one segment per (agent, item) pair eaten.  An item's eaten mass
-and finishing time are recomputed only when agents join its group, so the
-rational arithmetic of a run is one update per pair, not one per agent per
-stage.
+when items run out they move on, until nothing is left.  This is the
+one-item case of the eating loop in ``eps``: with one item per tier every
+group eats a single item, and its finishing time is (1 + the sum of its
+eaters' start times) / its size, with no max-flow.  An agent eats one item
+without a break until the item runs out, so the trace holds exactly one
+segment per (agent, item) pair eaten.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .model import EatingTrace, OrdinalProfile, RandomAllocation, TraceSegment
+from .eps import _eat
+from .model import EatingTrace, OrdinalProfile, RandomAllocation
 
 __all__ = ["ps_outcome"]
 
@@ -39,75 +37,6 @@ def ps_outcome(
     items = tuple(items)
     if set(strict_prefs.items) != set(items):
         raise ValueError("the preference profile ranks other items than the ones to eat")
-    orders = {a: strict_prefs.strict_order(a) for a in agents}
-
-    remaining = set(items)
-    shares: dict[str, dict[str, Fraction]] = {a: {} for a in agents}
-    segments: dict[str, list[TraceSegment]] = {a: [] for a in agents}
-    # Each item being eaten has a group of eaters; its mass is exact as of
-    # ``since``, when the group last grew.
-    groups: dict[str, list[str]] = {}
-    start: dict[str, Fraction] = {}
-    mass: dict[str, Fraction] = {}
-    since: dict[str, Fraction] = {}
-    finish_of: dict[str, Fraction] = {}
-    # cursor[a] scans the agent's order left to right; preferences are
-    # consumed monotonically so the total scan cost is O(nm).
-    cursor = {a: 0 for a in agents}
-
-    def sit(movers: list[str], time: Fraction) -> None:
-        """Seat each mover at its best remaining item from ``time`` on."""
-        joined: dict[str, list[str]] = {}
-        for a in movers:
-            order = orders[a]
-            k = cursor[a]
-            while order[k] not in remaining:
-                k += 1
-            cursor[a] = k
-            item = order[k]
-            if item not in joined:
-                if item in groups:
-                    mass[item] += (time - since[item]) * len(groups[item])
-                else:
-                    groups[item], mass[item] = [], Fraction(0)
-                since[item] = time
-                joined[item] = groups[item]
-            joined[item].append(a)
-            start[a] = time
-        for item, group in joined.items():
-            finish_of[item] = time + (1 - mass[item]) / len(group)
-
-    sit(list(agents), Fraction(0))
-    while remaining:
-        # The stage ends when the first item being eaten runs out; every
-        # item finishing at that moment leaves together.
-        finish = min(finish_of.values())
-        finishing = [item for item, t in finish_of.items() if t == finish]
-        movers = []
-        for item in finishing:
-            group = groups.pop(item)
-            eaten = mass.pop(item) + (finish - since.pop(item)) * len(group)
-            if eaten != 1:
-                raise AssertionError(f"item {item!r} finished with mass {eaten}")
-            del finish_of[item]
-            remaining.discard(item)
-            for a in group:
-                share = finish - start[a]
-                shares[a][item] = share
-                segments[a].append(TraceSegment(item, start[a], finish, share))
-            movers += group
-        if remaining:
-            sit(movers, finish)
-
-    horizon = Fraction(len(items), len(agents))
-    entries = tuple(
-        tuple(shares[a].get(o, Fraction(0)) for o in items) for a in agents
-    )
-    outcome = RandomAllocation(agents, items, entries)
-    trace = EatingTrace(
-        agents=agents,
-        items=items,
-        segments={a: tuple(segments[a]) for a in agents},
-        horizon=horizon,
-    )
-    return outcome, trace
+    for a in agents:
+        strict_prefs.strict_order(a)  # raises on ties
+    return _eat(agents, items, strict_prefs.tiers)

@@ -4,8 +4,9 @@ SD-efficiency graph test against the exact improvement LP,
 support reduction against a dense full-width elimination, the eating
 engine's max-flow against networkx, and the integer-scaled Birkhoff
 decomposition, bistochasticity test, ordinal profile and eating-step
-duration against their ``Fraction`` formulations; the serial eating rule
-against its stage-by-stage loop; the lottery plan, which eats before it
+duration against their ``Fraction`` formulations; the eating loop, as
+``ps_outcome`` and as ``eps_outcome`` on strict profiles, against the
+serial rule's own loop, and against its stage-by-stage loop; the lottery plan, which eats before it
 pads, against the pad-first plan; the literal reader against its
 grammar-only form, the matrix reader against conversion cell by cell, and
 the document writer against ``json.dumps``.
@@ -16,6 +17,8 @@ a wrong scale would pass every integer-utility test.  Certificates are
 replayed with exact ``Fraction`` arithmetic.
 """
 
+import contextlib
+import io
 import json
 import re
 import sys
@@ -56,9 +59,10 @@ from fairlot import (
     utility_of_bundle,
 )
 from fairlot.birkhoff import _complete_matching
-from fairlot.eps import DurationResult, _Flow, _forced_duration
+from fairlot.eps import DurationResult, _Flow
 from fairlot.fairness import _topological_order, pareto_front
-from fairlot.fileio import FormatError, dumps, matrix_from_obj
+from fairlot.cli import main
+from fairlot.fileio import FormatError, dumps, instance_from_obj, matrix_from_obj
 from fairlot.model import (
     EatingTrace,
     TraceSegment,
@@ -1049,8 +1053,6 @@ def reference_max_eating_duration(network):
         if not live:
             raise ValueError(f"eater {e!r} has no eligible items left")
         eligible[e] = live
-    if all(len(live) == 1 for live in eligible.values()):
-        return _forced_duration(network, eaters, eligible), 0
     items = sorted({o for live in eligible.values() for o in live})
     cap = {o: network.capacity[o] for o in items}
     eater_node = {e: 2 + i for i, e in enumerate(eaters)}
@@ -1122,8 +1124,8 @@ def reference_max_eating_duration(network):
 @st.composite
 def eating_networks(draw):
     """Eaters over shared items, with rational capacities (zeros make dead
-    items) and prior demands: most draws run the Dinkelbach loop, some
-    take the single-item path, and some demands are infeasible."""
+    items) and prior demands: some draws give every eater one item, and
+    some demands are infeasible."""
     items = [f"o{j}" for j in range(draw(st.integers(2, 9)))]
     eaters = tuple(f"e{i}" for i in range(draw(st.integers(1, 9))))
     capacity = {o: draw(utilities) for o in items}
@@ -1156,7 +1158,7 @@ def test_integer_duration_matches_fraction_reference(network):
 # The serial eating rule as the library ran it before each agent's share
 # became one interval: every stage regroups all agents and adds one
 # ``Fraction`` per agent, merging adjacent trace segments.
-def reference_ps_outcome(agents, items, strict_prefs):
+def stage_loop_ps_outcome(agents, items, strict_prefs):
     orders = {a: strict_prefs.strict_order(a) for a in agents}
     remaining = set(items)
     eaten = {o: F(0) for o in items}
@@ -1198,11 +1200,11 @@ def reference_ps_outcome(agents, items, strict_prefs):
 
 
 @st.composite
-def strict_profiles(draw):
+def strict_profiles(draw, max_agents=10, max_items=25):
     """Strict orders up to 10x25; agents drawing the same order eat the
     same items side by side, so groups share items and finish together."""
-    n = draw(st.integers(1, 10))
-    m = draw(st.integers(1, 25))
+    n = draw(st.integers(1, max_agents))
+    m = draw(st.integers(1, max_items))
     agents = tuple(f"a{i}" for i in range(1, n + 1))
     items = tuple(f"o{j:02d}" for j in range(1, m + 1))
     orders = draw(st.lists(st.permutations(items), min_size=1, max_size=n))
@@ -1214,9 +1216,110 @@ def strict_profiles(draw):
 @given(strict_profiles())
 def test_ps_outcome_matches_stage_loop(prefs):
     outcome, trace = ps_outcome(prefs.agents, prefs.items, prefs)
-    assert (outcome, trace) == reference_ps_outcome(prefs.agents, prefs.items, prefs)
+    assert (outcome, trace) == stage_loop_ps_outcome(prefs.agents, prefs.items, prefs)
     for segs in trace.segments.values():
         assert len({seg.item for seg in segs}) == len(segs)
+
+
+# The serial eating rule as its own loop, before ``ps_outcome`` became the
+# one-item case of the eating loop in ``fairlot.eps``: each item being
+# eaten has a group whose eaten mass is exact as of ``since``, and the
+# item's finishing time is recomputed when agents join it.
+def reference_ps_outcome(agents, items, strict_prefs):
+    agents = tuple(agents)
+    items = tuple(items)
+    if set(strict_prefs.items) != set(items):
+        raise ValueError("the preference profile ranks other items than the ones to eat")
+    orders = {a: strict_prefs.strict_order(a) for a in agents}
+
+    remaining = set(items)
+    shares = {a: {} for a in agents}
+    segments = {a: [] for a in agents}
+    groups, start, mass, since, finish_of = {}, {}, {}, {}, {}
+    cursor = {a: 0 for a in agents}
+
+    def sit(movers, time):
+        joined = {}
+        for a in movers:
+            order = orders[a]
+            k = cursor[a]
+            while order[k] not in remaining:
+                k += 1
+            cursor[a] = k
+            item = order[k]
+            if item not in joined:
+                if item in groups:
+                    mass[item] += (time - since[item]) * len(groups[item])
+                else:
+                    groups[item], mass[item] = [], F(0)
+                since[item] = time
+                joined[item] = groups[item]
+            joined[item].append(a)
+            start[a] = time
+        for item, group in joined.items():
+            finish_of[item] = time + (1 - mass[item]) / len(group)
+
+    sit(list(agents), F(0))
+    while remaining:
+        finish = min(finish_of.values())
+        finishing = [item for item, t in finish_of.items() if t == finish]
+        movers = []
+        for item in finishing:
+            group = groups.pop(item)
+            eaten = mass.pop(item) + (finish - since.pop(item)) * len(group)
+            assert eaten == 1
+            del finish_of[item]
+            remaining.discard(item)
+            for a in group:
+                share = finish - start[a]
+                shares[a][item] = share
+                segments[a].append(TraceSegment(item, start[a], finish, share))
+            movers += group
+        if remaining:
+            sit(movers, finish)
+
+    entries = tuple(tuple(shares[a].get(o, F(0)) for o in items) for a in agents)
+    trace = EatingTrace(agents, items, {a: tuple(segments[a]) for a in agents},
+                        F(len(items), len(agents)))
+    return RandomAllocation(agents, items, entries), trace
+
+
+def ranked_instance(prefs):
+    """The instance whose utilities rank the items as the strict ``prefs``."""
+    m = len(prefs.items)
+    return Instance.from_utilities(
+        {a: {o: m - k for k, (o,) in enumerate(prefs.tiers[a])} for a in prefs.agents},
+        agents=prefs.agents, items=prefs.items)
+
+
+def same_order(n, m):
+    """n agents on one order of m items: one group eats every item."""
+    items = tuple(f"o{j:02d}" for j in range(1, m + 1))
+    return OrdinalProfile(tuple(f"a{i}" for i in range(1, n + 1)), items,
+                          {f"a{i}": tuple((o,) for o in items[::-1]) for i in range(1, n + 1)})
+
+
+@settings(SETTINGS, max_examples=60)
+@given(strict_profiles(max_agents=30, max_items=90))
+@example(same_order(30, 89))
+@example(same_order(7, 30))
+def test_eating_loop_matches_serial_reference(prefs):
+    expected = reference_ps_outcome(prefs.agents, prefs.items, prefs)
+    event(f"n divides m: {len(prefs.items) % len(prefs.agents) == 0}")
+    target(len(prefs.agents) / len(set(prefs.tiers.values())))
+    assert ps_outcome(prefs.agents, prefs.items, prefs) == expected
+    assert eps_outcome(ranked_instance(prefs)) == expected
+
+
+def test_eating_loop_matches_serial_reference_at_150():
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(["gen", "--agents", "150", "--items", "150", "--seed", "7"]) == 0
+    inst = instance_from_obj(json.loads(buffer.getvalue()))
+    prefs = ordinal_from_utilities(inst)
+    expected = reference_ps_outcome(inst.agents, inst.items, prefs)
+    assert ps_outcome(inst.agents, inst.items, prefs) == expected
+    assert eps_outcome(inst) == expected
 
 
 # ``rational`` as the library read literals before its ASCII-digit fast

@@ -3,10 +3,12 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairlot import (
     EatingNetwork,
     Instance,
+    TraceSegment,
     eps_outcome,
     globally_unwanted,
     max_eating_duration,
@@ -60,6 +62,54 @@ def test_coordination_respects_later_demand():
     assert out.row("1") == {"a": F(1), "b": F(1, 2), "c": F(0), "d": F(1, 2)}
     assert out.row("2") == {"a": F(0), "b": F(1, 2), "c": F(1), "d": F(1, 2)}
     assert sd_improvement_exists(out, ordinal_from_utilities(inst)) is None
+
+
+def test_groups_finishing_together_share_the_even_split_decision():
+    # a1 and a2 eat the tier {x, y}; b1 eats p, and b2 eats the tier
+    # {p, q}.  Both groups run out at time 1.  An even split fills x and y
+    # exactly but would give p 3/2, so neither group takes it: a1 and a2
+    # keep the max-flow witness and get one item each.
+    inst = Instance.from_utilities(
+        {
+            "a1": {"x": 3, "y": 3, "p": 1, "q": 1},
+            "a2": {"x": 3, "y": 3, "p": 1, "q": 1},
+            "b1": {"p": 3, "q": 2, "x": 1, "y": 1},
+            "b2": {"p": 3, "q": 3, "x": 1, "y": 1},
+        },
+        agents=["a1", "a2", "b1", "b2"], items=["x", "y", "p", "q"],
+    )
+    out, _ = eps_outcome(inst, mode="standard")
+    assert out.entries == (
+        (F(1), F(0), F(0), F(0)),
+        (F(0), F(1), F(0), F(0)),
+        (F(0), F(0), F(1), F(0)),
+        (F(0), F(0), F(0), F(1)),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_eating_is_anonymous_and_neutral_on_strict_profiles(data):
+    # Reordering the agents and renaming the items (the new names sort in
+    # another order) permutes the ps and eps outcomes and traces alike.
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    inst = strict_instance(rng, data.draw(st.integers(1, 8)), data.draw(st.integers(1, 16)))
+    agents = tuple(data.draw(st.permutations(inst.agents)))
+    names = dict(zip(inst.items, data.draw(st.permutations([f"x{j:02d}" for j in range(inst.m)]))))
+    items = tuple(data.draw(st.permutations([names[o] for o in inst.items])))
+    renamed = Instance.from_utilities(
+        {a: {names[o]: inst.utility(a, o) for o in inst.items} for a in agents},
+        agents=agents, items=items)
+    for eat in (
+        lambda i: ps_outcome(i.agents, i.items, ordinal_from_utilities(i)),
+        lambda i: eps_outcome(i, mode="standard"),
+    ):
+        out, trace = eat(inst)
+        out2, trace2 = eat(renamed)
+        for a in inst.agents:
+            assert out2.row(a) == {names[o]: v for o, v in out.row(a).items()}
+            assert trace2.segments[a] == tuple(
+                TraceSegment(names[s.item], s.start, s.end, s.amount) for s in trace.segments[a])
 
 
 def test_sd_efficiency_fuzz():

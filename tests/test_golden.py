@@ -10,14 +10,20 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from fairlot import DeterministicAllocation, Lottery, fileio
 from fairlot.cli import main
 from conftest import binary_instance, strict_instance, weak_instance
+
+SRC = str(Path(fileio.__file__).resolve().parents[1])
 
 MAKERS = {
     "strict": strict_instance,
@@ -108,6 +114,24 @@ def test_output_digest(tmp_path, case):
     code, out = run(argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[case]
+
+
+@pytest.mark.parametrize("flags, kind, seed", [((), "tied", 5), (("--skip-zero",), "binary", 13)])
+def test_eps_lottery_does_not_depend_on_hash_order(tmp_path, flags, kind, seed):
+    # String hashes are salted per process, so set and dict-of-set order
+    # differs between interpreters; every golden pin runs under one salt.
+    argv = [sys.executable, "-m", "fairlot.cli", "lottery", "--rule", "eps", *flags,
+            "--input", instance_file(tmp_path, kind, seed, 12, 30), "--out", "-"]
+    outs = []
+    for salt in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=salt,
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == GOLDEN[
+        (("lottery", "--rule", "eps", *flags), kind, seed, 12, 30)]
 
 
 @pytest.mark.parametrize("rule, kind, seed", [("ps", "strict", 389), ("eps", "tied", 300)])
