@@ -28,7 +28,6 @@ per failing round yields the violating set.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
@@ -40,13 +39,13 @@ from .model import (
     Instance,
     RandomAllocation,
     TraceSegment,
+    _Frozen,
     ordinal_from_utilities,
 )
 
 __all__ = [
     "EatingNetwork",
     "DurationResult",
-    "max_eating_duration",
     "eps_outcome",
     "globally_unwanted",
 ]
@@ -141,20 +140,27 @@ class _Flow:
         return set(range(len(self.adj))) - can
 
 
-@dataclass(frozen=True)
-class EatingNetwork:
+class EatingNetwork(_Frozen):
     """Feasibility network for one eating step of a group of eaters.
 
     Each eater draws from its eligible items (its current best tier);
-    ``demands`` holds consumption already accumulated but not yet pinned,
-    and every eater additionally eats for the whole step duration.
-    ``capacity`` is the remaining amount of each item.
+    ``demands`` holds consumption already accumulated but not yet pinned
+    (none by default), and every eater additionally eats for the whole
+    step duration.  ``capacity`` is the remaining amount of each item.
     """
 
-    eaters: tuple[Hashable, ...]
-    eligible: Mapping[Hashable, frozenset[str]]
-    capacity: Mapping[str, Fraction]
-    demands: Mapping[Hashable, Fraction] = field(default_factory=dict)
+    _fields = ("eaters", "eligible", "capacity", "demands")
+
+    def __init__(
+        self,
+        eaters: tuple[Hashable, ...],
+        eligible: Mapping[Hashable, frozenset[str]],
+        capacity: Mapping[str, Fraction],
+        demands: Mapping[Hashable, Fraction] | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["eaters"], d["eligible"], d["capacity"] = eaters, eligible, capacity
+        d["demands"] = {} if demands is None else demands
 
     def demand_of(self, eater: Hashable) -> Fraction:
         return self.demands.get(eater, _ZERO)
@@ -163,34 +169,35 @@ class EatingNetwork:
         return frozenset(o for o in self.eligible[eater] if self.capacity.get(o, 0) > 0)
 
 
-@dataclass(frozen=True)
-class DurationResult:
-    duration: Fraction
-    tight_eaters: tuple[Hashable, ...]
-    tight_items: tuple[str, ...]
-    flow: Mapping[Hashable, Mapping[str, Fraction]]
+class DurationResult(_Frozen):
+    """A group's bottleneck: how long its eaters can eat, the maximal tight
+    set, the items it exhausts and the flow that pins its consumption."""
+
+    _fields = ("duration", "tight_eaters", "tight_items", "flow")
+
+    def __init__(
+        self,
+        duration: Fraction,
+        tight_eaters: tuple[Hashable, ...],
+        tight_items: tuple[str, ...],
+        flow: Mapping[Hashable, Mapping[str, Fraction]],
+    ) -> None:
+        d = self.__dict__
+        d["duration"], d["tight_eaters"], d["tight_items"], d["flow"] = (
+            duration, tight_eaters, tight_items, flow)
 
 
-def max_eating_duration(network: EatingNetwork) -> DurationResult:
+def _bottleneck(network: EatingNetwork) -> DurationResult:
     """Longest duration every eater can keep eating before some group
     exhausts its eligible items.
 
     The duration is the Hall-type bottleneck ratio, minimized over eater
     sets S: (capacity of items eligible to S minus S's prior demand)
-    divided by the number of eaters in S.  Returns the maximal
-    tight set, the items it exhausts, and a witness flow at the optimum
-    (used to pin the tight eaters' consumption), split evenly when that
-    exhausts the tight items exactly.  There is no fast path: a network
-    whose eaters each have one item runs the same iteration.
+    divided by the number of eaters in S.  Returns the maximal tight set,
+    the items it exhausts, and the max-flow witness at the optimum (which
+    pins the tight eaters' consumption, after ``_split_evenly``).  A
+    network whose eaters each have one item runs the same iteration.
     """
-    step = _bottleneck(network)
-    _split_evenly([(network, step)])
-    return step
-
-
-def _bottleneck(network: EatingNetwork) -> DurationResult:
-    """``max_eating_duration`` before the even split: the flow is the
-    max-flow witness."""
     eaters = tuple(network.eaters)
     if not eaters:
         raise ValueError("no eaters")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -31,6 +30,7 @@ from .model import (
     Instance,
     OrdinalProfile,
     RandomAllocation,
+    _Frozen,
     format_rational,
     sd_compare,
 )
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Frozen):
     """Outcome of one property check.
 
     ``ok`` is True/False for a decided check; ``witness`` documents why it
@@ -62,10 +61,11 @@ class Report:
     matrix document.
     """
 
-    prop: str
-    ok: bool
-    witness: Any = None
-    violation: Any = None
+    _fields = ("prop", "ok", "witness", "violation")
+
+    def __init__(self, prop: str, ok: bool, witness: Any = None, violation: Any = None) -> None:
+        d = self.__dict__
+        d["prop"], d["ok"], d["witness"], d["violation"] = prop, ok, witness, violation
 
     def to_json(self) -> dict:
         def encode(value):

@@ -13,7 +13,6 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Hashable, Mapping, Sequence, Union
 
@@ -160,30 +159,71 @@ class SdRelation(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class Instance:
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    ``_fields`` names a subclass's fields in constructor order; its
+    ``__init__`` checks them and binds them in the instance ``__dict__``.
+    Objects are equal when they are of one class with equal field values,
+    and hash as those values.  Assigning or deleting any attribute raises
+    ``AttributeError``.  Caches that are not fields (``integer_rows``, the
+    checkers' memos) are kept in the ``__dict__`` too and take no part in
+    equality, hashing or ``repr``.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # the field values, read in C: a tuple, or the value of a lone field
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Instance(_Frozen):
     """An allocation problem: agents, items and additive utilities.
 
     ``values[i][j]`` is the utility of ``items[j]`` to ``agents[i]``.  All
     utilities must be nonnegative rationals and the table must be complete.
     """
 
-    agents: tuple[str, ...]
-    items: tuple[str, ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    _fields = ("agents", "items", "values")
 
-    def __post_init__(self) -> None:
-        if len(self.agents) < 1 or len(self.items) < 1:
+    def __init__(
+        self,
+        agents: tuple[str, ...],
+        items: tuple[str, ...],
+        values: tuple[tuple[Fraction, ...], ...],
+    ) -> None:
+        if len(agents) < 1 or len(items) < 1:
             raise ValueError("an instance needs at least one agent and one item")
-        if len(set(self.agents)) != len(self.agents):
+        if len(set(agents)) != len(agents):
             raise ValueError("duplicate agent ids")
-        if len(set(self.items)) != len(self.items):
+        if len(set(items)) != len(items):
             raise ValueError("duplicate item ids")
-        if len(self.values) != len(self.agents):
+        if len(values) != len(agents):
             raise ValueError("one utility row per agent required")
         scaled = []
-        for row in self.values:
-            if len(row) != len(self.items):
+        for row in values:
+            if len(row) != len(items):
                 raise ValueError("one utility per item required in every row")
             if not all(isinstance(v, Fraction) for v in row):
                 raise TypeError("utilities must be Fractions; use Instance.from_utilities")
@@ -192,7 +232,8 @@ class Instance:
             if min(ints) < 0:
                 raise ValueError("utilities must be nonnegative")
             scaled.append((ints, scale))
-        object.__setattr__(self, "_int", tuple(scaled))
+        d = self.__dict__
+        d["agents"], d["items"], d["values"], d["_int"] = agents, items, values, tuple(scaled)
 
     @classmethod
     def from_utilities(
@@ -233,7 +274,7 @@ class Instance:
                 {a: i for i, a in enumerate(self.agents)},
                 {o: j for j, o in enumerate(self.items)},
             )
-            object.__setattr__(self, "_idx", cached)
+            self.__dict__["_idx"] = cached
         return cached
 
     def integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -243,7 +284,7 @@ class Instance:
         A positive per-agent scale preserves every comparison that agent
         makes, and Pareto dominance coordinate by coordinate, so checkers
         can work on these exact integers; a scaled total ``t`` is the
-        utility ``Fraction(t, scale)``.  Built once, by ``__post_init__``,
+        utility ``Fraction(t, scale)``.  Built once, by ``__init__``,
         which tests the signs on them.
         """
         return self._int
@@ -264,25 +305,27 @@ class Instance:
         return all(v == 0 or v == 1 for row in self.values for v in row)
 
 
-@dataclass(frozen=True)
-class OrdinalProfile:
+class OrdinalProfile(_Frozen):
     """Weak order per agent, stored as descending indifference tiers.
 
     ``tiers[agent]`` is a tuple of tiers, each a tuple of item ids sorted
     lexicographically; earlier tiers are strictly preferred to later ones.
     """
 
-    agents: tuple[str, ...]
-    items: tuple[str, ...]
-    tiers: Mapping[str, tuple[tuple[str, ...], ...]]
+    _fields = ("agents", "items", "tiers")
 
-    def __post_init__(self) -> None:
-        item_set = set(self.items)
-        for agent in self.agents:
-            if agent not in self.tiers:
+    def __init__(
+        self,
+        agents: tuple[str, ...],
+        items: tuple[str, ...],
+        tiers: Mapping[str, tuple[tuple[str, ...], ...]],
+    ) -> None:
+        item_set = set(items)
+        for agent in agents:
+            if agent not in tiers:
                 raise ValueError(f"no preference tiers for agent {agent!r}")
             seen: set[str] = set()
-            for tier in self.tiers[agent]:
+            for tier in tiers[agent]:
                 if not tier:
                     raise ValueError("empty preference tier")
                 for o in tier:
@@ -291,6 +334,8 @@ class OrdinalProfile:
                     seen.add(o)
             if seen != item_set:
                 raise ValueError(f"tiers of {agent!r} do not cover the item set")
+        d = self.__dict__
+        d["agents"], d["items"], d["tiers"] = agents, items, tiers
 
     def tier_rank(self, agent: str) -> dict[str, int]:
         """Item -> tier position map for one agent (0 = best).  Cached per
@@ -345,7 +390,7 @@ def ordinal_from_utilities(instance: Instance) -> OrdinalProfile:
             tuple(sorted(by_value[value])) for value in sorted(by_value, reverse=True)
         )
     profile = OrdinalProfile(instance.agents, instance.items, tiers)
-    object.__setattr__(instance, "_ordinal", profile)
+    instance.__dict__["_ordinal"] = profile
     return profile
 
 
@@ -357,24 +402,26 @@ def _as_row(items: Sequence[str], row: Row) -> dict[str, Fraction]:
     return {o: rational(row.get(o, 0)) for o in items}
 
 
-@dataclass(frozen=True)
-class RandomAllocation:
+class RandomAllocation(_Frozen):
     """Fractional allocation matrix: rows are agents (or representatives),
     columns are items; every column sums to exactly one.
     """
 
-    rows: tuple[Hashable, ...]
-    items: tuple[str, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    _fields = ("rows", "items", "entries")
 
-    def __post_init__(self) -> None:
-        if len(set(self.rows)) != len(self.rows):
+    def __init__(
+        self,
+        rows: tuple[Hashable, ...],
+        items: tuple[str, ...],
+        entries: tuple[tuple[Fraction, ...], ...],
+    ) -> None:
+        if len(set(rows)) != len(rows):
             raise ValueError("duplicate row labels")
-        if len(self.entries) != len(self.rows):
+        if len(entries) != len(rows):
             raise ValueError("one entry row per row label required")
         ratios = []
-        for row in self.entries:
-            if len(row) != len(self.items):
+        for row in entries:
+            if len(row) != len(items):
                 raise ValueError("row length must match the item count")
             cells = []
             for j, v in enumerate(row):
@@ -387,21 +434,22 @@ class RandomAllocation:
                     cells.append((j, p, q))
             ratios.append(cells)
         scale = math.lcm(*{q for cells in ratios for _, _, q in cells})
-        rows = tuple({j: p * (scale // q) for j, p, q in cells} for cells in ratios)
-        totals = [0] * len(self.items)
-        for row in rows:
+        scaled = tuple({j: p * (scale // q) for j, p, q in cells} for cells in ratios)
+        totals = [0] * len(items)
+        for row in scaled:
             for j, x in row.items():
                 totals[j] += x
-        for j, item in enumerate(self.items):
+        for j, item in enumerate(items):
             if totals[j] != scale:
-                total = sum(row[j] for row in self.entries)
+                total = sum(row[j] for row in entries)
                 raise ValueError(f"column {item!r} sums to {total}, expected 1")
-        object.__setattr__(self, "_int", (rows, scale))
+        d = self.__dict__
+        d["rows"], d["items"], d["entries"], d["_int"] = rows, items, entries, (scaled, scale)
 
     def integer_form(self) -> tuple[tuple[dict[int, int], ...], int]:
         """Per row, its nonzero cells as column index -> entry times L, and
         L, the lcm of their denominators (1 if none); built once, by
-        ``__post_init__``.  Callers must not mutate the rows."""
+        ``__init__``.  Callers must not mutate the rows."""
         return self._int
 
     def entry(self, row: Hashable, item: str) -> Fraction:
@@ -417,21 +465,22 @@ class RandomAllocation:
 _agent_set = functools.lru_cache(maxsize=16)(frozenset)
 
 
-@dataclass(frozen=True)
-class DeterministicAllocation:
+class DeterministicAllocation(_Frozen):
     """Total assignment of items to agents; ``owners[j]`` owns ``items[j]``."""
 
-    agents: tuple[str, ...]
-    items: tuple[str, ...]
-    owners: tuple[str, ...]
+    _fields = ("agents", "items", "owners")
 
-    def __post_init__(self) -> None:
-        if len(self.owners) != len(self.items):
+    def __init__(
+        self, agents: tuple[str, ...], items: tuple[str, ...], owners: tuple[str, ...]
+    ) -> None:
+        if len(owners) != len(items):
             raise ValueError("every item needs exactly one owner")
-        agent_set = _agent_set(self.agents)
-        if not agent_set.issuperset(self.owners):
-            unknown = next(a for a in self.owners if a not in agent_set)
+        agent_set = _agent_set(agents)
+        if not agent_set.issuperset(owners):
+            unknown = next(a for a in owners if a not in agent_set)
             raise ValueError(f"unknown owner {unknown!r}")
+        d = self.__dict__
+        d["agents"], d["items"], d["owners"] = agents, items, owners
 
     @classmethod
     def from_mapping(
@@ -462,18 +511,17 @@ class DeterministicAllocation:
         return RandomAllocation(self.agents, self.items, entries)
 
 
-@dataclass(frozen=True)
-class Lottery:
+class Lottery(_Frozen):
     """Finite list of (weight, deterministic allocation); weights sum to one."""
 
-    entries: tuple[tuple[Fraction, DeterministicAllocation], ...]
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, entries: tuple[tuple[Fraction, DeterministicAllocation], ...]) -> None:
+        if not entries:
             raise ValueError("a lottery needs at least one outcome")
-        universe = (self.entries[0][1].agents, self.entries[0][1].items)
+        universe = (entries[0][1].agents, entries[0][1].items)
         total = Fraction(0)
-        for weight, allocation in self.entries:
+        for weight, allocation in entries:
             if not isinstance(weight, Fraction):
                 raise TypeError("weights must be Fractions")
             if weight <= 0 or weight > 1:
@@ -483,6 +531,7 @@ class Lottery:
             total += weight
         if total != 1:
             raise ValueError(f"weights sum to {total}, expected 1")
+        self.__dict__["entries"] = entries
 
     @property
     def agents(self) -> tuple[str, ...]:
@@ -534,8 +583,7 @@ class TraceSegment(tuple):
         return self[3]
 
 
-@dataclass(frozen=True)
-class EatingTrace:
+class EatingTrace(_Frozen):
     """Per-agent, time-ordered record of what was eaten when.
 
     For the simultaneous-eating algorithms each agent's segments are
@@ -544,10 +592,17 @@ class EatingTrace:
     after the horizon.
     """
 
-    agents: tuple[str, ...]
-    items: tuple[str, ...]
-    segments: Mapping[str, tuple[TraceSegment, ...]]
-    horizon: Fraction
+    _fields = ("agents", "items", "segments", "horizon")
+
+    def __init__(
+        self,
+        agents: tuple[str, ...],
+        items: tuple[str, ...],
+        segments: Mapping[str, tuple[TraceSegment, ...]],
+        horizon: Fraction,
+    ) -> None:
+        d = self.__dict__
+        d["agents"], d["items"], d["segments"], d["horizon"] = agents, items, segments, horizon
 
     def integrate(self) -> dict[str, dict[str, Fraction]]:
         """Total amount of each item per agent, summed over all segments."""

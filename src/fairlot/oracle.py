@@ -11,7 +11,6 @@ infeasibility answers are proof objects.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -23,6 +22,7 @@ from .model import (
     Lottery,
     OrdinalProfile,
     RandomAllocation,
+    _Frozen,
     utility_of_bundle,
 )
 from .simplex import LpResult, solve_lp, verify_farkas
@@ -84,14 +84,20 @@ def enumerate_allocations(
     ]
 
 
-@dataclass(frozen=True)
-class InfeasibilityCertificate:
+class InfeasibilityCertificate(_Frozen):
     """Farkas proof that no lottery over the allowed allocations hits the
     target: y with y.A <= 0 on every allowed column and y.b > 0."""
 
-    farkas: tuple[Fraction, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    _fields = ("farkas", "rows", "rhs")
+
+    def __init__(
+        self,
+        farkas: tuple[Fraction, ...],
+        rows: tuple[tuple[Fraction, ...], ...],
+        rhs: tuple[Fraction, ...],
+    ) -> None:
+        d = self.__dict__
+        d["farkas"], d["rows"], d["rhs"] = farkas, rows, rhs
 
     def verify(self) -> bool:
         return verify_farkas(self.rows, self.rhs, self.farkas)

@@ -12,7 +12,6 @@ stochastic-dominance senses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import ceil, gcd
@@ -25,6 +24,7 @@ from .model import (
     Instance,
     Lottery,
     RandomAllocation,
+    _Frozen,
     ordinal_from_utilities,
 )
 from .ps import ps_outcome
@@ -149,8 +149,7 @@ def support_bound(c: int, n: int) -> int:
     return k * k - 2 * k + 2
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(_Frozen):
     """One eating run, ready to be implemented as a lottery.
 
     ``expected`` is the eating outcome over the real items, ``padded`` the
@@ -158,9 +157,16 @@ class Plan:
     what each agent re-eats (real items plus dummy mass, c in total).
     """
 
-    expected: RandomAllocation
-    padded: PaddedInstance
-    bundles: Mapping[str, Mapping[str, Fraction]]
+    _fields = ("expected", "padded", "bundles")
+
+    def __init__(
+        self,
+        expected: RandomAllocation,
+        padded: PaddedInstance,
+        bundles: Mapping[str, Mapping[str, Fraction]],
+    ) -> None:
+        d = self.__dict__
+        d["expected"], d["padded"], d["bundles"] = expected, padded, bundles
 
 
 def plan(instance: Instance, rule: str = "ps", skip_zero: bool = False) -> Plan:
@@ -235,6 +241,23 @@ def ps_lottery(
     return implement(planned), planned.expected
 
 
+def _independent_mod2(masks: list[int]) -> bool:
+    """True when the bitmasks are linearly independent over GF(2).
+
+    The basis is keyed by top bit: a mask is reduced by the pivot of its
+    top bit until that bit has no pivot (the mask joins the basis) or the
+    mask is zero (it depends on the earlier ones).
+    """
+    pivots: dict[int, int] = {}  # bit_length() -> basis mask
+    for mask in masks:
+        while (top := mask.bit_length()) in pivots:
+            mask ^= pivots[top]
+        if not mask:
+            return False
+        pivots[top] = mask
+    return True
+
+
 def _find_affine_dependency(masks: list[int], dim: int) -> list[int] | None:
     """Nonzero integer coefficients summing a set of 0/1 vectors (with an
     affine trailing 1) to zero, or None when they are affinely independent.
@@ -245,16 +268,7 @@ def _find_affine_dependency(masks: list[int], dim: int) -> list[int] | None:
     independent mod 2 are independent over the rationals, which settles
     the common case without exact arithmetic.
     """
-    pivots: list[int] = []
-    for mask in masks:
-        for p in pivots:
-            low = p & -p
-            if mask & low:
-                mask ^= p
-        if mask == 0:
-            break
-        pivots.append(mask)
-    else:
+    if _independent_mod2(masks):
         return None
 
     # Exact integer elimination; ``expr`` holds the integer combination of

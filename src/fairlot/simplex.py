@@ -10,19 +10,29 @@ sparsity or revised-form updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+from .model import _Frozen
 
 __all__ = ["LpResult", "solve_lp", "verify_farkas"]
 
 
-@dataclass(frozen=True)
-class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: tuple[Fraction, ...] | None = None
-    objective: Fraction | None = None
-    farkas: tuple[Fraction, ...] | None = None
+class LpResult(_Frozen):
+    """``status`` is "optimal", "infeasible" or "unbounded"; an optimum
+    carries ``x`` and ``objective``, an infeasible system ``farkas``."""
+
+    _fields = ("status", "x", "objective", "farkas")
+
+    def __init__(
+        self,
+        status: str,
+        x: tuple[Fraction, ...] | None = None,
+        objective: Fraction | None = None,
+        farkas: tuple[Fraction, ...] | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["status"], d["x"], d["objective"], d["farkas"] = status, x, objective, farkas
 
 
 def verify_farkas(

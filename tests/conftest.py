@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from fairlot import Instance, ordinal_from_utilities
+from fairlot import EatingNetwork, Instance, ordinal_from_utilities
+from fairlot.eps import DurationResult, _bottleneck, _split_evenly
 
 
 @pytest.fixture
@@ -16,6 +17,17 @@ def example_instance() -> Instance:
         agents=["1", "2"],
         items=["a", "b", "c", "d"],
     )
+
+
+def max_eating_duration(network: EatingNetwork) -> DurationResult:
+    """One eating step of a group on its own: the bottleneck duration, the
+    maximal tight set, the items it exhausts and its flow, split evenly
+    when that exhausts the tight items exactly.  The eating loop runs the
+    same two halves, deciding the even split over every group that
+    finishes at one instant."""
+    step = _bottleneck(network)
+    _split_evenly([(network, step)])
+    return step
 
 
 def strict_instance(rng: random.Random, n: int, m: int) -> Instance:

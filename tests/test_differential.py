@@ -51,7 +51,6 @@ from fairlot import (
     eps_outcome,
     expected_allocation,
     is_bistochastic,
-    max_eating_duration,
     ordinal_from_utilities,
     ps_outcome,
     reduce_support,
@@ -72,7 +71,8 @@ from fairlot.model import (
     rational,
 )
 from fairlot.oracle import enumerate_allocations, sd_improvement_exists
-from fairlot.pslottery import _fresh_dummy_ids, plan
+from fairlot.pslottery import _fresh_dummy_ids, _independent_mod2, plan
+from conftest import max_eating_duration
 from test_fairness import slow_efk, slow_sd_ef1
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -403,6 +403,48 @@ def test_reduce_support_matches_dense_elimination(lottery):
     vectors = [dense_vector(a) for a in slim.support]
     assert rank(vectors) == len(vectors)
     assert slim.entries == dense_reduce(lottery)
+
+
+def reference_independent_mod2(masks):
+    """GF(2) independence by the textbook loop: reduce each mask by every
+    earlier pivot whose lowest set bit it has."""
+    pivots = []
+    for mask in masks:
+        for p in pivots:
+            low = p & -p
+            if mask & low:
+                mask ^= p
+        if mask == 0:
+            return False
+        pivots.append(mask)
+    return True
+
+
+@st.composite
+def mask_sets(draw):
+    """Bitmasks over up to 12 bits, with XORs of earlier masks and
+    repeats mixed in, so that dependent sets are common."""
+    dim = draw(st.integers(1, 12))
+    masks = draw(st.lists(st.integers(0, (1 << dim) - 1), max_size=14))
+    for _ in range(draw(st.integers(0, 3))):
+        if masks:
+            picked = draw(st.lists(st.sampled_from(masks), min_size=1, max_size=4))
+            combined = 0
+            for mask in picked:
+                combined ^= mask
+            at = draw(st.integers(0, len(masks)))
+            masks.insert(at, combined if draw(st.booleans()) else picked[0])
+    return masks
+
+
+@SETTINGS
+@given(mask_sets())
+def test_independent_mod2_matches_pivot_loop(masks):
+    verdict = _independent_mod2(masks)
+    event(f"independent: {verdict}")
+    assert verdict == reference_independent_mod2(masks)
+    if verdict and masks:  # independent mod 2, hence over the rationals
+        assert rank([[m >> b & 1 for b in range(12)] for m in masks]) == len(masks)
 
 
 @st.composite

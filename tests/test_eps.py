@@ -11,14 +11,13 @@ from fairlot import (
     TraceSegment,
     eps_outcome,
     globally_unwanted,
-    max_eating_duration,
     ordinal_from_utilities,
     ps_outcome,
     utility_of_bundle,
 )
 from fairlot.eps import _Flow
 from fairlot.oracle import leximin_bruteforce, sd_improvement_exists
-from conftest import binary_instance, strict_instance, weak_instance
+from conftest import binary_instance, max_eating_duration, strict_instance, weak_instance
 
 
 def test_matches_serial_eating_on_strict_profiles(example_instance):

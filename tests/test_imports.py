@@ -1,8 +1,9 @@
 """What each command loads.  ``import fairlot`` loads no submodule and
 ``import fairlot.cli`` only the modules every command needs; each command
-then loads the modules it runs.  Load sets are read in a fresh
-interpreter that writes no bytecode, as the benchmark starts its
-commands.  The public names of the package, and the names a traced run
+then loads the modules it runs, and none loads ``dataclasses`` or
+``inspect`` (the package's value types are plain classes).  Load sets
+are read in a fresh interpreter that writes no bytecode, as the
+benchmark starts its commands.  The public names of the package, and the names a traced run
 replaces on ``fairlot.cli``, still resolve to the library's objects.
 """
 
@@ -25,6 +26,8 @@ EVERY_COMMAND = {"cli", "fileio", "model"}
 BUILD = EVERY_COMMAND | {"eps", "ps", "pslottery", "birkhoff"}
 CHECK = EVERY_COMMAND | {"fairness"}
 ORACLE = CHECK | {"oracle", "simplex"}
+# Standard-library modules that cost more to import than they give here.
+AVOIDED = {"dataclasses", "inspect"}
 
 
 def fresh(code: str, budget: str | None = None) -> subprocess.CompletedProcess:
@@ -39,10 +42,12 @@ def fresh(code: str, budget: str | None = None) -> subprocess.CompletedProcess:
 
 
 def loaded_after(code: str) -> list:
-    """``[out, submodules]``: the value ``code`` leaves in ``out`` (None
-    if it leaves none) and the fairlot submodules loaded once it has run."""
+    """``[out, submodules, avoided]``: the value ``code`` leaves in ``out``
+    (None if it leaves none), the fairlot submodules loaded once it has
+    run, and the modules of ``AVOIDED`` loaded by then."""
     proc = fresh(code + "\nimport json, sys\nprint(json.dumps([globals().get('out'), sorted("
-                 "m.split('.', 1)[1] for m in sys.modules if m.startswith('fairlot.'))]))")
+                 "m.split('.', 1)[1] for m in sys.modules if m.startswith('fairlot.')), "
+                 f"sorted({sorted(AVOIDED)!r} & sys.modules.keys())]))")
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -52,7 +57,8 @@ def test_import_fairlot_loads_no_submodule():
 
 
 def test_import_cli_loads_what_every_command_needs():
-    assert set(loaded_after("import fairlot.cli")[1]) == EVERY_COMMAND
+    _, loaded, avoided = loaded_after("import fairlot.cli")
+    assert set(loaded) == EVERY_COMMAND and avoided == []
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +97,12 @@ def test_command_loads_only_what_it_runs(files, argv, modules):
     argv = [a.format(**files) for a in argv]
     if argv[0] != "gen":
         argv += ["--input", files["instance"]]
-    code, loaded = loaded_after(
+    code, loaded, avoided = loaded_after(
         "import contextlib, io\nfrom fairlot.cli import main\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    out = main({argv!r})")
     assert code in (0, 1)
     assert set(loaded) == modules
+    assert avoided == []
 
 
 def test_budget_refusal_exits_2_with_its_message(files):
@@ -143,7 +150,7 @@ out = [codes + run(), traced, calls[len(traced):],
 # Every public name of the package, by the module that defines it.
 PUBLIC = {
     "birkhoff": "birkhoff_decompose is_bistochastic",
-    "eps": "EatingNetwork eps_outcome globally_unwanted max_eating_duration",
+    "eps": "EatingNetwork eps_outcome globally_unwanted",
     "fairness": "Report check_ef check_ef1 check_efk check_po_bruteforce check_rb "
                 "check_sd_ef check_sd_ef1 check_sd_efficient check_strong_ef1",
     "model": "BudgetExceeded DeterministicAllocation EatingTrace Instance Lottery "
@@ -173,7 +180,7 @@ def test_submodules_are_attributes():
 
 def test_every_public_name_is_listed_and_star_imported():
     names = {name for _, name in NAMES} | set(SUBMODULES)
-    assert len(names) == 58
+    assert len(names) == 57
     assert sorted(fairlot.__all__) == sorted(names)
     assert names <= set(dir(fairlot))
     namespace = {}
