@@ -23,7 +23,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "birkhoff": "birkhoff_decompose is_bistochastic",
-        "eps": "EatingNetwork eps_outcome globally_unwanted",
+        "eps": "eps_outcome globally_unwanted",
         "fairness": "Report check_ef check_ef1 check_efk check_po_bruteforce check_rb "
                     "check_sd_ef check_sd_ef1 check_sd_efficient check_strong_ef1",
         "model": "BudgetExceeded DeterministicAllocation EatingTrace Instance Lottery "

@@ -17,12 +17,18 @@ at (1 + the sum of their start times) / k, with no max-flow.  On strict
 profiles every group is such a group, so ``ps_outcome`` runs this loop and
 there is no second engine or fast path.  For a group of more items the
 time comes from the parametric-flow computation of the eating outcome
-with plain max-flow calls: a Dinkelbach iteration (guess the full-set
-ratio, test by max-flow, tighten the guess with the min-cut's violating
-set) that needs at most one round per agent.  Each round's network lives
-on one integer scale, the lcm of the denominators of its capacities, so
-the max-flow adds and compares plain ints; one search from the source
-per failing round yields the violating set.
+with plain max-flow calls (``_bottleneck``): a Dinkelbach iteration
+(guess the full-set ratio, test by max-flow, tighten the guess with the
+min-cut's violating set) that needs at most one round per agent.  Every
+live item is one whole unit, so each round's network lives on one
+integer scale L, the lcm of the denominators of the eaters' demands,
+with L at every item; the max-flow adds and compares plain ints, and one
+search from the source per failing round yields the violating set.
+
+When a step finishes, its tight eaters take the even split of their
+windows over their items instead of the witness flow, if that split
+exhausts their items exactly; all multi-item groups finishing at one
+instant take it together, or none do.
 """
 
 from __future__ import annotations
@@ -32,20 +38,17 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
 from math import lcm
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import (
     EatingTrace,
     Instance,
     RandomAllocation,
     TraceSegment,
-    _Frozen,
     ordinal_from_utilities,
 )
 
 __all__ = [
-    "EatingNetwork",
-    "DurationResult",
     "eps_outcome",
     "globally_unwanted",
 ]
@@ -140,110 +143,53 @@ class _Flow:
         return set(range(len(self.adj))) - can
 
 
-class EatingNetwork(_Frozen):
-    """Feasibility network for one eating step of a group of eaters.
+def _bottleneck(
+    eaters: Sequence[str],
+    eligible: Mapping[str, Sequence[str]],
+    demand: Mapping[str, Fraction],
+) -> tuple[Fraction, tuple[str, ...], tuple[str, ...], dict[str, dict[str, Fraction]]]:
+    """How long a group's eaters can keep eating before some of them
+    exhaust the items they eat from.
 
-    Each eater draws from its eligible items (its current best tier);
-    ``demands`` holds consumption already accumulated but not yet pinned
-    (none by default), and every eater additionally eats for the whole
-    step duration.  ``capacity`` is the remaining amount of each item.
+    Every item is one whole unit.  ``eligible[a]`` holds the live items
+    eater a eats from, and ``demand[a]`` what it has eaten of them so far
+    without being pinned to any.  The duration is the Hall-type
+    bottleneck ratio, minimized over eater sets S: (the number of items S
+    eats from minus S's demand) divided by |S|.  Returns the duration,
+    the maximal tight set, the items it exhausts and the max-flow witness
+    at the optimum, one row per eater.
     """
-
-    _fields = ("eaters", "eligible", "capacity", "demands")
-
-    def __init__(
-        self,
-        eaters: tuple[Hashable, ...],
-        eligible: Mapping[Hashable, frozenset[str]],
-        capacity: Mapping[str, Fraction],
-        demands: Mapping[Hashable, Fraction] | None = None,
-    ) -> None:
-        d = self.__dict__
-        d["eaters"], d["eligible"], d["capacity"] = eaters, eligible, capacity
-        d["demands"] = {} if demands is None else demands
-
-    def demand_of(self, eater: Hashable) -> Fraction:
-        return self.demands.get(eater, _ZERO)
-
-    def live_eligible(self, eater: Hashable) -> frozenset[str]:
-        return frozenset(o for o in self.eligible[eater] if self.capacity.get(o, 0) > 0)
-
-
-class DurationResult(_Frozen):
-    """A group's bottleneck: how long its eaters can eat, the maximal tight
-    set, the items it exhausts and the flow that pins its consumption."""
-
-    _fields = ("duration", "tight_eaters", "tight_items", "flow")
-
-    def __init__(
-        self,
-        duration: Fraction,
-        tight_eaters: tuple[Hashable, ...],
-        tight_items: tuple[str, ...],
-        flow: Mapping[Hashable, Mapping[str, Fraction]],
-    ) -> None:
-        d = self.__dict__
-        d["duration"], d["tight_eaters"], d["tight_items"], d["flow"] = (
-            duration, tight_eaters, tight_items, flow)
-
-
-def _bottleneck(network: EatingNetwork) -> DurationResult:
-    """Longest duration every eater can keep eating before some group
-    exhausts its eligible items.
-
-    The duration is the Hall-type bottleneck ratio, minimized over eater
-    sets S: (capacity of items eligible to S minus S's prior demand)
-    divided by the number of eaters in S.  Returns the maximal tight set,
-    the items it exhausts, and the max-flow witness at the optimum (which
-    pins the tight eaters' consumption, after ``_split_evenly``).  A
-    network whose eaters each have one item runs the same iteration.
-    """
-    eaters = tuple(network.eaters)
-    if not eaters:
-        raise ValueError("no eaters")
-    eligible: dict[Hashable, frozenset[str]] = {}
-    for e in eaters:
-        live = network.live_eligible(e)
-        if not live:
-            raise ValueError(f"eater {e!r} has no eligible items left")
-        eligible[e] = live
-    items = sorted({o for live in eligible.values() for o in live})
-    cap = {o: network.capacity[o] for o in items}
-
+    items = sorted({o for e in eaters for o in eligible[e]})
     # node ids: 0 = source, 1 = sink, then eaters, then items
     eater_node = {e: 2 + i for i, e in enumerate(eaters)}
     item_node = {o: 2 + len(eaters) + j for j, o in enumerate(items)}
     pairs = [(eater_node[e], item_node[o]) for e in eaters for o in sorted(eligible[e])]
-    cap_scale = lcm(*(c.denominator for c in cap.values()))
 
     def build(duration: Fraction) -> tuple[_Flow, int, int]:
-        """The round's network on one integer scale L: the lcm of the
-        denominators of every source capacity (demand + duration) and
-        every item capacity.  Returns the network, L and the total
-        demand on that scale."""
-        demand = [network.demand_of(e) + duration for e in eaters]
-        scale = lcm(cap_scale, *(d.denominator for d in demand))
+        """The round's network on one integer scale L, the lcm of the
+        denominators of every eater's demand plus ``duration``; each item
+        holds L.  Returns the network, L and the total demand on L."""
+        total = [demand[e] + duration for e in eaters]
+        scale = lcm(*(d.denominator for d in total))
         net = _Flow(2 + len(eaters) + len(items))
         want = 0
-        for e, d in zip(eaters, demand):
+        for e, d in zip(eaters, total):
             units = d.numerator * (scale // d.denominator)
             want += units
             net.add(0, eater_node[e], units)
-        sink = [cap[o].numerator * (scale // cap[o].denominator) for o in items]
         # No augmenting path can fill an edge of more than the whole sink
         # capacity, so eater-item edges never bound or cut a flow.
-        big = sum(sink) + 1
+        big = len(items) * scale + 1
         for u, v in pairs:
             net.add(u, v, big)
-        for o, c in zip(items, sink):
-            net.add(item_node[o], 1, c)
+        for o in items:
+            net.add(item_node[o], 1, scale)
         return net, scale, want
 
-    total_fixed = sum(network.demand_of(e) for e in eaters)
-    full_cap = sum(cap.values())
-    if full_cap < total_fixed:
+    total_fixed = sum(demand[e] for e in eaters)
+    if len(items) < total_fixed:
         raise ValueError("prior demands already exceed the available capacity")
-    delta = Fraction(full_cap - total_fixed, len(eaters))
+    delta = Fraction(len(items) - total_fixed, len(eaters))
 
     while True:
         net, scale, want = build(delta)
@@ -251,9 +197,8 @@ def _bottleneck(network: EatingNetwork) -> DurationResult:
             break
         reach = net.reachable_from(0)
         violator = [e for e in eaters if eater_node[e] in reach]
-        vio_cap = sum(cap[o] for o in sorted({o for e in violator for o in eligible[e]}))
-        vio_fixed = sum(network.demand_of(e) for e in violator)
-        new_delta = Fraction(vio_cap - vio_fixed, len(violator))
+        vio_items = len({o for e in violator for o in eligible[e]})
+        new_delta = Fraction(vio_items - sum(demand[e] for e in violator), len(violator))
         if new_delta < 0:
             raise ValueError("prior demands are infeasible")
         if new_delta >= delta:
@@ -261,57 +206,16 @@ def _bottleneck(network: EatingNetwork) -> DurationResult:
         delta = new_delta
 
     blocked = net.cannot_reach(1)
-    tight = [e for e in eaters if eater_node[e] in blocked]
-    tight_items = sorted({o for e in tight for o in eligible[e]})
-
-    flows: dict[Hashable, dict[str, Fraction]] = {e: {} for e in eaters}
+    tight = tuple(sorted(e for e in eaters if eater_node[e] in blocked))
+    tight_items = tuple(sorted({o for e in tight for o in eligible[e]}))
+    flow: dict[str, dict[str, Fraction]] = {}
     for e in eaters:
-        node = eater_node[e]
-        for edge in net.adj[node]:
-            if edge % 2 == 0 and net.to[edge] != 0:
-                amount = net.flow_on(edge)
-                if amount > 0:
-                    o = items[net.to[edge] - 2 - len(eaters)]
-                    flows[e][o] = Fraction(amount, scale)
-
-    return DurationResult(
-        duration=delta,
-        tight_eaters=tuple(sorted(tight, key=str)),
-        tight_items=tuple(tight_items),
-        flow=flows,
-    )
-
-
-def _split_evenly(steps: Sequence[tuple[EatingNetwork, DurationResult]]) -> None:
-    """Give every tight eater of ``steps`` the even split of its total over
-    its eligible items instead of its witness flow, if that split exactly
-    exhausts every tight item of every step; else keep every witness.
-
-    Symmetric situations then yield the symmetric outcome instead of an
-    arbitrary vertex of the flow polytope.  Steps that end at one instant
-    are decided together, as the steps of one network would be.  (Only
-    tight eaters are pinned, and their eligible items are exactly the
-    tight ones, so swapping their rows keeps the witness valid.)
-    """
-    uniform: dict[Hashable, dict[str, Fraction]] = {}
-    even = True
-    for network, step in steps:
-        fill = dict.fromkeys(step.tight_items, _ZERO)
-        for e in step.tight_eaters:
-            live = sorted(network.live_eligible(e))
-            share = (network.demand_of(e) + step.duration) / len(live)
-            uniform[e] = dict.fromkeys(live, share) if share > 0 else {}
-            for o in live:
-                fill[o] += share
-        even = even and all(fill[o] == network.capacity[o] for o in step.tight_items)
-    for network, step in steps:
-        if even:
-            for e in step.tight_eaters:
-                step.flow[e] = uniform[e]
-        for o in step.tight_items:
-            inflow = sum(step.flow[e].get(o, _ZERO) for e in step.tight_eaters)
-            if inflow != network.capacity[o]:
-                raise AssertionError(f"tight item {o!r} not exactly exhausted")
+        row = flow[e] = {}
+        for edge in net.adj[eater_node[e]]:
+            # forward edges sit at even indices: the eater's edges to items
+            if edge % 2 == 0 and net.flow_on(edge) > 0:
+                row[items[net.to[edge] - 2 - len(eaters)]] = Fraction(net.flow_on(edge), scale)
+    return delta, tight, tight_items, flow
 
 
 class _Group:
@@ -325,8 +229,9 @@ class _Group:
         self.items: list[str] = []
         self.starts = _ZERO  # the sum of the eaters' window starts
         self.seq: int | None = None  # of its live heap entry
-        # the network and step of a group of more than one item
-        self.plan: tuple[EatingNetwork, DurationResult] | None = None
+        # a group of more than one item: its eaters' live items, and its
+        # ``_bottleneck`` step from them
+        self.plan: tuple[dict[str, list[str]], tuple] | None = None
 
 
 def _eat(
@@ -410,16 +315,11 @@ def _eat(
             if len(group.items) == 1:
                 finish = (1 + group.starts) / len(group.eaters)
             else:
-                eaters = tuple(sorted(group.eaters, key=index.__getitem__))
-                network = EatingNetwork(
-                    eaters=eaters,
-                    eligible={a: frozenset(o for o in tiers[a][first[a]] if o in live)
-                              for a in eaters},
-                    capacity=dict.fromkeys(group.items, Fraction(1)),
-                    demands={a: t - start[a] for a in eaters},
-                )
-                group.plan = network, _bottleneck(network)
-                finish = t + group.plan[1].duration
+                eaters = sorted(group.eaters, key=index.__getitem__)
+                eligible = {a: [o for o in tiers[a][first[a]] if o in live] for a in eaters}
+                step = _bottleneck(eaters, eligible, {a: t - start[a] for a in eaters})
+                group.plan = eligible, step
+                finish = t + step[0]
             group.seq = next(seqs)
             heappush(heap, (float(finish), finish, group.seq, group))
         dirty.clear()
@@ -440,7 +340,22 @@ def _eat(
             _, _, seq, group = heappop(heap)
             if seq == group.seq:
                 done.append(group)
-        _split_evenly([g.plan for g in done if len(g.items) > 1])
+        # A tight eater of a multi-item group takes the even split of its
+        # window over its items instead of its witness flow, so symmetric
+        # eaters get symmetric rows; the groups finishing now all take it,
+        # if it exhausts every item they exhaust, or none do.  (Only tight
+        # eaters are pinned, and their items are exactly the tight ones, so
+        # swapping their rows keeps the witness valid.)
+        even, uniform = True, {}
+        for group in done:
+            if len(group.items) > 1:
+                eligible, (_, tight, gone, _) = group.plan
+                fill = dict.fromkeys(gone, _ZERO)
+                for a in tight:
+                    uniform[a] = dict.fromkeys(eligible[a], (t - start[a]) / len(eligible[a]))
+                    for o, share in uniform[a].items():
+                        fill[o] += share
+                even = even and all(v == 1 for v in fill.values())
         movers: list[str] = []
         rest: list[str] = []
         for group in done:
@@ -450,8 +365,12 @@ def _eat(
                 tight, gone = group.eaters, group.items
                 flow = {a: {gone[0]: t - start[a]} for a in tight}
             else:
-                step = group.plan[1]
-                tight, gone, flow = step.tight_eaters, step.tight_items, step.flow
+                _, (_, tight, gone, flow) = group.plan
+                if even:
+                    flow = uniform
+                for o in gone:
+                    if sum(flow[a].get(o, _ZERO) for a in tight) != 1:
+                        raise AssertionError(f"tight item {o!r} not exactly exhausted")
             for a in tight:
                 clock = start[a]
                 for o, v in sorted(flow[a].items()):

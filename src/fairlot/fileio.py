@@ -213,6 +213,7 @@ def lottery_from_obj(obj: Mapping) -> tuple[Lottery, RandomAllocation, dict]:
     support = _require(obj, "support", "lottery")
     if not isinstance(support, list):
         raise FormatError("lottery.support: expected a list")
+    item_set = set(items)
     entries = []
     for k, element in enumerate(support):
         # Locations are formatted only once an entry has failed.
@@ -233,8 +234,15 @@ def lottery_from_obj(obj: Mapping) -> tuple[Lottery, RandomAllocation, dict]:
             )
         try:
             alloc = DeterministicAllocation.from_mapping(agents, items, assignment)
-        except (KeyError, ValueError) as exc:
+        except KeyError as exc:
+            raise FormatError(f"lottery.support[{k}].assignment: "
+                              f"item {exc.args[0]!r} has no owner") from None
+        except ValueError as exc:
             raise FormatError(f"lottery.support[{k}].assignment: {exc}") from None
+        # Every item has an owner, so any further key is not an item.
+        if len(assignment) > len(item_set):
+            unknown = next(o for o in assignment if o not in item_set)
+            raise FormatError(f"lottery.support[{k}].assignment: unknown item {unknown!r}")
         entries.append((weight, alloc))
     try:
         lottery = Lottery(tuple(entries))

@@ -546,7 +546,10 @@ class Lottery(_Frozen):
         return tuple(allocation for _, allocation in self.entries)
 
     def merged(self) -> "Lottery":
-        """Combine repeated support allocations by adding their weights."""
+        """Combine repeated support allocations by adding their weights;
+        a lottery with no repeats is its own merge."""
+        if len({allocation.owners for _, allocation in self.entries}) == len(self.entries):
+            return self
         weights: dict[tuple[str, ...], Fraction] = {}
         order: list[DeterministicAllocation] = []
         for weight, allocation in self.entries:

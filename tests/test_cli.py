@@ -396,6 +396,25 @@ def test_malformed_lottery_exits_2(tmp_path, example_file, capsys, field, value,
     assert f"fairlot: error: {where}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ({"x": "a", "bogus": "nobody"}, "unknown item 'bogus'"),
+    ({}, "item 'x' has no owner"),
+])
+def test_assignment_keys_are_the_items(tmp_path, capsys, assignment, message):
+    # An assignment names exactly the lottery's items: an extra key would
+    # otherwise be read past and the lottery judged as if it were absent.
+    instance, lottery = tmp_path / "instance.json", tmp_path / "lottery.json"
+    instance.write_text(json.dumps({"agents": ["a"], "items": ["x"],
+                                    "utilities": {"a": {"x": "1"}}}))
+    lottery.write_text(json.dumps({"agents": ["a"], "items": ["x"], "expected": [["1"]],
+                                   "support": [{"weight": "1", "assignment": assignment}]}))
+    code, out = run(["verify", "--property", "ef", "--input", str(instance),
+                     "--lottery", str(lottery)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"fairlot: error: lottery.support[0].assignment: {message}\n")
+
+
 def _three_part_lottery():
     # Weights on the lcm L = 6; owners of a..d per allocation.
     support = (("1/6", "1122"), ("1/3", "2112"), ("1/2", "1212"))

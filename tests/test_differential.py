@@ -32,7 +32,6 @@ from hypothesis import event, example, given, settings, strategies as st, target
 
 from fairlot import (
     DeterministicAllocation,
-    EatingNetwork,
     Instance,
     Lottery,
     OrdinalProfile,
@@ -58,7 +57,7 @@ from fairlot import (
     utility_of_bundle,
 )
 from fairlot.birkhoff import _complete_matching
-from fairlot.eps import DurationResult, _Flow
+from fairlot.eps import _Flow
 from fairlot.fairness import _topological_order, pareto_front
 from fairlot.cli import main
 from fairlot.fileio import FormatError, dumps, instance_from_obj, matrix_from_obj
@@ -1084,28 +1083,20 @@ def test_caches_stay_with_their_instance():
 
 # The eating-step duration as the library computed it before each
 # Dinkelbach round moved onto one integer scale: every capacity a
-# ``Fraction``, and the round count returned beside the result.
-def reference_max_eating_duration(network):
-    eaters = tuple(network.eaters)
-    if not eaters:
-        raise ValueError("no eaters")
-    eligible = {}
-    for e in eaters:
-        live = network.live_eligible(e)
-        if not live:
-            raise ValueError(f"eater {e!r} has no eligible items left")
-        eligible[e] = live
-    items = sorted({o for live in eligible.values() for o in live})
-    cap = {o: network.capacity[o] for o in items}
+# ``Fraction`` (here each item's unit), and the round count returned
+# beside the result.
+def reference_max_eating_duration(eaters, eligible, demand):
+    items = sorted({o for e in eaters for o in eligible[e]})
+    cap = {o: F(1) for o in items}
     eater_node = {e: 2 + i for i, e in enumerate(eaters)}
     item_node = {o: 2 + len(eaters) + j for j, o in enumerate(items)}
-    big = sum(cap.values()) + sum(network.demand_of(e) for e in eaters) + 1
+    big = sum(cap.values()) + sum(demand[e] for e in eaters) + 1
 
     def build(duration):
         net = _Flow(2 + len(eaters) + len(items))
         want = F(0)
         for e in eaters:
-            d = network.demand_of(e) + duration
+            d = demand[e] + duration
             want += d
             net.add(0, eater_node[e], d)
         for e in eaters:
@@ -1115,7 +1106,7 @@ def reference_max_eating_duration(network):
             net.add(item_node[o], 1, cap[o])
         return net, want
 
-    total_fixed = sum(network.demand_of(e) for e in eaters)
+    total_fixed = sum(demand[e] for e in eaters)
     full_cap = sum(cap.values())
     if full_cap < total_fixed:
         raise ValueError("prior demands already exceed the available capacity")
@@ -1128,7 +1119,7 @@ def reference_max_eating_duration(network):
             break
         violator = [e for e in eaters if eater_node[e] in net.reachable_from(0)]
         vio_cap = sum(cap[o] for o in sorted({o for e in violator for o in eligible[e]}))
-        vio_fixed = sum(network.demand_of(e) for e in violator)
+        vio_fixed = sum(demand[e] for e in violator)
         new_delta = F(vio_cap - vio_fixed, len(violator))
         if new_delta < 0:
             raise ValueError("prior demands are infeasible")
@@ -1146,7 +1137,7 @@ def reference_max_eating_duration(network):
     fill = {o: F(0) for o in tight_items}
     uniform = {}
     for e in tight:
-        share = (network.demand_of(e) + delta) / len(eligible[e])
+        share = (demand[e] + delta) / len(eligible[e])
         uniform[e] = {o: share for o in sorted(eligible[e])} if share > 0 else {}
         for o in eligible[e]:
             fill[o] += share
@@ -1155,46 +1146,40 @@ def reference_max_eating_duration(network):
             flows[e] = uniform[e]
     for o in tight_items:
         assert sum(flows[e].get(o, F(0)) for e in tight) == cap[o]
-    return DurationResult(
-        duration=delta,
-        tight_eaters=tuple(sorted(tight, key=str)),
-        tight_items=tuple(tight_items),
-        flow=flows,
-    ), rounds
+    return (delta, tuple(sorted(tight, key=str)), tuple(tight_items), flows), rounds
 
 
 @st.composite
-def eating_networks(draw):
-    """Eaters over shared items, with rational capacities (zeros make dead
-    items) and prior demands: some draws give every eater one item, and
-    some demands are infeasible."""
+def eating_groups(draw):
+    """Eaters over shared unit items, with prior demands: some draws give
+    every eater one item, and some demands are infeasible."""
     items = [f"o{j}" for j in range(draw(st.integers(2, 9)))]
     eaters = tuple(f"e{i}" for i in range(draw(st.integers(1, 9))))
-    capacity = {o: draw(utilities) for o in items}
-    pick = st.sets(st.sampled_from(items), min_size=1, max_size=3).map(frozenset)
+    pick = st.sets(st.sampled_from(items), min_size=1, max_size=3).map(sorted)
     eligible = {e: draw(pick) for e in eaters}
-    demands = {e: draw(utilities) / draw(st.sampled_from([2, 8])) for e in eaters
-               if draw(st.booleans())}
-    return EatingNetwork(eaters, eligible, capacity, demands)
+    demand = {e: draw(utilities) / draw(st.sampled_from([2, 8, 24])) if draw(st.booleans())
+              else F(0) for e in eaters}
+    return eaters, eligible, demand
 
 
 @SETTINGS
-@given(eating_networks())
-def test_integer_duration_matches_fraction_reference(network):
+@given(eating_groups())
+def test_integer_duration_matches_fraction_reference(group):
     try:
-        expected, rounds = reference_max_eating_duration(network)
+        expected, rounds = reference_max_eating_duration(*group)
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            max_eating_duration(network)
+            max_eating_duration(*group)
         assert str(raised.value) == str(exc)
         event(f"ValueError: {exc}")
         return
     event(f"{rounds} Dinkelbach rounds")
     target(rounds)
-    got = max_eating_duration(network)
+    got = max_eating_duration(*group)
     assert got == expected
-    assert type(got.duration) is F
-    assert all(type(v) is F for row in got.flow.values() for v in row.values())
+    duration, _, _, flow = got
+    assert type(duration) is F
+    assert all(type(v) is F for row in flow.values() for v in row.values())
 
 
 # The serial eating rule as the library ran it before each agent's share

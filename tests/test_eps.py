@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairlot import (
-    EatingNetwork,
     Instance,
     TraceSegment,
     eps_outcome,
@@ -202,96 +201,56 @@ def test_skip_zero_matches_leximin_fuzz():
 
 
 def test_duration_shared_fresh_item():
-    net = EatingNetwork(
-        eaters=("1", "2"),
-        eligible={"1": frozenset({"a"}), "2": frozenset({"a"})},
-        capacity={"a": F(1)},
-    )
-    res = max_eating_duration(net)
-    assert res.duration == F(1, 2)
-    assert res.tight_eaters == ("1", "2")
-    assert res.tight_items == ("a",)
+    duration, tight, tight_items, _ = max_eating_duration(("1", "2"), {"1": "a", "2": "a"})
+    assert duration == F(1, 2)
+    assert tight == ("1", "2")
+    assert tight_items == ("a",)
 
 
 def test_duration_single_eater_two_items():
-    net = EatingNetwork(
-        eaters=("1",),
-        eligible={"1": frozenset({"a", "b"})},
-        capacity={"a": F(1), "b": F(1)},
-    )
-    res = max_eating_duration(net)
-    assert res.duration == F(2)
-    assert res.tight_items == ("a", "b")
+    duration, _, tight_items, _ = max_eating_duration(("1",), {"1": "ab"})
+    assert duration == F(2)
+    assert tight_items == ("a", "b")
 
 
 def test_duration_bottleneck_subset():
-    net = EatingNetwork(
-        eaters=("1", "2", "3"),
-        eligible={
-            "1": frozenset({"a"}),
-            "2": frozenset({"a"}),
-            "3": frozenset({"a", "b"}),
-        },
-        capacity={"a": F(1), "b": F(1)},
-    )
-    res = max_eating_duration(net)
-    assert res.duration == F(1, 2)
-    assert res.tight_eaters == ("1", "2")
-    assert res.tight_items == ("a",)
-    flow_into_a = sum(res.flow[e].get("a", F(0)) for e in ("1", "2", "3"))
-    assert flow_into_a == F(1)
-
-
-def test_duration_rejects_starved_eater():
-    net = EatingNetwork(
-        eaters=("1",),
-        eligible={"1": frozenset({"a"})},
-        capacity={"a": F(0)},
-    )
-    with pytest.raises(ValueError):
-        max_eating_duration(net)
+    duration, tight, tight_items, flow = max_eating_duration(
+        ("1", "2", "3"), {"1": "a", "2": "a", "3": "ab"})
+    assert duration == F(1, 2)
+    assert tight == ("1", "2")
+    assert tight_items == ("a",)
+    assert sum(flow[e].get("a", F(0)) for e in ("1", "2", "3")) == F(1)
 
 
 def test_duration_accounts_for_prior_demand():
     # One unit already eaten fluidly from {a, b} leaves room for one more.
-    net = EatingNetwork(
-        eaters=("1",),
-        eligible={"1": frozenset({"a", "b"})},
-        capacity={"a": F(1), "b": F(1)},
-        demands={"1": F(1)},
-    )
-    res = max_eating_duration(net)
-    assert res.duration == F(1)
-    assert sum(res.flow["1"].values()) == F(2)
+    duration, _, _, flow = max_eating_duration(("1",), {"1": "ab"}, {"1": F(1)})
+    assert duration == F(1)
+    assert sum(flow["1"].values()) == F(2)
 
 
-def random_singleton_network(rng):
-    """Eaters with one eligible item each, random prior demands and
-    capacities no smaller than the demand already on each item."""
+def random_singleton_group(rng):
+    """Eaters with one unit item each, and random prior demands that leave
+    every item room for the demand already on it."""
     items = [f"o{j}" for j in range(rng.randint(1, 4))]
     eaters = tuple(f"e{i}" for i in range(rng.randint(1, 6)))
-    eligible = {e: frozenset({rng.choice(items)}) for e in eaters}
-    demands = {e: F(rng.randint(0, 4), rng.randint(1, 4)) for e in eaters
-               if rng.random() < 0.7}
-    capacity = {}
-    for o in items:
-        prior = sum((demands.get(e, F(0)) for e in eaters if o in eligible[e]), F(0))
-        extra = F(rng.randint(0, 4), rng.randint(1, 4)) if rng.random() < 0.8 else F(0)
-        capacity[o] = prior + extra if prior + extra > 0 else F(1)
-    return EatingNetwork(eaters, eligible, capacity, demands)
+    eligible = {e: (rng.choice(items),) for e in eaters}
+    demand = {e: F(0) for e in eaters}
+    for e in eaters:
+        room = 1 - sum(demand[d] for d in eaters if eligible[d] == eligible[e])
+        if room > 0 and rng.random() < 0.7:
+            demand[e] = room * F(rng.randint(0, 4), 4)
+    return eaters, eligible, demand
 
 
-def hall_bruteforce(net):
+def hall_bruteforce(eaters, eligible, demand):
     """Duration as the smallest Hall ratio over eater subsets, and the
     union of the subsets that ratio leaves with zero slack."""
-    subsets = [S for k in range(1, len(net.eaters) + 1)
-               for S in combinations(net.eaters, k)]
+    subsets = [S for k in range(1, len(eaters) + 1) for S in combinations(eaters, k)]
 
     def slack(S, duration):
-        items = set().union(*(net.eligible[e] for e in S))
-        return (sum(net.capacity[o] for o in items)
-                - sum(net.demand_of(e) for e in S)
-                - duration * len(S))
+        items = set().union(*(eligible[e] for e in S))
+        return len(items) - sum(demand[e] for e in S) - duration * len(S)
 
     duration = min(slack(S, 0) / len(S) for S in subsets)
     tight = {e for S in subsets if slack(S, duration) == 0 for e in S}
@@ -301,28 +260,21 @@ def hall_bruteforce(net):
 def test_singleton_duration_matches_hall_bruteforce():
     rng = random.Random(64)
     for _ in range(400):
-        net = random_singleton_network(rng)
-        duration, tight = hall_bruteforce(net)
-        res = max_eating_duration(net)
-        assert res.duration == duration
-        assert res.tight_eaters == tuple(sorted(tight))
-        assert res.tight_items == tuple(sorted({o for e in tight for o in net.eligible[e]}))
-        for e in net.eaters:
-            (o,) = net.eligible[e]
-            amount = net.demand_of(e) + duration
-            assert res.flow[e] == ({o: amount} if amount > 0 else {})
+        eaters, eligible, demand = random_singleton_group(rng)
+        duration, tight = hall_bruteforce(eaters, eligible, demand)
+        got, got_tight, tight_items, flow = max_eating_duration(eaters, eligible, demand)
+        assert got == duration
+        assert got_tight == tuple(sorted(tight))
+        assert tight_items == tuple(sorted({o for e in tight for o in eligible[e]}))
+        for e in eaters:
+            (o,) = eligible[e]
+            amount = demand[e] + duration
+            assert flow[e] == ({o: amount} if amount > 0 else {})
 
 
 def test_singleton_duration_rejects_excess_demand():
-    net = EatingNetwork(
-        eaters=("1", "2"),
-        eligible={"1": frozenset({"a"}), "2": frozenset({"b"})},
-        capacity={"a": F(1), "b": F(1)},
-        demands={"1": F(3, 2)},
-    )
-    with pytest.raises(ValueError):
-        max_eating_duration(net)
-
+    with pytest.raises(ValueError, match="prior demands are infeasible"):
+        max_eating_duration(("1", "2"), {"1": "a", "2": "b"}, {"1": F(3, 2)})
 
 
 def test_one_residual_search_per_failing_dinkelbach_round(monkeypatch):

@@ -19,8 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from fairlot import DeterministicAllocation, Lottery, fileio
+from fairlot import DeterministicAllocation, Instance, Lottery, eps_outcome, fileio
 from fairlot.cli import main
+from fairlot.model import format_rational
 from conftest import binary_instance, strict_instance, weak_instance
 
 SRC = str(Path(fileio.__file__).resolve().parents[1])
@@ -379,3 +380,43 @@ def test_hand_lottery_fails_where_pinned(tmp_path):
         verdicts[prop] = [entry["verdict"] for entry in json.loads(out)["support"]]
         assert code == 1
     assert all("FAIL" in v for v in verdicts.values())
+
+
+# The eating loop's own bytes: outcome matrix and trace, on sixty seeded
+# instances of each kind, digest recorded before the bottleneck took
+# whole-unit items.  At that recording, multi-item steps split evenly 23
+# times and kept their witness flow 75 times on "tied", 11 and 52 times on
+# "binary" (one step with two groups finishing together) and 80 and 49
+# times on "repeated", whose agents share a few utility rows.
+def repeated_rows(rng, n, m):
+    agents = [f"a{i}" for i in range(1, n + 1)]
+    items = [f"o{j:02d}" for j in range(1, m + 1)]
+    pool = [{o: rng.randint(1, 3) for o in items} for _ in range(rng.randint(1, 3))]
+    table = {a: rng.choice(pool) for a in agents}
+    return Instance.from_utilities(table, agents=agents, items=items)
+
+
+EATING_GOLDEN = {
+    "tied": (lambda rng, n, m: weak_instance(rng, n, m, 3), "standard",
+             "b7416e50acf03db15ee8f28f157b469faa59910a6c23a83343c8efccc4caf2c7"),
+    "binary": (binary_instance, "skip_zero",
+               "47e07cc105d574ae9e4727eabfc093e685d60e0b74668710298b2632b1669018"),
+    "repeated": (repeated_rows, "standard",
+                 "f261c817457bcf7bfd55e96dd354f62fe9a13be1d55361f1aa2b58bffa9fca1d"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EATING_GOLDEN))
+def test_eating_loop_digest(kind):
+    maker, mode, digest = EATING_GOLDEN[kind]
+    h = hashlib.sha256()
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        matrix, trace = eps_outcome(maker(rng, n, rng.randint(n, 3 * n)), mode)
+        segments = {a: [[s.item, *map(format_rational, s[1:])] for s in trace.segments[a]]
+                    for a in trace.agents}
+        h.update(fileio.dumps(fileio.matrix_to_obj(matrix)).encode())
+        h.update(fileio.dumps({"horizon": format_rational(trace.horizon),
+                               "segments": segments}).encode())
+    assert h.hexdigest() == digest

@@ -219,6 +219,9 @@ def test_lottery_merge_duplicates(example_instance):
     assert len(lottery.entries) == 2
     assert lottery.entries[0][0] == F(1, 2)
     assert expected_allocation(lottery) == expected_allocation(reference)
+    # No repeats left: merging again rebuilds nothing.
+    assert lottery.merged() is lottery
+    assert reference.merged() is reference
 
 
 def test_expected_allocation_linearity():

@@ -9,7 +9,6 @@ from fractions import Fraction as F
 import pytest
 
 from fairlot import fairness
-from fairlot.eps import DurationResult, EatingNetwork
 from fairlot.fairness import Report
 from fairlot.model import (
     DeterministicAllocation,
@@ -62,12 +61,6 @@ CASES = [
      {"rhs": (F(2), F(0))}, True),
     (LpResult, {"status": "optimal", "x": (F(1), F(0)), "objective": F(3), "farkas": None},
      {"objective": F(4)}, True),
-    (EatingNetwork, {"eaters": AGENTS, "eligible": {"1": frozenset("a"), "2": frozenset("ab")},
-                     "capacity": {"a": F(1), "b": F(1)}, "demands": {"1": HALF}},
-     {"demands": {}}, False),
-    (DurationResult, {"duration": HALF, "tight_eaters": ("1",), "tight_items": ("a",),
-                      "flow": {"1": {"a": HALF}}},
-     {"duration": F(1)}, False),
     (Plan, {"expected": MATRIX, "padded": PADDED,
             "bundles": {"1": {"a": HALF, "b": HALF}, "2": {"a": HALF, "b": HALF}}},
      {"expected": RandomAllocation(AGENTS, ITEMS, ((F(1), F(0)), (F(0), F(1))))}, False),
@@ -123,10 +116,6 @@ def test_fields_cannot_be_assigned_or_deleted(cls, fields, variant, hashable):
 def test_defaults():
     assert Report("ef", True) == Report(prop="ef", ok=True, witness=None, violation=None)
     assert LpResult("infeasible") == LpResult("infeasible", None, None, None)
-    first = EatingNetwork(("1",), {"1": frozenset("a")}, {"a": F(1)})
-    second = EatingNetwork(eaters=("1",), eligible={"1": frozenset("a")}, capacity={"a": F(1)})
-    assert first.demands == {} and first.demands is not second.demands
-    assert first.demand_of("1") == 0
 
 
 def message(exc_type, build):
