@@ -85,6 +85,58 @@ def test_groups_finishing_together_share_the_even_split_decision():
     )
 
 
+def test_the_even_split_decision_does_not_depend_on_group_order():
+    # The instance above with b1 and b2 seated first: their group, whose
+    # even split would give p 3/2, now finishes first of the two, and
+    # the later group's acceptance must not carry it.
+    inst = Instance.from_utilities(
+        {
+            "b1": {"p": 3, "q": 2, "x": 1, "y": 1},
+            "b2": {"p": 3, "q": 3, "x": 1, "y": 1},
+            "a1": {"x": 3, "y": 3, "p": 1, "q": 1},
+            "a2": {"x": 3, "y": 3, "p": 1, "q": 1},
+        },
+        agents=["b1", "b2", "a1", "a2"], items=["x", "y", "p", "q"],
+    )
+    out, _ = eps_outcome(inst, mode="standard")
+    assert out.row("a1") == {"x": F(1), "y": F(0), "p": F(0), "q": F(0)}
+    assert out.row("a2") == {"x": F(0), "y": F(1), "p": F(0), "q": F(0)}
+    assert out.row("b1") == {"x": F(0), "y": F(0), "p": F(1), "q": F(0)}
+    assert out.row("b2") == {"x": F(0), "y": F(0), "p": F(0), "q": F(1)}
+
+
+def test_groups_finishing_together_all_take_the_even_split():
+    # Two groups of symmetric eaters run out at time 1, and the even
+    # split exhausts the items of both: every eater gets half of each.
+    inst = Instance.from_utilities(
+        {
+            "a1": {"x": 3, "y": 3, "p": 1, "q": 1},
+            "b1": {"p": 3, "q": 3, "x": 1, "y": 1},
+            "a2": {"x": 3, "y": 3, "p": 1, "q": 1},
+            "b2": {"p": 3, "q": 3, "x": 1, "y": 1},
+        },
+        agents=["a1", "b1", "a2", "b2"], items=["x", "y", "p", "q"],
+    )
+    out, _ = eps_outcome(inst, mode="standard")
+    half = F(1, 2)
+    assert out.entries == (
+        (half, half, F(0), F(0)),
+        (F(0), F(0), half, half),
+        (half, half, F(0), F(0)),
+        (F(0), F(0), half, half),
+    )
+
+
+def test_a_refused_even_split_keeps_the_witness():
+    # b1 eats only p and b2 eats {p, q}; both are tight at time 1, and
+    # the even split would give p 3/2, so each keeps one whole item.
+    inst = Instance.from_utilities(
+        {"b1": {"p": 2, "q": 1}, "b2": {"p": 1, "q": 1}}, agents=["b1", "b2"], items=["p", "q"])
+    out, trace = eps_outcome(inst, mode="standard")
+    assert out.entries == ((F(1), F(0)), (F(0), F(1)))
+    assert trace.segments["b2"] == (TraceSegment("q", F(0), F(1), F(1)),)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_eating_is_anonymous_and_neutral_on_strict_profiles(data):
@@ -275,6 +327,26 @@ def test_singleton_duration_matches_hall_bruteforce():
 def test_singleton_duration_rejects_excess_demand():
     with pytest.raises(ValueError, match="prior demands are infeasible"):
         max_eating_duration(("1", "2"), {"1": "a", "2": "b"}, {"1": F(3, 2)})
+
+
+def test_duration_rejects_demand_beyond_every_item():
+    with pytest.raises(ValueError, match="prior demands already exceed the available capacity"):
+        max_eating_duration(("1", "2"), {"1": "a", "2": "a"}, {"1": F(1), "2": F(1, 2)})
+
+
+def test_duration_flow_is_exact_on_mixed_denominators():
+    # Demands over 2, 3 and 5: the step runs on their lcm scale, and the
+    # witness gives each eater exactly its demand plus the duration and
+    # each item exactly its one unit.
+    eligible = {"1": "ab", "2": "abc", "3": "c"}
+    demand = {"1": F(1, 2), "2": F(1, 3), "3": F(1, 5)}
+    duration, tight, tight_items, flow = max_eating_duration(("1", "2", "3"), eligible, demand)
+    assert duration == F(59, 90)
+    assert tight == ("1", "2", "3") and tight_items == ("a", "b", "c")
+    for e, row in flow.items():
+        assert set(row) <= set(eligible[e])
+        assert sum(row.values()) == demand[e] + duration
+    assert all(sum(row.get(o, F(0)) for row in flow.values()) == 1 for o in "abc")
 
 
 def test_one_residual_search_per_failing_dinkelbach_round(monkeypatch):
