@@ -215,8 +215,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.filter == "none":
         allowed = enumerate_allocations(instance.agents, instance.items)
     else:
-        allocations, vectors, maximal = pareto_front(instance)
-        optima = [alloc for alloc, v in zip(allocations, vectors) if v in maximal]
+        optima = pareto_front(instance)[0]
         if args.filter == "ef1-po":
             allowed = [alloc for alloc in optima if check_ef1(alloc, instance).ok]
         else:

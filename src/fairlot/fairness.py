@@ -21,7 +21,7 @@ import heapq
 import itertools
 import operator
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 from .fileio import matrix_to_obj
 from .model import (
@@ -30,6 +30,7 @@ from .model import (
     Instance,
     OrdinalProfile,
     RandomAllocation,
+    _check_budget,
     _Frozen,
     format_rational,
     sd_compare,
@@ -48,7 +49,6 @@ __all__ = [
     "check_sd_efficient",
     "check_po_bruteforce",
     "pareto_front",
-    "utility_vectors",
 ]
 
 
@@ -503,75 +503,85 @@ def check_sd_efficient(p: RandomAllocation, prefs: OrdinalProfile) -> Report:
     )
 
 
-def utility_vectors(
-    instance: Instance, allocations: Iterable[DeterministicAllocation]
-) -> Iterator[tuple[int, ...]]:
-    """Per allocation, every agent's utility of its bundle in instance
-    agent order, each in that agent's integer scale (``integer_rows``).
-    Pareto dominance between these vectors is dominance between the
-    utility vectors themselves."""
-    agent_idx, item_idx = instance._index_maps()
-    rows = instance.integer_rows()
-    cells = {
-        o: {a: (i, rows[i][0][j]) for a, i in agent_idx.items()}
-        for o, j in item_idx.items()
-    }
-    for allocation in allocations:
-        totals = [0] * instance.n
-        for o, owner in zip(allocation.items, allocation.owners):
-            i, value = cells[o][owner]
-            totals[i] += value
-        yield tuple(totals)
-
-
 def pareto_front(
     instance: Instance,
 ) -> tuple[list[DeterministicAllocation], list[tuple[int, ...]], set[tuple[int, ...]]]:
-    """Every deterministic allocation of the instance (``enumerate_allocations``
-    order), their ``utility_vectors``, and the set of Pareto-maximal ones.
-    Enumerated once per instance; the budget is checked on every call.
-    """
-    # Imported here: only ``po`` enumerates, so the other checks never load the oracle.
-    from .oracle import _check_budget, enumerate_allocations
+    """The Pareto-optimal allocations (``enumerate_allocations`` order), their
+    utility vectors (each agent's in its ``integer_rows`` scale) and the set
+    of maximal vectors, once per instance; the budget is checked every call.
 
+    Composed item by item, as Nemhauser and Ullmann build knapsack Pareto
+    sets: giving item j to agent i adds i's value of j to coordinate i.  A
+    completion of a strictly dominated partial vector is strictly dominated,
+    so after each item only the maximal partial vectors are kept, each with
+    every owner tuple that reaches it (so ties and zeros keep every optimum).
+    """
     _check_budget(instance.n, instance.m)
     cache = _memo(instance, "_pareto")
     if "front" not in cache:
-        allocations = enumerate_allocations(instance.agents, instance.items)
-        vectors = list(utility_vectors(instance, allocations))
-        # A dominator has a strictly larger sum, so in descending-sum order
-        # every maximal vector is met before the vectors it dominates; and a
-        # dominated vector is always dominated by a maximal one, so each
-        # vector is tested against the maxima found so far alone.
-        maxima: list[tuple[int, ...]] = []
-        for v in sorted(set(vectors), key=sum, reverse=True):
-            if not any(all(map(operator.ge, w, v)) for w in maxima):
-                maxima.append(v)
-        cache["front"] = (allocations, vectors, set(maxima))
+        agents = instance.agents
+        rows = [row for row, _ in instance.integer_rows()]
+        reached: dict[tuple[int, ...], list[tuple[int, ...]]] = {(0,) * instance.n: [()]}
+        for j in range(instance.m):
+            grown: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for v, owners in reached.items():
+                for i, row in enumerate(rows):
+                    w = v[:i] + (v[i] + row[j],) + v[i + 1:]
+                    grown.setdefault(w, []).extend(t + (i,) for t in owners)
+            # Per coordinate, each vector keeps the bit set of the vectors at
+            # least as large there; a maximal one ends with its own bit alone.
+            vectors, above = list(grown), [-1] * len(grown)
+            for coordinate in zip(*vectors):
+                masks: dict[int, int] = {}
+                for t, x in enumerate(coordinate):
+                    masks[x] = masks.get(x, 0) | 1 << t
+                bits = 0
+                for x in sorted(masks, reverse=True):
+                    bits = masks[x] = bits | masks[x]
+                above = [a & masks[x] for a, x in zip(above, coordinate)]
+            reached = {v: grown[v] for t, v in enumerate(vectors) if above[t] == 1 << t}
+        front = sorted((t, w) for w, owners in reached.items() for t in owners)
+        cache["front"] = (
+            [DeterministicAllocation(agents, instance.items, tuple(map(agents.__getitem__, t)))
+             for t, _ in front],
+            [w for _, w in front],
+            set(reached),
+        )
     return cache["front"]
 
 
 def check_po_bruteforce(allocation: DeterministicAllocation, instance: Instance) -> Report:
-    """Pareto optimality among deterministic allocations, by enumeration
-    (``pareto_front``); a violation names the first dominating allocation.
+    """Pareto optimality among deterministic allocations, against the
+    maximal vectors of ``pareto_front``; a violation names the first
+    dominating allocation in ``enumerate_allocations`` order.
 
     Refuses (raises BudgetExceeded) when n^m exceeds the enumeration
     budget rather than silently sampling.
     """
-    candidates, vectors, maximal = pareto_front(instance)
-    (base,) = utility_vectors(instance, [allocation])
+    _, _, maximal = pareto_front(instance)
+    rows = instance.integer_rows()
+
+    def vector(owners: Iterable[int]) -> tuple[int, ...]:
+        values = [0] * instance.n
+        for j, i in enumerate(owners):
+            values[i] += rows[i][0][j]
+        return tuple(values)
+
+    held = allocation.owner_map()
+    base = vector(map(instance.agent_index, map(held.__getitem__, instance.items)))
     if base not in maximal:
-        for candidate, values in zip(candidates, vectors):
+        for owners in itertools.product(range(instance.n), repeat=instance.m):
+            values = vector(owners)
             if values != base and all(map(operator.ge, values, base)):
-                scales = [scale for _, scale in instance.integer_rows()]
                 return Report(
                     "po",
                     False,
                     violation={
-                        "improving_allocation": candidate.owner_map(),
+                        "improving_allocation": {
+                            o: instance.agents[i] for o, i in zip(instance.items, owners)},
                         "utilities": {
                             a: Fraction(v, scale)
-                            for a, v, scale in zip(instance.agents, values, scales)
+                            for a, v, (_, scale) in zip(instance.agents, values, rows)
                         },
                     },
                 )

@@ -210,10 +210,12 @@ def lottery_to_obj(
 def lottery_from_obj(obj: Mapping) -> tuple[Lottery, RandomAllocation, dict]:
     agents = tuple(_strings(_require(obj, "agents", "lottery"), "lottery.agents"))
     items = tuple(_strings(_require(obj, "items", "lottery"), "lottery.items"))
+    item_set = set(items)
+    if len(item_set) < len(items):
+        raise FormatError("lottery: duplicate item ids")
     support = _require(obj, "support", "lottery")
     if not isinstance(support, list):
         raise FormatError("lottery.support: expected a list")
-    item_set = set(items)
     entries = []
     for k, element in enumerate(support):
         # Locations are formatted only once an entry has failed.

@@ -12,6 +12,7 @@ import enum
 import functools
 import math
 import operator
+import os
 import re
 from fractions import Fraction
 from typing import Any, Hashable, Mapping, Sequence, Union
@@ -36,11 +37,43 @@ __all__ = [
     "sd_compare",
     "expected_allocation",
     "BudgetExceeded",
+    "DEFAULT_BUDGET",
+    "BUDGET_ENV_VAR",
+    "configured_budget",
 ]
 
 
 class BudgetExceeded(RuntimeError):
     """Raised when a brute-force check would exceed its enumeration budget."""
+
+
+DEFAULT_BUDGET = 65536
+BUDGET_ENV_VAR = "FAIRLOT_BUDGET"
+
+
+def configured_budget() -> int:
+    """The FAIRLOT_BUDGET environment variable, else the built-in default.
+    The variable must hold a nonnegative integer; anything else raises
+    ValueError naming it."""
+    env = os.environ.get(BUDGET_ENV_VAR)
+    if env is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a nonnegative integer, got {env!r}")
+    return value
+
+
+def _check_budget(n: int, m: int) -> None:
+    """Refuse (raise BudgetExceeded) when the n^m allocations of n agents
+    and m items exceed the configured budget."""
+    limit = configured_budget()
+    count = n ** m
+    if count > limit:
+        raise BudgetExceeded(f"{n}^{m} = {count} allocations exceed the budget {limit}")
 
 
 # The grammar of ``Fraction``'s string form: "p", "p/q", decimals and

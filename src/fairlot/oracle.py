@@ -10,11 +10,11 @@ infeasibility answers are proof objects.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+from .model import BUDGET_ENV_VAR, DEFAULT_BUDGET, configured_budget  # re-exported
 from .model import (
     BudgetExceeded,
     DeterministicAllocation,
@@ -22,6 +22,7 @@ from .model import (
     Lottery,
     OrdinalProfile,
     RandomAllocation,
+    _check_budget,
     _Frozen,
     utility_of_bundle,
 )
@@ -38,36 +39,6 @@ __all__ = [
     "pareto_improvement_exists",
     "sd_improvement_exists",
 ]
-
-DEFAULT_BUDGET = 65536
-BUDGET_ENV_VAR = "FAIRLOT_BUDGET"
-
-
-def configured_budget() -> int:
-    """The FAIRLOT_BUDGET environment variable, else the built-in default.
-    The variable must hold a nonnegative integer; anything else raises
-    ValueError naming it."""
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(env)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(
-            f"{BUDGET_ENV_VAR} must be a nonnegative integer, got {env!r}"
-        ) from None
-    return value
-
-
-def _check_budget(n: int, m: int) -> None:
-    """Refuse (raise BudgetExceeded) when the n^m allocations of n agents
-    and m items exceed the configured budget."""
-    limit = configured_budget()
-    count = n ** m
-    if count > limit:
-        raise BudgetExceeded(f"{n}^{m} = {count} allocations exceed the budget {limit}")
 
 
 def enumerate_allocations(

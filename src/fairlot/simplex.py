@@ -4,8 +4,9 @@ Solves min c.x subject to A x = b, x >= 0.  Bland's pivoting rule makes
 termination unconditional, and exactness makes infeasibility checkable:
 when phase one ends above zero, the dual values form a Farkas vector y
 with y.A <= 0 and y.b > 0, which callers can replay independently.
-Problem sizes here are tiny (reference LPs), so no effort is spent on
-sparsity or revised-form updates.
+Problem sizes here are tiny (reference LPs), so the tableau is dense and
+no revised-form updates are made; a pivot touches only the columns where
+the pivot row is nonzero.
 """
 
 from __future__ import annotations
@@ -49,16 +50,17 @@ def verify_farkas(
 
 def _pivot(tableau: list[list[Fraction]], cost: list[Fraction], row: int, col: int,
            basis: list[int]) -> None:
-    pivot_value = tableau[row][col]
-    tableau[row] = [v / pivot_value for v in tableau[row]]
-    for r, other in enumerate(tableau):
-        if r != row and other[col] != 0:
-            factor = other[col]
-            tableau[r] = [v - factor * w for v, w in zip(other, tableau[row])]
-    if cost[col] != 0:
-        factor = cost[col]
-        for j, w in enumerate(tableau[row]):
-            cost[j] -= factor * w
+    # A column where the pivot row is zero keeps its value in every row.
+    pivot_row = tableau[row]
+    pivot_value = pivot_row[col]
+    nonzero = [j for j, v in enumerate(pivot_row) if v]
+    for j in nonzero:
+        pivot_row[j] /= pivot_value
+    for other in (*tableau, cost):
+        factor = other[col]
+        if factor and other is not pivot_row:
+            for j in nonzero:
+                other[j] -= factor * pivot_row[j]
     basis[row] = col
 
 

@@ -39,6 +39,7 @@ from fairlot.cli import main
 from fairlot.fairness import pareto_front
 from fairlot.oracle import (
     InfeasibilityCertificate,
+    enumerate_allocations,
     implementable_by,
     leximin_bruteforce,
     sd_improvement_exists,
@@ -199,12 +200,8 @@ def test_criterion_05_oracle_desk_scale(tmp_path):
     for n, m in [(2, 4), (2, 8), (2, 12), (3, 7), (4, 6)]:
         assert n ** m <= 4096
         inst = strict_instance(rng, n, m)
-        allocations, vectors, maximal = pareto_front(inst)
-        allowed = [
-            alloc
-            for alloc, v in zip(allocations, vectors)
-            if v in maximal and check_ef1(alloc, inst).ok
-        ]
+        optima = pareto_front(inst)[0]
+        allowed = [alloc for alloc in optima if check_ef1(alloc, inst).ok]
         _, target = ps_lottery(inst, rule="ps")
         result = implementable_by(target, allowed)
         if isinstance(result, Lottery):
@@ -241,13 +238,11 @@ def test_criterion_05_oracle_desk_scale(tmp_path):
 
 
 def test_criterion_06_impossibility_regression():
-    allocations, vectors, maximal = pareto_front(IMPOSSIBILITY_INSTANCE)
+    allocations = enumerate_allocations(IMPOSSIBILITY_INSTANCE.agents,
+                                        IMPOSSIBILITY_INSTANCE.items)
     assert len(allocations) == 16
-    allowed = [
-        alloc
-        for alloc, v in zip(allocations, vectors)
-        if v in maximal and check_ef1(alloc, IMPOSSIBILITY_INSTANCE).ok
-    ]
+    optima = pareto_front(IMPOSSIBILITY_INSTANCE)[0]
+    allowed = [alloc for alloc in optima if check_ef1(alloc, IMPOSSIBILITY_INSTANCE).ok]
     assert allowed, "the EF1-and-PO set must be nonempty"
     assert all(alloc.owner_of("a") == "1" for alloc in allowed)
     half = F(1, 2)

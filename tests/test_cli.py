@@ -415,6 +415,36 @@ def test_assignment_keys_are_the_items(tmp_path, capsys, assignment, message):
         f"fairlot: error: lottery.support[0].assignment: {message}\n")
 
 
+def _one_item_files(tmp_path, lottery_items):
+    """A 1x1 instance (agent a, item x) and a lottery document that lists
+    ``lottery_items`` and gives x to a."""
+    instance, lottery = tmp_path / "instance.json", tmp_path / "lottery.json"
+    instance.write_text(json.dumps({"agents": ["a"], "items": ["x"],
+                                    "utilities": {"a": {"x": "1"}}}))
+    doc = {"agents": ["a"], "items": lottery_items, "expected": [["1"] * len(lottery_items)],
+           "support": [{"weight": "1", "assignment": {"x": "a"}}]}
+    lottery.write_text(json.dumps(doc))
+    return instance, lottery, doc
+
+
+def test_reader_rejects_duplicate_lottery_items(tmp_path):
+    # Two units of x would otherwise be judged against an instance with one.
+    _, _, doc = _one_item_files(tmp_path, ["x", "x"])
+    with pytest.raises(fileio.FormatError, match=r"^lottery: duplicate item ids$"):
+        fileio.lottery_from_obj(doc)
+
+
+def test_verify_rejects_duplicate_lottery_items(tmp_path, capsys):
+    instance, lottery, _ = _one_item_files(tmp_path, ["x", "x"])
+    code, out = run(["verify", "--property", "ef", "--input", str(instance),
+                     "--lottery", str(lottery)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "fairlot: error: lottery: duplicate item ids\n"
+    instance, lottery, _ = _one_item_files(tmp_path, ["x"])
+    assert run(["verify", "--property", "ef", "--input", str(instance),
+                "--lottery", str(lottery)])[0] == 0
+
+
 def _three_part_lottery():
     # Weights on the lcm L = 6; owners of a..d per allocation.
     support = (("1/6", "1122"), ("1/3", "2112"), ("1/2", "1212"))

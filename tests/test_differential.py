@@ -1,5 +1,6 @@
-"""Differential property tests: the ex-post checkers and the oracle's
-Pareto filter against brute force written from the definitions, the
+"""Differential property tests: the ex-post checkers and the item-by-item
+Pareto front against brute force written from the definitions, the
+simplex's sparse pivot against the dense one, the
 SD-efficiency graph test against the exact improvement LP,
 support reduction against a dense full-width elimination, the eating
 engine's max-flow against networkx, and the integer-scaled Birkhoff
@@ -25,7 +26,8 @@ import sys
 from fractions import Fraction as F
 from itertools import product
 from math import gcd, lcm
-from operator import le
+from operator import ge, le, mul
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st, target
@@ -71,6 +73,7 @@ from fairlot.model import (
 )
 from fairlot.oracle import enumerate_allocations, sd_improvement_exists
 from fairlot.pslottery import _fresh_dummy_ids, _independent_mod2, plan
+from fairlot.simplex import solve_lp, verify_farkas
 from conftest import max_eating_duration
 from test_fairness import slow_efk, slow_sd_ef1
 
@@ -299,16 +302,129 @@ def test_po_matches_definition(case):
         assert dominates(tuple(utilities[a] for a in inst.agents), base)
 
 
-@SETTINGS
-@given(instances(max_agents=3, max_items=4))
-def test_pareto_flags_match_definition(inst):
+def scaled_vector(inst, alloc):
+    """Every agent's utility of its bundle in its ``integer_rows`` scale."""
+    scales = [scale for _, scale in inst.integer_rows()]
+    return tuple(int(u * s) for u, s in zip(vector(inst, alloc), scales))
+
+
+def reference_pareto_front(inst):
+    """Every allocation in ``enumerate_allocations`` order, its integer
+    utility vector, and the set of Pareto-maximal vectors, by brute force."""
     allocations = enumerate_allocations(inst.agents, inst.items)
-    vectors = [vector(inst, alloc) for alloc in allocations]
-    expected = [not any(dominates(w, v) for w in vectors) for v in vectors]
-    front, scaled, maximal = pareto_front(inst)
-    assert front == allocations
-    assert [v in maximal for v in scaled] == expected
-    assert pareto_front(inst)[0] is front  # enumerated once per instance
+    vectors = [scaled_vector(inst, alloc) for alloc in allocations]
+    maxima = []
+    for v in sorted(set(vectors), key=sum, reverse=True):
+        if not any(all(map(ge, w, v)) for w in maxima):
+            maxima.append(v)
+    return allocations, vectors, set(maxima)
+
+
+@st.composite
+def tied_instances(draw):
+    """n <= 4 agents, m <= 6 items, values drawn from a palette of at most
+    three (zero included), rows repeated or all zero."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    palette = [F(0)] + draw(st.lists(utilities, min_size=1, max_size=3))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["drawn", "drawn", "repeat", "zero"]))
+        if kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "zero":
+            rows.append([F(0)] * m)
+        else:
+            rows.append([draw(st.sampled_from(palette)) for _ in range(m)])
+    agents = [f"a{i}" for i in range(1, n + 1)]
+    items = [f"o{j}" for j in range(1, m + 1)]
+    table = {a: dict(zip(items, row)) for a, row in zip(agents, rows)}
+    return Instance.from_utilities(table, agents=agents, items=items)
+
+
+@SETTINGS
+@given(tied_instances(), st.data())
+def test_pareto_flags_match_definition(inst, data):
+    allocations, vectors, maximal = reference_pareto_front(inst)
+    front, scaled, maxima = pareto_front(inst)
+    assert [(a, v) for a, v in zip(allocations, vectors) if v in maximal] == list(
+        zip(front, scaled))
+    assert maxima == maximal
+    assert pareto_front(inst)[0] is front  # computed once per instance
+    event("some allocation dominated" if len(front) < len(allocations) else "all optimal")
+    # A FAIL certificate names the first dominating allocation in order.
+    base_alloc = data.draw(st.sampled_from(allocations))
+    base = scaled_vector(inst, base_alloc)
+    first = next(((a, v) for a, v in zip(allocations, vectors)
+                  if v != base and all(map(ge, v, base))), None)
+    report = check_po_bruteforce(base_alloc, inst)
+    event("po PASS" if report.ok else "po FAIL")
+    assert report.ok == (first is None)
+    if first is not None:
+        better, values = first
+        scales = [scale for _, scale in inst.integer_rows()]
+        assert report.violation == {
+            "improving_allocation": better.owner_map(),
+            "utilities": {a: F(v, s) for a, v, s in zip(inst.agents, values, scales)},
+        }
+    # A lottery may list the agents and items in another order.
+    reordered = DeterministicAllocation(inst.agents[::-1], inst.items[::-1],
+                                        base_alloc.owners[::-1])
+    assert check_po_bruteforce(reordered, inst) == report
+
+
+def dense_pivot(tableau, cost, row, col, basis):
+    """The simplex pivot updating every column of every row."""
+    pivot_value = tableau[row][col]
+    tableau[row] = [v / pivot_value for v in tableau[row]]
+    for r, other in enumerate(tableau):
+        if r != row and other[col] != 0:
+            factor = other[col]
+            tableau[r] = [v - factor * w for v, w in zip(other, tableau[row])]
+    if cost[col] != 0:
+        factor = cost[col]
+        for j, w in enumerate(tableau[row]):
+            cost[j] -= factor * w
+    basis[row] = col
+
+
+@st.composite
+def linear_programs(draw):
+    """min c.x, A x = b, x >= 0 with up to 4 rows and 6 columns: 0/1,
+    small-integer, repeated and zero columns, rational right-hand sides
+    (zero and negative ones included)."""
+    nrows = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["binary", "integer", "repeat", "zero"]))
+        if kind == "repeat" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        elif kind == "zero":
+            columns.append([F(0)] * nrows)
+        else:
+            values = st.integers(0, 1) if kind == "binary" else st.integers(-2, 3)
+            columns.append([F(draw(values)) for _ in range(nrows)])
+    rhs = [draw(st.builds(F, st.integers(-3, 6), st.integers(1, 4))) for _ in range(nrows)]
+    objective = [F(draw(st.integers(-2, 2))) for _ in columns]
+    return objective, [list(row) for row in zip(*columns)], rhs
+
+
+@SETTINGS
+@given(linear_programs())
+@example(([F(0), F(0)], [[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)]))  # infeasible
+@example(([F(-1), F(0)], [[F(1), F(-1)]], [F(0)]))  # unbounded
+@example(([F(0), F(1)], [[F(1), F(0)], [F(1), F(0)], [F(1), F(1)]], [F(1)] * 3))  # degenerate
+def test_sparse_pivot_matches_dense_pivot(lp):
+    objective, rows, rhs = lp
+    with mock.patch("fairlot.simplex._pivot", dense_pivot):
+        expected = solve_lp(objective, rows, rhs)
+    result = solve_lp(objective, rows, rhs)
+    event(result.status)
+    assert result == expected
+    if result.status == "infeasible":
+        assert verify_farkas(rows, rhs, result.farkas)
+    elif result.status == "optimal":
+        assert [sum(map(mul, row, result.x)) for row in rows] == rhs
 
 
 @st.composite

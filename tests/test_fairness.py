@@ -24,6 +24,7 @@ from fairlot import (
     sd_compare,
     utility_of_bundle,
 )
+from fairlot.fairness import pareto_front
 from fairlot.oracle import sd_improvement_exists
 from conftest import consistent_utilities, weak_instance
 
@@ -366,6 +367,25 @@ def test_check_po_budget_refusal(example_instance, monkeypatch):
     monkeypatch.setenv("FAIRLOT_BUDGET", "3")
     with pytest.raises(BudgetExceeded, match=r"^2\^4 = 16 allocations exceed the budget 3$"):
         check_po_bruteforce(split, example_instance)
+
+
+def test_pareto_front_builds_only_its_allocations(monkeypatch):
+    # A cost pin, not a timing: the front of a tied 4x7 instance (two
+    # equal rows, a zero in every row) holds 368 of the 4^7 allocations,
+    # and only those are ever constructed.
+    inst = Instance.from_utilities(
+        {f"a{i}": {f"o{j}": (i + j) % 3 for j in range(7)} for i in range(4)})
+    built = []
+    init = DeterministicAllocation.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(DeterministicAllocation, "__init__", counting)
+    front, vectors, maximal = pareto_front(inst)
+    assert len(built) == len(front) == len(vectors) == 368
+    assert len(maximal) == 90
 
 
 def test_implication_chain_fuzz():

@@ -77,16 +77,14 @@ def files(tmp_path_factory):
     return {"instance": str(instance), "lottery": str(lottery), "matrix": str(matrix)}
 
 
-PROPERTIES = [["--property", p] for p in ("ef", "sdef", "sdeff", "ef1", "sdef1",
-                                          "strong-ef1", "rb")] + [["--property", "efk", "--k", "1"]]
+PROPERTIES = [["--property", p] for p in ("ef", "sdef", "sdeff", "ef1", "sdef1", "strong-ef1",
+                                          "rb", "po")] + [["--property", "efk", "--k", "1"]]
 COMMANDS = [
     (["solve", "--rule", "ps"], BUILD),
     (["solve", "--rule", "eps"], BUILD),
     (["lottery", "--rule", "ps", "--reduce", "--out", "-"], BUILD),
     (["lottery", "--rule", "eps", "--out", "-"], BUILD),
     *[(["verify", *p, "--lottery", "{lottery}"], CHECK) for p in PROPERTIES],
-    # Pareto optimality is decided by enumerating, which the oracle does.
-    (["verify", "--property", "po", "--lottery", "{lottery}"], ORACLE),
     *[(["oracle", "--filter", f, "--allocation", "{matrix}"], ORACLE)
       for f in ("ef1-po", "balanced-po", "none")],
     (["gen", "--agents", "3", "--items", "4", "--seed", "1"], EVERY_COMMAND),
