@@ -29,9 +29,9 @@ _EXPORTS = {
         "model": "BudgetExceeded DeterministicAllocation EatingTrace Instance Lottery "
                  "OrdinalProfile RandomAllocation Rational SdRelation TraceSegment "
                  "expected_allocation format_rational ordinal_from_utilities rational "
-                 "sd_compare utility_of_bundle",
+                 "sd_compare",
         "oracle": "InfeasibilityCertificate enumerate_allocations implementable_by "
-                  "leximin_bruteforce pareto_improvement_exists sd_improvement_exists",
+                  "sd_improvement_exists",
         "ps": "ps_outcome",
         "pslottery": "PaddedInstance Plan implement pad_with_dummies plan project "
                      "ps_lottery re_eat reduce_support support_bound",

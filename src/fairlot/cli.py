@@ -154,8 +154,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     prop = args.property
     prefs = ordinal_from_utilities(instance) if prop in _ORDINAL else None
 
-    if args.lottery is None:
-        raise FormatError(f"--property {prop} needs --lottery FILE")
     lottery, expected, _meta = fileio.lottery_from_obj(
         _load_json(args.lottery, "lottery file")
     )
@@ -300,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check a property and print a certificate")
     p_ver.add_argument("--property", required=True, choices=_EX_ANTE + _EX_POST)
     p_ver.add_argument("--input", required=True)
-    p_ver.add_argument("--lottery")
+    p_ver.add_argument("--lottery", required=True)
     p_ver.add_argument("--k", type=int, help="k for --property efk")
     p_ver.set_defaults(func=cmd_verify)
 

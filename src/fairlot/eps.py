@@ -25,10 +25,10 @@ integer scale L, the lcm of the denominators of the eaters' demands,
 with L at every item; the max-flow adds and compares plain ints, and one
 search from the source per failing round yields the violating set.
 
-When a step finishes, its tight eaters take the even split of their
-windows over their items instead of the witness flow, if that split
-exhausts their items exactly; all multi-item groups finishing at one
-instant take it together, or none do.
+When a multi-item group finishes, tight eaters with the same items and
+the same window start share their witness rows equally.  The class
+average keeps each item's inflow and each eater's total, and agents with
+equal tiers always land in one class, so equal agents get equal rows.
 """
 
 from __future__ import annotations
@@ -340,22 +340,6 @@ def _eat(
             _, _, seq, group = heappop(heap)
             if seq == group.seq:
                 done.append(group)
-        # A tight eater of a multi-item group takes the even split of its
-        # window over its items instead of its witness flow, so symmetric
-        # eaters get symmetric rows; the groups finishing now all take it,
-        # if it exhausts every item they exhaust, or none do.  (Only tight
-        # eaters are pinned, and their items are exactly the tight ones, so
-        # swapping their rows keeps the witness valid.)
-        even, uniform = True, {}
-        for group in done:
-            if len(group.items) > 1:
-                eligible, (_, tight, gone, _) = group.plan
-                fill = dict.fromkeys(gone, _ZERO)
-                for a in tight:
-                    uniform[a] = dict.fromkeys(eligible[a], (t - start[a]) / len(eligible[a]))
-                    for o, share in uniform[a].items():
-                        fill[o] += share
-                even = even and all(v == 1 for v in fill.values())
         movers: list[str] = []
         rest: list[str] = []
         for group in done:
@@ -365,9 +349,19 @@ def _eat(
                 tight, gone = group.eaters, group.items
                 flow = {a: {gone[0]: t - start[a]} for a in tight}
             else:
-                _, (_, tight, gone, flow) = group.plan
-                if even:
-                    flow = uniform
+                eligible, (_, tight, gone, flow) = group.plan
+                # Tight eaters with the same items and window start share
+                # their rows equally; equal agents always form one class.
+                classes: dict[tuple, list[str]] = {}
+                for a in tight:
+                    classes.setdefault((start[a], *sorted(eligible[a])), []).append(a)
+                for members in classes.values():
+                    pooled: dict[str, Fraction] = {}
+                    for a in members:
+                        for o, v in flow[a].items():
+                            pooled[o] = pooled.get(o, _ZERO) + v
+                    for a in members:
+                        flow[a] = {o: v / len(members) for o, v in pooled.items()}
                 for o in gone:
                     if sum(flow[a].get(o, _ZERO) for a in tight) != 1:
                         raise AssertionError(f"tight item {o!r} not exactly exhausted")

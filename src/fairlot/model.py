@@ -33,7 +33,6 @@ __all__ = [
     "TraceSegment",
     "SdRelation",
     "ordinal_from_utilities",
-    "utility_of_bundle",
     "sd_compare",
     "expected_allocation",
     "BudgetExceeded",
@@ -649,18 +648,6 @@ class EatingTrace(_Frozen):
                 row[seg.item] = row.get(seg.item, Fraction(0)) + seg.amount
             rows[agent] = row
         return rows
-
-
-def utility_of_bundle(instance: Instance, agent: str, row: Row) -> Fraction:
-    """Exact additive utility of a fractional bundle (item -> amount) for
-    one agent."""
-    values = instance.values[instance.agent_index(agent)]
-    item_idx = instance._index_maps()[1]
-    total = Fraction(0)
-    for o, amount in row.items():
-        if amount:
-            total += values[item_idx[o]] * rational(amount)
-    return total
 
 
 def sd_compare(

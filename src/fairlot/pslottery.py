@@ -130,15 +130,14 @@ def project(
     dummy items are dropped.
     """
     instance = padded.instance
-    m = instance.m  # dummies follow the real items in padded.items
-    owner: dict[str, str] = {}
-    for idx, (agent, _k) in enumerate(padded.representatives):
-        col = permutation[idx]
+    agents, m, c = instance.agents, instance.m, padded.c
+    owners: list[str | None] = [None] * m  # dummies follow the real items
+    for idx, col in enumerate(permutation):
         if col < m:
-            owner[padded.items[col]] = agent
-    if set(owner) != set(instance.items):
+            owners[col] = agents[idx // c]  # representative idx is (agents[idx // c], k)
+    if None in owners:
         raise ValueError("permutation does not cover every real item")
-    return DeterministicAllocation.from_mapping(instance.agents, instance.items, owner)
+    return DeterministicAllocation(agents, instance.items, tuple(owners))
 
 
 def support_bound(c: int, n: int) -> int:

@@ -23,24 +23,11 @@ def example_instance() -> Instance:
 def max_eating_duration(eaters, eligible, demand=None):
     """One eating step of a group on its own, every item one whole unit:
     the bottleneck duration, the maximal tight set, the items it exhausts
-    and its flow.  ``eligible[a]`` holds the items eater a eats from and
-    ``demand[a]`` (0 where missing) what it has eaten of them unpinned.
-    As in the eating loop, the tight eaters take the even split of their
-    total over their items when that exhausts every tight item exactly
-    (the loop decides this over every group finishing at one instant)."""
+    and its max-flow witness.  ``eligible[a]`` holds the items eater a
+    eats from and ``demand[a]`` (0 where missing) what it has eaten of
+    them unpinned."""
     demand = {e: Fraction((demand or {}).get(e, 0)) for e in eaters}
-    duration, tight, tight_items, flow = _bottleneck(eaters, eligible, demand)
-    even = {}
-    for e in tight:
-        share = (demand[e] + duration) / len(eligible[e])
-        even[e] = dict.fromkeys(eligible[e], share) if share else {}
-    fill = dict.fromkeys(tight_items, Fraction(0))
-    for row in even.values():
-        for o, share in row.items():
-            fill[o] += share
-    if all(v == 1 for v in fill.values()):
-        flow.update(even)
-    return duration, tight, tight_items, flow
+    return _bottleneck(eaters, eligible, demand)
 
 
 def strict_instance(rng: random.Random, n: int, m: int) -> Instance:

@@ -1,0 +1,138 @@
+"""Reference oracles that only tests use: the exact utility of a
+fractional bundle, the fractional Pareto-improvement LP and the leximin
+optimum of a binary instance, all over the package's exact simplex.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping, Sequence
+
+from fairlot import Instance, RandomAllocation, rational
+from fairlot.oracle import _allocation_from_x, _cells, _item_sum_rows
+from fairlot.simplex import LpResult, solve_lp
+
+
+def utility_of_bundle(instance: Instance, agent: str, row: Mapping[str, Fraction]) -> Fraction:
+    """Exact additive utility of a fractional bundle (item -> amount) for
+    one agent."""
+    values = instance.values[instance.agent_index(agent)]
+    item_idx = instance._index_maps()[1]
+    total = Fraction(0)
+    for o, amount in row.items():
+        if amount:
+            total += values[item_idx[o]] * rational(amount)
+    return total
+
+
+def pareto_improvement_exists(
+    p: RandomAllocation, instance: Instance
+) -> RandomAllocation | None:
+    """Search for a fractional allocation that gives every agent at least
+    its utility under p and someone strictly more; exact LP, maximizing
+    the total surplus.  None means p is fractionally Pareto optimal."""
+    cells = _cells(instance.agents, instance.items)
+    n = instance.n  # variables: q cells, then one surplus per agent
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for idx, a in enumerate(instance.agents):
+        row = [
+            instance.utility(cell_a, cell_o) if cell_a == a else Fraction(0)
+            for (cell_a, cell_o) in cells
+        ]
+        surplus = [Fraction(0)] * n
+        surplus[idx] = Fraction(-1)
+        rows.append(row + surplus)
+        rhs.append(utility_of_bundle(instance, a, p.row(a)))
+    col_rows, col_rhs = _item_sum_rows(instance.items, cells, n)
+    rows.extend(col_rows)
+    rhs.extend(col_rhs)
+    objective = [Fraction(0)] * len(cells) + [Fraction(-1)] * n  # maximize surplus
+    result = solve_lp(objective, rows, rhs)
+    if result.status != "optimal":
+        raise AssertionError(f"improvement LP ended {result.status}")
+    if result.objective == 0:
+        return None
+    return _allocation_from_x(instance.agents, instance.items, result.x)
+
+
+def leximin_bruteforce(
+    instance: Instance,
+) -> tuple[tuple[Fraction, ...], RandomAllocation]:
+    """Leximin-optimal utility vector over fractional allocations of a
+    binary instance, with a witnessing allocation.
+
+    Iterative max-min: maximize the common floor of the still-free agents,
+    pin every agent that cannot rise above it, repeat.  The resulting
+    ascending vector is unique.
+    """
+    if not instance.is_binary():
+        raise ValueError("leximin reference requires binary (0/1) utilities")
+    agents = instance.agents
+    cells = _cells(agents, instance.items)
+
+    def utility_row(a: str, t_coeff: Fraction, slack_pos: int | None,
+                    nslack: int) -> list[Fraction]:
+        row = [
+            instance.utility(cell_a, cell_o) if cell_a == a else Fraction(0)
+            for (cell_a, cell_o) in cells
+        ]
+        row.append(t_coeff)
+        slack = [Fraction(0)] * nslack
+        if slack_pos is not None:
+            slack[slack_pos] = Fraction(-1)
+        return row + slack
+
+    fixed: dict[str, Fraction] = {}
+    free = list(agents)
+    last_x: Sequence[Fraction] | None = None
+
+    def solve(maximize_agent: str | None, floor: Fraction | None) -> LpResult:
+        # Variables: cells, t, one slack per agent-bound constraint.
+        nslack = len(agents)
+        rows: list[list[Fraction]] = []
+        rhs: list[Fraction] = []
+        for k, a in enumerate(agents):
+            if a in fixed:
+                rows.append(utility_row(a, Fraction(0), k, nslack))
+                rhs.append(fixed[a])
+            elif floor is not None:
+                rows.append(utility_row(a, Fraction(0), k, nslack))
+                rhs.append(floor)
+            else:
+                rows.append(utility_row(a, Fraction(-1), k, nslack))
+                rhs.append(Fraction(0))
+        width = len(cells) + 1 + nslack
+        col_rows, col_rhs = _item_sum_rows(instance.items, cells, 1 + nslack)
+        rows.extend(col_rows)
+        rhs.extend(col_rhs)
+        objective = [Fraction(0)] * width
+        if maximize_agent is None:
+            objective[len(cells)] = Fraction(-1)  # maximize t
+        else:
+            for j, (cell_a, cell_o) in enumerate(cells):
+                if cell_a == maximize_agent:
+                    objective[j] = -instance.utility(cell_a, cell_o)
+        result = solve_lp(objective, rows, rhs)
+        if result.status != "optimal":
+            raise AssertionError(f"leximin LP ended {result.status}")
+        return result
+
+    while free:
+        best = solve(None, None)
+        t_star = -best.objective
+        last_x = best.x
+        stuck = []
+        for a in free:
+            cap = solve(a, t_star)
+            if -cap.objective == t_star:
+                stuck.append(a)
+        if not stuck:
+            raise AssertionError("max-min step pinned no agent")
+        for a in stuck:
+            fixed[a] = t_star
+        free = [a for a in free if a not in stuck]
+
+    witness = _allocation_from_x(agents, instance.items, last_x)
+    vector = tuple(sorted(fixed[a] for a in agents))
+    return vector, witness

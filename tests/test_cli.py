@@ -241,9 +241,13 @@ def test_verify_sdeff_never_solves_an_lp(tmp_path, monkeypatch):
     assert codes == [0, 1]
 
 
-def test_verify_needs_lottery(example_file):
-    code, _ = run(["verify", "--property", "ef1", "--input", example_file])
-    assert code == 2
+@pytest.mark.parametrize("prop", ["ef", "ef1"])
+def test_verify_needs_lottery(example_file, capsys, prop):
+    # argparse rejects the command line before any property runs.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--property", prop, "--input", example_file])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --lottery" in capsys.readouterr().err
 
 
 def test_verify_efk_needs_k(tmp_path, example_file):

@@ -56,7 +56,6 @@ from fairlot import (
     ps_outcome,
     reduce_support,
     sd_compare,
-    utility_of_bundle,
 )
 from fairlot.birkhoff import _complete_matching
 from fairlot.eps import _Flow
@@ -75,6 +74,7 @@ from fairlot.oracle import enumerate_allocations, sd_improvement_exists
 from fairlot.pslottery import _fresh_dummy_ids, _independent_mod2, plan
 from fairlot.simplex import solve_lp, verify_farkas
 from conftest import max_eating_duration
+from references import utility_of_bundle
 from test_fairness import slow_efk, slow_sd_ef1
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1250,16 +1250,6 @@ def reference_max_eating_duration(eaters, eligible, demand):
         for edge in net.adj[eater_node[e]]:
             if edge % 2 == 0 and net.to[edge] != 0 and net.flow_on(edge) > 0:
                 flows[e][items[net.to[edge] - 2 - len(eaters)]] = net.flow_on(edge)
-    fill = {o: F(0) for o in tight_items}
-    uniform = {}
-    for e in tight:
-        share = (demand[e] + delta) / len(eligible[e])
-        uniform[e] = {o: share for o in sorted(eligible[e])} if share > 0 else {}
-        for o in eligible[e]:
-            fill[o] += share
-    if all(fill[o] == cap[o] for o in tight_items):
-        for e in tight:
-            flows[e] = uniform[e]
     for o in tight_items:
         assert sum(flows[e].get(o, F(0)) for e in tight) == cap[o]
     return (delta, tuple(sorted(tight, key=str)), tuple(tight_items), flows), rounds

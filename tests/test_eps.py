@@ -12,11 +12,11 @@ from fairlot import (
     globally_unwanted,
     ordinal_from_utilities,
     ps_outcome,
-    utility_of_bundle,
 )
 from fairlot.eps import _Flow
-from fairlot.oracle import leximin_bruteforce, sd_improvement_exists
+from fairlot.oracle import sd_improvement_exists
 from conftest import binary_instance, max_eating_duration, strict_instance, weak_instance
+from references import leximin_bruteforce, utility_of_bundle
 
 
 def test_matches_serial_eating_on_strict_profiles(example_instance):
@@ -62,52 +62,34 @@ def test_coordination_respects_later_demand():
     assert sd_improvement_exists(out, ordinal_from_utilities(inst)) is None
 
 
-def test_groups_finishing_together_share_the_even_split_decision():
+TWO_GROUPS = {
+    "a1": {"x": 3, "y": 3, "p": 1, "q": 1},
+    "a2": {"x": 3, "y": 3, "p": 1, "q": 1},
+    "b1": {"p": 3, "q": 2, "x": 1, "y": 1},
+    "b2": {"p": 3, "q": 3, "x": 1, "y": 1},
+}
+
+
+@pytest.mark.parametrize("agents", [["a1", "a2", "b1", "b2"], ["b1", "b2", "a1", "a2"]],
+                         ids=["a-first", "b-first"])
+def test_equal_eaters_share_their_rows_whatever_finishes_with_them(agents):
     # a1 and a2 eat the tier {x, y}; b1 eats p, and b2 eats the tier
-    # {p, q}.  Both groups run out at time 1.  An even split fills x and y
-    # exactly but would give p 3/2, so neither group takes it: a1 and a2
-    # keep the max-flow witness and get one item each.
+    # {p, q}.  Both groups run out at time 1.  a1 and a2 share their rows
+    # whichever vertex the max-flow finds, and whichever group is seated
+    # first; b1 and b2 eat from different items, so each keeps its witness.
     inst = Instance.from_utilities(
-        {
-            "a1": {"x": 3, "y": 3, "p": 1, "q": 1},
-            "a2": {"x": 3, "y": 3, "p": 1, "q": 1},
-            "b1": {"p": 3, "q": 2, "x": 1, "y": 1},
-            "b2": {"p": 3, "q": 3, "x": 1, "y": 1},
-        },
-        agents=["a1", "a2", "b1", "b2"], items=["x", "y", "p", "q"],
-    )
+        {a: TWO_GROUPS[a] for a in agents}, agents=agents, items=["x", "y", "p", "q"])
     out, _ = eps_outcome(inst, mode="standard")
-    assert out.entries == (
-        (F(1), F(0), F(0), F(0)),
-        (F(0), F(1), F(0), F(0)),
-        (F(0), F(0), F(1), F(0)),
-        (F(0), F(0), F(0), F(1)),
-    )
-
-
-def test_the_even_split_decision_does_not_depend_on_group_order():
-    # The instance above with b1 and b2 seated first: their group, whose
-    # even split would give p 3/2, now finishes first of the two, and
-    # the later group's acceptance must not carry it.
-    inst = Instance.from_utilities(
-        {
-            "b1": {"p": 3, "q": 2, "x": 1, "y": 1},
-            "b2": {"p": 3, "q": 3, "x": 1, "y": 1},
-            "a1": {"x": 3, "y": 3, "p": 1, "q": 1},
-            "a2": {"x": 3, "y": 3, "p": 1, "q": 1},
-        },
-        agents=["b1", "b2", "a1", "a2"], items=["x", "y", "p", "q"],
-    )
-    out, _ = eps_outcome(inst, mode="standard")
-    assert out.row("a1") == {"x": F(1), "y": F(0), "p": F(0), "q": F(0)}
-    assert out.row("a2") == {"x": F(0), "y": F(1), "p": F(0), "q": F(0)}
+    half = F(1, 2)
+    assert out.row("a1") == {"x": half, "y": half, "p": F(0), "q": F(0)}
+    assert out.row("a2") == {"x": half, "y": half, "p": F(0), "q": F(0)}
     assert out.row("b1") == {"x": F(0), "y": F(0), "p": F(1), "q": F(0)}
     assert out.row("b2") == {"x": F(0), "y": F(0), "p": F(0), "q": F(1)}
 
 
-def test_groups_finishing_together_all_take_the_even_split():
-    # Two groups of symmetric eaters run out at time 1, and the even
-    # split exhausts the items of both: every eater gets half of each.
+def test_every_class_of_equal_eaters_shares_its_rows():
+    # Two groups of equal eaters run out at time 1: each class averages
+    # its own witness rows, so every eater gets half of each of its items.
     inst = Instance.from_utilities(
         {
             "a1": {"x": 3, "y": 3, "p": 1, "q": 1},
@@ -127,14 +109,48 @@ def test_groups_finishing_together_all_take_the_even_split():
     )
 
 
-def test_a_refused_even_split_keeps_the_witness():
-    # b1 eats only p and b2 eats {p, q}; both are tight at time 1, and
-    # the even split would give p 3/2, so each keeps one whole item.
+def test_eaters_with_different_items_keep_the_witness():
+    # b1 eats only p and b2 eats {p, q}; both are tight at time 1, in
+    # classes of one, so each keeps its one whole item.
     inst = Instance.from_utilities(
         {"b1": {"p": 2, "q": 1}, "b2": {"p": 1, "q": 1}}, agents=["b1", "b2"], items=["p", "q"])
     out, trace = eps_outcome(inst, mode="standard")
     assert out.entries == ((F(1), F(0)), (F(0), F(1)))
     assert trace.segments["b2"] == (TraceSegment("q", F(0), F(1), F(1)),)
+
+
+@st.composite
+def repeated_profiles(draw, binary):
+    """Up to six agents whose utility rows come from at most three base
+    rows; outside binary mode each agent scales its base by its own
+    positive factor, which keeps the tiers."""
+    items = [f"o{j}" for j in range(draw(st.integers(1, 9)))]
+    agents = [f"a{i}" for i in range(draw(st.integers(2, 6)))]
+    row = st.lists(st.integers(0, 1) if binary else st.integers(1, 3),
+                   min_size=len(items), max_size=len(items))
+    bases = draw(st.lists(row, min_size=1, max_size=3))
+    factor = st.just(F(1)) if binary else st.builds(F, st.integers(1, 6), st.integers(1, 4))
+    table = {}
+    for a in agents:
+        base, k = draw(st.sampled_from(bases)), draw(factor)
+        table[a] = dict(zip(items, (k * v for v in base)))
+    return Instance.from_utilities(table, agents=agents, items=items)
+
+
+@pytest.mark.parametrize("mode", ["standard", "skip_zero"])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_equal_agents_get_equal_rows(mode, data):
+    # Standard mode: equal tiers give equal rows.  Skip-zero mode: equal
+    # liked sets give equal rows.
+    inst = data.draw(repeated_profiles(mode == "skip_zero"))
+    out, _ = eps_outcome(inst, mode=mode)
+    tiers = ordinal_from_utilities(inst).tiers
+    if mode == "skip_zero":
+        tiers = {a: {o for o in inst.items if inst.utility(a, o) == 1} for a in inst.agents}
+    for a, b in combinations(inst.agents, 2):
+        if tiers[a] == tiers[b]:
+            assert out.row(a) == out.row(b)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -22,11 +22,11 @@ from fairlot import (
     ordinal_from_utilities,
     ps_outcome,
     sd_compare,
-    utility_of_bundle,
 )
 from fairlot.fairness import pareto_front
 from fairlot.oracle import sd_improvement_exists
 from conftest import consistent_utilities, weak_instance
+from references import utility_of_bundle
 
 HALF = F(1, 2)
 

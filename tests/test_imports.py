@@ -155,9 +155,9 @@ PUBLIC = {
     "model": "BudgetExceeded DeterministicAllocation EatingTrace Instance Lottery "
              "OrdinalProfile RandomAllocation Rational SdRelation TraceSegment "
              "expected_allocation format_rational ordinal_from_utilities rational "
-             "sd_compare utility_of_bundle",
+             "sd_compare",
     "oracle": "InfeasibilityCertificate enumerate_allocations implementable_by "
-              "leximin_bruteforce pareto_improvement_exists sd_improvement_exists",
+              "sd_improvement_exists",
     "ps": "ps_outcome",
     "pslottery": "PaddedInstance Plan implement pad_with_dummies plan project "
                  "ps_lottery re_eat reduce_support support_bound",
@@ -179,7 +179,7 @@ def test_submodules_are_attributes():
 
 def test_every_public_name_is_listed_and_star_imported():
     names = {name for _, name in NAMES} | set(SUBMODULES)
-    assert len(names) == 56
+    assert len(names) == 53
     assert sorted(fairlot.__all__) == sorted(names)
     assert names <= set(dir(fairlot))
     namespace = {}
@@ -212,8 +212,7 @@ def test_public_names_only_tests_use_are_pinned():
     # such name fails here; moving one out of the package shrinks the set.
     used = set().union(*(referenced(path, False) for path in (SRC / "fairlot").glob("*.py")),
                        *(referenced(path, True) for path in (SRC.parent / "benchmarks").glob("*.py")))
-    assert sorted(set(fairlot._EXPORTS) - used) == [
-        "Rational", "is_bistochastic", "leximin_bruteforce", "pareto_improvement_exists"]
+    assert sorted(set(fairlot._EXPORTS) - used) == ["Rational", "is_bistochastic"]
 
 
 def test_budget_exceeded_is_one_class():

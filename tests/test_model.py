@@ -14,9 +14,9 @@ from fairlot import (
     ordinal_from_utilities,
     rational,
     sd_compare,
-    utility_of_bundle,
 )
 from conftest import consistent_utilities, weak_instance
+from references import utility_of_bundle
 
 
 def test_rational_parsing_and_formatting():

@@ -17,11 +17,10 @@ from fairlot.oracle import (
     configured_budget,
     enumerate_allocations,
     implementable_by,
-    leximin_bruteforce,
-    pareto_improvement_exists,
     sd_improvement_exists,
 )
 from conftest import binary_instance
+from references import leximin_bruteforce, pareto_improvement_exists, utility_of_bundle
 
 HALF = F(1, 2)
 
@@ -153,7 +152,6 @@ def test_leximin_witness_matches_vector():
     for _ in range(20):
         inst = binary_instance(rng, rng.randint(1, 4), rng.randint(1, 5))
         vector, witness = leximin_bruteforce(inst)
-        from fairlot import utility_of_bundle
         got = tuple(sorted(utility_of_bundle(inst, a, witness.row(a)) for a in inst.agents))
         assert got == vector
 
@@ -167,7 +165,6 @@ def test_pareto_improvement_on_crossed_ratios():
     witness = pareto_improvement_exists(p, inst)
     assert witness is not None
     assert witness.entry("1", "b") == 0 or witness.entry("2", "a") == 1
-    from fairlot import utility_of_bundle
     for a in inst.agents:
         assert utility_of_bundle(inst, a, witness.row(a)) >= utility_of_bundle(inst, a, p.row(a))
 

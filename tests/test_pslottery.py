@@ -21,10 +21,9 @@ from fairlot import (
     re_eat,
     reduce_support,
     support_bound,
-    utility_of_bundle,
 )
-from fairlot.oracle import leximin_bruteforce
 from conftest import binary_instance, strict_instance, weak_instance
+from references import leximin_bruteforce, utility_of_bundle
 
 
 def test_padding_counts(example_instance):
@@ -126,6 +125,12 @@ def test_project_drops_dummies():
     assert len(padded.dummies) == 1
     alloc = project((0, 1), padded)
     assert alloc.bundle("1") == ("x",) and alloc.bundle("2") == ()
+
+
+def test_project_rejects_a_permutation_that_misses_an_item(example_instance):
+    padded = pad_with_dummies(example_instance, c=2)
+    with pytest.raises(ValueError, match="^permutation does not cover every real item$"):
+        project((0, 0, 1, 2), padded)
 
 
 def test_ps_lottery_worked_example(example_instance):
