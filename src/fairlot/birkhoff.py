@@ -4,12 +4,14 @@ of permutation matrices.
 Matrices are sequences of sequences of Fractions (another entry type
 raises ``TypeError``, as in ``RandomAllocation``).  Permutations are given
 as a tuple ``perm`` with ``perm[row] = column``.  Each extraction step
-finds a perfect matching on the positivity graph (guaranteed to exist
+takes a perfect matching on the positivity graph (guaranteed to exist
 while the residual is a positive multiple of a bistochastic matrix;
 columns are scanned in ascending order, so decompositions are
-reproducible byte for byte), subtracts the smallest matched entry and
-repeats; at least one entry hits zero per step, so a k-by-k matrix needs
-at most k^2 - 2k + 2 steps.
+reproducible byte for byte) weighted by its smallest matched entry; at
+least one entry hits zero per step, so a k-by-k matrix needs at most
+k^2 - 2k + 2 steps.  No step subtracts from all k matched entries: each
+matched row keeps the extracted total at which its entry runs out, and
+only rows that die or move to another column have an entry written back.
 
 All arithmetic runs on one integer scale.  A bistochastic matrix is a
 square random allocation whose rows sum to 1 as well, so the matrix is
@@ -56,21 +58,26 @@ def is_bistochastic(matrix: Matrix) -> bool:
     return _residual(matrix) is not None
 
 
-def _augment(adjacency: Sequence[Sequence[int]], row: int,
-             match_col: list[int], visited: list[bool]) -> bool:
+def _augment(adjacency: Sequence[Sequence[int]], row: int, match_col: list[int],
+             visited: list[bool], changed: list[int]) -> bool:
     for col in adjacency[row]:
         if visited[col]:
             continue
         visited[col] = True
-        if match_col[col] == -1 or _augment(adjacency, match_col[col], match_col, visited):
+        if match_col[col] == -1 or _augment(adjacency, match_col[col], match_col, visited,
+                                            changed):
             match_col[col] = row
+            changed.append(col)
             return True
     return False
 
 
 def _complete_matching(adjacency: Sequence[Sequence[int]], match_col: list[int],
-                       rows_to_match: Sequence[int]) -> bool:
+                       rows_to_match: Sequence[int]) -> list[int] | None:
+    """Match ``rows_to_match`` too, along augmenting paths; the columns
+    whose row it set, in order, or None when some row cannot be matched."""
     k = len(adjacency)
+    changed: list[int] = []
     deferred = []
     for row in rows_to_match:
         # Greedy pass first: grab the first free column, no reassignment.
@@ -78,14 +85,15 @@ def _complete_matching(adjacency: Sequence[Sequence[int]], match_col: list[int],
         for col in adjacency[row]:
             if match_col[col] == -1:
                 match_col[col] = row
+                changed.append(col)
                 break
         else:
             deferred.append(row)
     for row in deferred:
         visited = [False] * k
-        if not _augment(adjacency, row, match_col, visited):
-            return False
-    return True
+        if not _augment(adjacency, row, match_col, visited, changed):
+            return None
+    return changed
 
 
 def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]:
@@ -102,39 +110,46 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]
     adjacency = [sorted(row) for row in residual]
     parts: list[tuple[Fraction, tuple[int, ...]]] = []
     match_col = [-1] * k
-    if not _complete_matching(adjacency, match_col, range(k)):
+    if _complete_matching(adjacency, match_col, range(k)) is None:
         raise ValueError("no perfect matching: input was not bistochastic")
 
-    remaining = scale
-    while remaining > 0:
-        perm = [-1] * k
-        for col, row in enumerate(match_col):
-            perm[row] = col
-        perm = tuple(perm)
-
-        weight = min(residual[r][perm[r]] for r in range(k))
+    # The residual is exact except at matched cells, which run out when
+    # the extracted total ``done`` reaches ``ends[row]``.
+    perm = sorted(range(k), key=match_col.__getitem__)  # perm[row] = column
+    ends = [residual[r][c] for r, c in enumerate(perm)]
+    done = 0
+    while True:
+        end = min(ends)
+        weight = end - done
         if weight <= 0:
             raise AssertionError("matched entry is not positive")
+        parts.append((Fraction(weight, scale), tuple(perm)))
+        done = end
         dead_rows = []
-        for r in range(k):
+        r = -1
+        for _ in range(ends.count(done)):
+            r = ends.index(done, r + 1)
             c = perm[r]
-            left = residual[r][c] - weight
-            if left:
-                residual[r][c] = left
-            else:
-                del residual[r][c]
-                adjacency[r].remove(c)
-                dead_rows.append(r)
-        parts.append((Fraction(weight, scale), perm))
-        remaining -= weight
-        if remaining == 0:
+            del residual[r][c]
+            adjacency[r].remove(c)
+            dead_rows.append(r)
+        if done == scale:
             break
         # Repair the matching instead of rebuilding it: only the rows whose
         # matched entry just vanished need a new augmenting path.
         for r in dead_rows:
             match_col[perm[r]] = -1
-        if not _complete_matching(adjacency, match_col, dead_rows):
+        changed = _complete_matching(adjacency, match_col, dead_rows)
+        if changed is None:
             raise ValueError("no perfect matching: input was not bistochastic")
+        # A row the repair moved is the final match of a changed column.
+        for c in changed:
+            r = match_col[c]
+            row = residual[r]
+            if ends[r] != done:
+                row[perm[r]] = ends[r] - done
+            perm[r] = c
+            ends[r] = done + row[c]
 
     if any(residual):
         raise AssertionError("residual nonzero after full decomposition")

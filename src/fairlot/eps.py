@@ -24,6 +24,8 @@ live item is one whole unit, so each round's network lives on one
 integer scale L, the lcm of the denominators of the eaters' demands,
 with L at every item; the max-flow adds and compares plain ints, and one
 search from the source per failing round yields the violating set.
+Most of the flow runs on shortest paths, which ``_network`` pushes in
+one pass with no search; Edmonds–Karp then finds only the longer ones.
 
 When a multi-item group finishes, tight eaters with the same items and
 the same window start share their witness rows equally.  The class
@@ -72,14 +74,15 @@ class _Flow:
         self.to: list[int] = []
         self.cap: list = []
 
-    def add(self, u: int, v: int, cap) -> int:
+    def add(self, u: int, v: int, cap, flow=0) -> int:
+        """An edge u -> v of capacity ``cap`` that already carries ``flow``."""
         e = len(self.to)
         self.adj[u].append(e)
         self.to.append(v)
-        self.cap.append(cap)
+        self.cap.append(cap - flow)
         self.adj[v].append(e + 1)
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(flow)
         return e
 
     def flow_on(self, e: int):
@@ -143,6 +146,42 @@ class _Flow:
         return set(range(len(self.adj))) - can
 
 
+def _network(
+    links: Sequence[Sequence[int]], width: int, totals: Sequence[Fraction]
+) -> tuple[_Flow, int, int, int]:
+    """A Dinkelbach round's network on one integer scale L, the lcm of the
+    denominators of ``totals``: source 0 gives eater i (node 2 + i) its
+    total, it reaches the items ``links[i]`` (ascending; item j is node
+    2 + len(links) + j), and each item holds L towards sink 1.  Returns
+    the network, L, the total supply and the flow already pushed, which
+    is Edmonds–Karp's first phase: its searches pop the eaters in source
+    order, so each path source -> eater -> item -> sink takes the first
+    eater with supply left that reaches an item with room left, and its
+    first such item; no supply or room grows while paths have length 3.
+    """
+    scale = lcm(*(d.denominator for d in totals))
+    n = len(links)
+    net = _Flow(2 + n + width)
+    # No augmenting path can fill an edge of more than the whole sink
+    # capacity, so eater-item edges never bound or cut a flow.
+    big = width * scale + 1
+    room = [scale] * width
+    supply = [d.numerator * (scale // d.denominator) for d in totals]
+    pushed = 0
+    for i, (units, columns) in enumerate(zip(supply, links)):
+        left = units
+        for j in columns:
+            bite = min(left, room[j])
+            room[j] -= bite
+            left -= bite
+            net.add(2 + i, 2 + n + j, big, bite)
+        net.add(0, 2 + i, units, units - left)
+        pushed += units - left
+    for j, left in enumerate(room):
+        net.add(2 + n + j, 1, scale, scale - left)
+    return net, scale, sum(supply), pushed
+
+
 def _bottleneck(
     eaters: Sequence[str],
     eligible: Mapping[str, Sequence[str]],
@@ -160,31 +199,8 @@ def _bottleneck(
     at the optimum, one row per eater.
     """
     items = sorted({o for e in eaters for o in eligible[e]})
-    # node ids: 0 = source, 1 = sink, then eaters, then items
-    eater_node = {e: 2 + i for i, e in enumerate(eaters)}
-    item_node = {o: 2 + len(eaters) + j for j, o in enumerate(items)}
-    pairs = [(eater_node[e], item_node[o]) for e in eaters for o in sorted(eligible[e])]
-
-    def build(duration: Fraction) -> tuple[_Flow, int, int]:
-        """The round's network on one integer scale L, the lcm of the
-        denominators of every eater's demand plus ``duration``; each item
-        holds L.  Returns the network, L and the total demand on L."""
-        total = [demand[e] + duration for e in eaters]
-        scale = lcm(*(d.denominator for d in total))
-        net = _Flow(2 + len(eaters) + len(items))
-        want = 0
-        for e, d in zip(eaters, total):
-            units = d.numerator * (scale // d.denominator)
-            want += units
-            net.add(0, eater_node[e], units)
-        # No augmenting path can fill an edge of more than the whole sink
-        # capacity, so eater-item edges never bound or cut a flow.
-        big = len(items) * scale + 1
-        for u, v in pairs:
-            net.add(u, v, big)
-        for o in items:
-            net.add(item_node[o], 1, scale)
-        return net, scale, want
+    column = {o: j for j, o in enumerate(items)}
+    links = [[column[o] for o in sorted(eligible[e])] for e in eaters]
 
     total_fixed = sum(demand[e] for e in eaters)
     if len(items) < total_fixed:
@@ -192,11 +208,12 @@ def _bottleneck(
     delta = Fraction(len(items) - total_fixed, len(eaters))
 
     while True:
-        net, scale, want = build(delta)
-        if net.maxflow(0, 1) == want:
+        net, scale, want, pushed = _network(links, len(items),
+                                            [demand[e] + delta for e in eaters])
+        if pushed + net.maxflow(0, 1) == want:
             break
         reach = net.reachable_from(0)
-        violator = [e for e in eaters if eater_node[e] in reach]
+        violator = [e for i, e in enumerate(eaters) if 2 + i in reach]
         vio_items = len({o for e in violator for o in eligible[e]})
         new_delta = Fraction(vio_items - sum(demand[e] for e in violator), len(violator))
         if new_delta < 0:
@@ -206,12 +223,12 @@ def _bottleneck(
         delta = new_delta
 
     blocked = net.cannot_reach(1)
-    tight = tuple(sorted(e for e in eaters if eater_node[e] in blocked))
+    tight = tuple(sorted(e for i, e in enumerate(eaters) if 2 + i in blocked))
     tight_items = tuple(sorted({o for e in tight for o in eligible[e]}))
     flow: dict[str, dict[str, Fraction]] = {}
-    for e in eaters:
+    for i, e in enumerate(eaters):
         row = flow[e] = {}
-        for edge in net.adj[eater_node[e]]:
+        for edge in net.adj[2 + i]:
             # forward edges sit at even indices: the eater's edges to items
             if edge % 2 == 0 and net.flow_on(edge) > 0:
                 row[items[net.to[edge] - 2 - len(eaters)]] = Fraction(net.flow_on(edge), scale)

@@ -111,6 +111,17 @@ def _rational_at(value, where: str) -> Fraction:
         raise FormatError(f"{where}: bad rational literal {_shown(value)} ({exc})") from None
 
 
+def _rationals(rows: list) -> tuple[tuple[Fraction, ...], ...]:
+    """``rational`` of every cell.  Cells repeat a few literals ("0" most
+    of all), so each distinct one is converted once; only when all are
+    strings, since 1, 1.0 and True are one dict key."""
+    literals = dict.fromkeys(chain.from_iterable(rows))
+    convert = rational
+    if all(type(v) is str for v in literals):
+        convert = {v: rational(v) for v in literals}.__getitem__
+    return tuple(tuple(map(convert, row)) for row in rows)
+
+
 def instance_to_obj(instance: Instance) -> dict:
     return {
         "agents": list(instance.agents),
@@ -131,8 +142,7 @@ def instance_from_obj(obj: Mapping) -> Instance:
     if not agents:
         raise FormatError("instance: no agents given")
     try:
-        values = tuple(tuple(map(rational, map(utilities[a].__getitem__, items)))
-                       for a in agents)
+        values = _rationals([tuple(map(utilities[a].__getitem__, items)) for a in agents])
     except (AttributeError, LookupError, TypeError, ValueError, ZeroDivisionError):
         # Name the first bad cell, in the order of the lists.
         for a in agents:
@@ -165,14 +175,7 @@ def matrix_from_obj(obj: Mapping) -> RandomAllocation:
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
         raise FormatError("matrix.entries: expected a list of lists")
     try:
-        # Cells repeat a few literals ("0" most of all), so each distinct
-        # one is converted once; only when all are strings, since 1, 1.0
-        # and True are one dict key.
-        literals = dict.fromkeys(chain.from_iterable(entries))
-        convert = rational
-        if all(type(v) is str for v in literals):
-            convert = {v: rational(v) for v in literals}.__getitem__
-        parsed = tuple(tuple(map(convert, row)) for row in entries)
+        parsed = _rationals(entries)
     except (TypeError, ValueError, ZeroDivisionError):
         # Name the first bad entry.
         for i, row in enumerate(entries):

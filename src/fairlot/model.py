@@ -70,9 +70,9 @@ def _check_budget(n: int, m: int) -> None:
     """Refuse (raise BudgetExceeded) when the n^m allocations of n agents
     and m items exceed the configured budget."""
     limit = configured_budget()
-    count = n ** m
-    if count > limit:
-        raise BudgetExceeded(f"{n}^{m} = {count} allocations exceed the budget {limit}")
+    # n^m is compared in full, not written: past 4300 digits str() raises.
+    if n ** m > limit:
+        raise BudgetExceeded(f"{n}^{m} allocations exceed the budget {limit}")
 
 
 # The grammar of ``Fraction``'s string form: "p", "p/q", decimals and
@@ -393,8 +393,11 @@ class OrdinalProfile(_Frozen):
 
         The transformation is explicit and recorded by the caller where it
         matters; the result is a strict total order consistent with the
-        weak order.
+        weak order.  The tiers partition the items, so a profile with one
+        tier per item is strict, and is its own strictification.
         """
+        if all(len(self.tiers[a]) == len(self.items) for a in self.agents):
+            return self
         new_tiers = {
             agent: tuple((o,) for tier in self.tiers[agent] for o in sorted(tier))
             for agent in self.agents

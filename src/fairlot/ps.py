@@ -37,6 +37,7 @@ def ps_outcome(
     items = tuple(items)
     if set(strict_prefs.items) != set(items):
         raise ValueError("the preference profile ranks other items than the ones to eat")
-    for a in agents:
-        strict_prefs.strict_order(a)  # raises on ties
+    for a in agents:  # the tiers partition the items: one per item is strict
+        if len(strict_prefs.tiers[a]) != len(strict_prefs.items):
+            strict_prefs.strict_order(a)  # raises on ties
     return _eat(agents, items, strict_prefs.tiers)

@@ -295,16 +295,39 @@ def _find_affine_dependency(masks: list[int], dim: int) -> list[int] | None:
     return None
 
 
+def _last_users_cover(lottery: Lottery) -> bool:
+    """True when every support allocation is the last to give some item
+    to some agent, which proves the support linearly, hence affinely,
+    independent: in a vanishing combination, the first allocation with a
+    nonzero coefficient would be alone at that cell.  False proves nothing.
+    """
+    indices = range(len(lottery.entries))
+    last: set[int] = set()
+    for item_owners in zip(*(allocation.owners for _, allocation in lottery.entries)):
+        last.update(dict(zip(item_owners, indices)).values())
+    return len(last) == len(indices)
+
+
 def reduce_support(lottery: Lottery) -> Lottery:
     """Shrink a lottery's support without changing its expectation.
 
-    Duplicates merge first; then, while the support allocations'
+    Duplicates merge first.  A support that ``_last_users_cover`` proves
+    independent stays as it is; otherwise, while the allocations'
     vectorizations are affinely dependent, weights are shifted along a
     kernel vector until one hits zero exactly and that allocation is
     dropped.  An affinely independent support over an n x m universe has
     at most nm + 1 elements.
     """
     lottery = lottery.merged()
+    if not _last_users_cover(lottery):
+        lottery = _eliminate(lottery)
+    if len(lottery.entries) > len(lottery.agents) * len(lottery.items) + 1:
+        raise AssertionError("independent support exceeds the Caratheodory bound")
+    return lottery
+
+
+def _eliminate(lottery: Lottery) -> Lottery:
+    """``reduce_support``'s elimination, on a merged lottery."""
     agents, items = lottery.agents, lottery.items
     agent_index = {a: i for i, a in enumerate(agents)}
     m = len(items)
@@ -335,7 +358,4 @@ def reduce_support(lottery: Lottery) -> Lottery:
             for (w, alloc, mask), g in zip(entries, gamma)
             if w - step * g != 0
         ]
-    reduced = Lottery(tuple((w, alloc) for w, alloc, _ in entries))
-    if len(reduced.entries) > len(agents) * len(items) + 1:
-        raise AssertionError("independent support exceeds the Caratheodory bound")
-    return reduced
+    return Lottery(tuple((w, alloc) for w, alloc, _ in entries))

@@ -346,6 +346,24 @@ def test_oracle_budget_refusal(tmp_path, example_file, monkeypatch):
     assert code == 2
 
 
+def test_budget_refusal_past_the_digit_limit(tmp_path, monkeypatch, capsys):
+    # 2^15000 has 4516 digits, more than str() of an int may write.
+    monkeypatch.delenv("FAIRLOT_BUDGET", raising=False)
+    code, out = run(["gen", "--agents", "2", "--items", "15000", "--seed", "1"])
+    assert code == 0
+    i_path, m_path = tmp_path / "i.json", tmp_path / "m.json"
+    i_path.write_text(out)
+    doc = json.loads(out)
+    m_path.write_text(json.dumps({"rows": doc["agents"], "items": doc["items"],
+                                  "entries": [["1/2"] * 15000] * 2}))
+    capsys.readouterr()
+    code, out = run(["oracle", "--filter", "ef1-po", "--input", str(i_path),
+                     "--allocation", str(m_path)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "fairlot: refused: 2^15000 allocations exceed the budget 65536\n")
+
+
 @pytest.mark.parametrize("value", ["-5", "1e5"])
 def test_oracle_rejects_bad_budget(tmp_path, example_file, monkeypatch, capsys, value):
     monkeypatch.setenv("FAIRLOT_BUDGET", value)

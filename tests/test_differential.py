@@ -2,14 +2,17 @@
 Pareto front against brute force written from the definitions, the
 simplex's sparse pivot against the dense one, the
 SD-efficiency graph test against the exact improvement LP,
-support reduction against a dense full-width elimination, the eating
-engine's max-flow against networkx, and the integer-scaled Birkhoff
+support reduction against a dense full-width elimination and its
+last-use independence test against the exact one, the eating engine's
+max-flow against networkx and its one-pass first phase against plain
+Edmonds–Karp, and the integer-scaled Birkhoff
 decomposition, bistochasticity test, ordinal profile and eating-step
 duration against their ``Fraction`` formulations; the eating loop, as
 ``ps_outcome`` and as ``eps_outcome`` on strict profiles, against the
 serial rule's own loop, and against its stage-by-stage loop; the lottery plan, which eats before it
-pads, against the pad-first plan; the literal reader against its
-grammar-only form, the matrix reader against conversion cell by cell, and
+pads, against the pad-first plan; the strictified profile against the
+rebuilt one; the literal reader against its grammar-only form, the
+matrix and instance readers against conversion cell by cell, and
 the document writer against ``json.dumps``.
 
 The checkers compare per-agent integer-scaled utilities, so instances
@@ -21,6 +24,7 @@ replayed with exact ``Fraction`` arithmetic.
 import contextlib
 import io
 import json
+import random
 import re
 import sys
 from fractions import Fraction as F
@@ -57,8 +61,7 @@ from fairlot import (
     reduce_support,
     sd_compare,
 )
-from fairlot.birkhoff import _complete_matching
-from fairlot.eps import _Flow
+from fairlot.eps import _Flow, _network
 from fairlot.fairness import _topological_order, pareto_front
 from fairlot.cli import main
 from fairlot.fileio import FormatError, dumps, instance_from_obj, matrix_from_obj
@@ -71,9 +74,16 @@ from fairlot.model import (
     rational,
 )
 from fairlot.oracle import enumerate_allocations, sd_improvement_exists
-from fairlot.pslottery import _fresh_dummy_ids, _independent_mod2, plan
+from fairlot.pslottery import (
+    _find_affine_dependency,
+    _fresh_dummy_ids,
+    _independent_mod2,
+    _last_users_cover,
+    implement,
+    plan,
+)
 from fairlot.simplex import solve_lp, verify_farkas
-from conftest import max_eating_duration
+from conftest import max_eating_duration, strict_instance
 from references import utility_of_bundle
 from test_fairness import slow_efk, slow_sd_ef1
 
@@ -520,6 +530,37 @@ def test_reduce_support_matches_dense_elimination(lottery):
     assert slim.entries == dense_reduce(lottery)
 
 
+def dense_mask(alloc):
+    """``dense_vector`` as a bitmask, coordinate b at bit b."""
+    return sum(1 << b for b, x in enumerate(dense_vector(alloc)) if x)
+
+
+@SETTINGS
+@given(lotteries())
+# (a1, a2) + (a2, a1) = (a1, a1) + (a2, a2); each allocation but the first
+# is the last to give some item to some agent.
+@example(Lottery(tuple((F(1, 4), DeterministicAllocation(("a1", "a2"), ("o1", "o2"), o))
+                       for o in (("a1", "a2"), ("a1", "a1"), ("a2", "a2"), ("a2", "a1")))))
+def test_last_use_test_never_calls_a_dependent_support_independent(lottery):
+    merged = lottery.merged()
+    verdict = _last_users_cover(merged)
+    event(f"independent by last use: {verdict}")
+    if verdict:
+        masks = [dense_mask(a) for a in merged.support]
+        assert _find_affine_dependency(masks, len(dense_vector(merged.support[0]))) is None
+
+
+@pytest.mark.parametrize("n", [150, 300])
+def test_last_use_test_settles_the_ps_supports(n):
+    # Each Birkhoff part zeroes a residual cell no later part uses, and at
+    # n = m projection keeps every cell, so the test holds and reduction
+    # returns the support as it is, with no elimination.
+    lottery = implement(plan(strict_instance(random.Random(7), n, n), "ps"))
+    assert _last_users_cover(lottery)
+    with mock.patch("fairlot.pslottery._eliminate", side_effect=AssertionError):
+        assert reduce_support(lottery) == lottery
+
+
 def reference_independent_mod2(masks):
     """GF(2) independence by the textbook loop: reduce each mask by every
     earlier pivot whose lowest set bit it has."""
@@ -599,6 +640,53 @@ def test_maxflow_matches_networkx(network):
     assert cut_capacity(edges, smallest) == cut_capacity(edges, largest) == value
 
 
+@st.composite
+def bottleneck_networks(draw):
+    """The shape ``_bottleneck`` builds: eaters linked to ascending item
+    columns, with totals of mixed denominators, often more than their
+    items can take, so that paths longer than three edges are needed."""
+    width = draw(st.integers(1, 6))
+    links = draw(st.lists(
+        st.sets(st.integers(0, width - 1), min_size=1).map(sorted), min_size=1, max_size=7))
+    totals = draw(st.lists(st.builds(F, st.integers(0, 24), st.integers(2, 12)),
+                           min_size=len(links), max_size=len(links)))
+    return links, width, totals
+
+
+def edge_flows(net):
+    """Flow per edge, keyed by its ends (the networks have no parallel
+    edges)."""
+    return {(net.to[e + 1], net.to[e]): net.flow_on(e) for e in range(0, len(net.to), 2)}
+
+
+@SETTINGS
+@given(bottleneck_networks())
+def test_first_phase_pass_matches_plain_edmonds_karp(network):
+    links, width, totals = network
+    net, scale, want, pushed = _network(links, width, totals)
+    assert scale == lcm(*(d.denominator for d in totals))
+    supply = [int(d * scale) for d in totals]
+    assert want == sum(supply)
+    # The same network with no flow, edges added source side first.
+    n = len(links)
+    plain = _Flow(2 + n + width)
+    for i, units in enumerate(supply):
+        plain.add(0, 2 + i, units)
+    for i, columns in enumerate(links):
+        for j in columns:
+            plain.add(2 + i, 2 + n + j, width * scale + 1)
+    for j in range(width):
+        plain.add(2 + n + j, 1, scale)
+    value = plain.maxflow(0, 1)
+    rest = net.maxflow(0, 1)
+    event("longer paths needed" if rest else "first phase is the whole flow")
+    target(float(rest > 0), label="longer paths needed")
+    assert pushed + rest == value
+    assert edge_flows(net) == edge_flows(plain)
+    assert net.reachable_from(0) == plain.reachable_from(0)
+    assert net.cannot_reach(1) == plain.cannot_reach(1)
+
+
 def fraction_is_bistochastic(matrix):
     """Square, entries in [0, 1], rows and columns summing to 1, all in
     ``Fraction`` arithmetic."""
@@ -616,6 +704,35 @@ def fraction_is_bistochastic(matrix):
     return True
 
 
+def fraction_augment(adjacency, row, match_col, visited):
+    for col in adjacency[row]:
+        if visited[col]:
+            continue
+        visited[col] = True
+        if match_col[col] == -1 or fraction_augment(adjacency, match_col[col], match_col,
+                                                    visited):
+            match_col[col] = row
+            return True
+    return False
+
+
+def fraction_complete_matching(adjacency, match_col, rows_to_match):
+    """The library's matching repair as it stood before it reported the
+    columns it set: a greedy pass in scan order, then augmenting paths."""
+    deferred = []
+    for row in rows_to_match:
+        for col in adjacency[row]:
+            if match_col[col] == -1:
+                match_col[col] = row
+                break
+        else:
+            deferred.append(row)
+    for row in deferred:
+        if not fraction_augment(adjacency, row, match_col, [False] * len(adjacency)):
+            return False
+    return True
+
+
 def fraction_birkhoff(matrix):
     """The decomposition loop on a dense ``Fraction`` residual, as the
     library ran it before it moved to one integer scale."""
@@ -626,7 +743,7 @@ def fraction_birkhoff(matrix):
     adjacency = [sorted(j for j, v in enumerate(row) if v > 0) for row in residual]
     parts = []
     match_col = [-1] * k
-    if not _complete_matching(adjacency, match_col, range(k)):
+    if not fraction_complete_matching(adjacency, match_col, range(k)):
         raise ValueError("no perfect matching: input was not bistochastic")
 
     remaining = F(1)
@@ -652,7 +769,7 @@ def fraction_birkhoff(matrix):
             break
         for r in dead_rows:
             match_col[perm[r]] = -1
-        if not _complete_matching(adjacency, match_col, dead_rows):
+        if not fraction_complete_matching(adjacency, match_col, dead_rows):
             raise ValueError("no perfect matching: input was not bistochastic")
 
     if any(v != 0 for row in residual for v in row):
@@ -1004,6 +1121,19 @@ def fraction_tiers(inst):
 @given(instances())
 def test_ordinal_profile_matches_fraction_sort(inst):
     assert dict(ordinal_from_utilities(inst).tiers) == fraction_tiers(inst)
+
+
+@SETTINGS
+@given(st.one_of(instances(), instances(max_agents=3, max_items=3)))
+def test_strictified_equals_the_rebuilt_profile(inst):
+    prefs = ordinal_from_utilities(inst)
+    rebuilt = OrdinalProfile(prefs.agents, prefs.items, {
+        a: tuple((o,) for tier in prefs.tiers[a] for o in sorted(tier)) for a in prefs.agents})
+    strict = prefs.strictified()
+    event("strict already" if strict is prefs else "ties broken")
+    assert strict == rebuilt
+    assert strict.strictified() is strict
+    assert (strict is prefs) == (prefs == rebuilt)
 
 
 # The ex-post checkers as the library ran them before their verdicts were
@@ -1627,6 +1757,70 @@ def test_matrix_reader_matches_per_cell_conversion(obj):
         event("read")
     else:
         event("bad cell" if "bad rational literal" in want[1] else "bad matrix")
+    assert got == want
+
+
+def per_cell_instance(obj):
+    """The instance reader converting cell by cell, in list order."""
+    agents, items = obj["agents"], obj["items"]
+    rows = []
+    for a in agents:
+        converted = []
+        for o in items:
+            v = obj["utilities"][a][o]
+            try:
+                converted.append(rational(v))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                text = repr(v)
+                shown = text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+                raise FormatError(f"instance.utilities[{a!r}][{o!r}]: "
+                                  f"bad rational literal {shown} ({exc})") from None
+        rows.append(tuple(converted))
+    try:
+        return Instance(tuple(agents), tuple(items), tuple(rows))
+    except ValueError as exc:
+        raise FormatError(f"instance: {exc}") from None
+
+
+@st.composite
+def instance_documents(draw):
+    """Utility tables whose cells repeat a few literals, strings or
+    numbers; then one bad cell value, good as a dict key or not, placed at
+    up to three cells.  The mappings list agents and items in another
+    order than the lists do, so "first" means first in the lists."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    agents, items = [f"a{i}" for i in range(n)], [f"o{j}" for j in range(m)]
+    pool = draw(st.lists(st.one_of(
+        st.sampled_from(["0", "1", "1/2", "2/4", "3", "7/3", "0.5", "1e1"]),
+        st.integers(0, 3)), min_size=1, max_size=4))
+    cells = {(a, o): draw(st.sampled_from(pool)) for a in agents for o in items}
+    bad = draw(BAD_CELLS)
+    for _ in range(draw(st.integers(0, 3))):
+        cells[draw(st.sampled_from(agents)), draw(st.sampled_from(items))] = bad
+    utilities = {a: {o: cells[a, o] for o in draw(st.permutations(items))}
+                 for a in draw(st.permutations(agents))}
+    return {"agents": agents, "items": items, "utilities": utilities}
+
+
+@SETTINGS
+@given(instance_documents())
+@example({"agents": ["a0", "a1"], "items": ["o0", "o1"],
+          "utilities": {"a1": {"o1": "x", "o0": "x"}, "a0": {"o1": "x", "o0": "1"}}})
+@example({"agents": ["a0"], "items": ["o0", "o1"], "utilities": {"a0": {"o0": "1", "o1": 1.0}}})
+def test_instance_reader_matches_per_cell_conversion(obj):
+    def read(reader):
+        try:
+            return reader(obj)
+        except Exception as exc:  # the type is part of the outcome
+            return type(exc), str(exc)
+
+    got, want = read(instance_from_obj), read(per_cell_instance)
+    if isinstance(want, Instance):
+        event("read, all strings" if all(
+            type(v) is str for row in obj["utilities"].values() for v in row.values())
+            else "read, mixed cells")
+    else:
+        event("bad cell" if "bad rational literal" in want[1] else "bad instance")
     assert got == want
 
 

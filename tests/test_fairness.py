@@ -365,7 +365,7 @@ def test_check_po_budget_refusal(example_instance, monkeypatch):
     monkeypatch.delenv("FAIRLOT_BUDGET")
     assert check_po_bruteforce(split, example_instance).ok
     monkeypatch.setenv("FAIRLOT_BUDGET", "3")
-    with pytest.raises(BudgetExceeded, match=r"^2\^4 = 16 allocations exceed the budget 3$"):
+    with pytest.raises(BudgetExceeded, match=r"^2\^4 allocations exceed the budget 3$"):
         check_po_bruteforce(split, example_instance)
 
 

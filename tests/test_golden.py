@@ -45,6 +45,7 @@ MAKERS = {
     "tied20": lambda rng, n, m: weak_instance(rng, n, m, 20),
     "repeated": repeated_rows,
     "repeated01": lambda rng, n, m: repeated_rows(rng, n, m, 0, 1),
+    "tied30": lambda rng, n, m: weak_instance(rng, n, m, 30),
 }
 
 # (command and flags, instance kind, seed, n, m) -> sha256 of stdout
@@ -91,6 +92,18 @@ GOLDEN = {
         "0da5ae24899a7da59e02e18b0401950af4a11511ed1eab349b48493c7691c3eb",
     (("lottery", "--rule", "eps", "--skip-zero"), "binary", 7, 7, 30):
         "662eb1ec66853ef507564213f8491e04f24cea597d0405fbad49361a73b4e68f",
+    # At the scale where the reader, strictification, the first max-flow
+    # phase, Birkhoff's settling and the independence test do their work:
+    # "strict" 7 at 150x150 is `fairlot gen --agents 150 --items 150
+    # --seed 7`, with 760 support allocations and none dropped by reduce.
+    (("lottery", "--rule", "ps"), "strict", 7, 150, 150):
+        "4a61eaf7b808426f3e6d27b02d5c4a8eebad55620978951955a693411ad1b75b",
+    (("lottery", "--rule", "ps", "--reduce"), "strict", 7, 150, 150):
+        "92c00f0d5b9f6045cd4e26463c7dd104a76262a899f1760da94ef0adecd99ad9",
+    (("lottery", "--rule", "eps"), "tied30", 901, 50, 100):
+        "655bb9f5518880a55b70527daa9e2f8cd37ebc329999e153ad945d6e3c46a37f",
+    (("lottery", "--rule", "eps", "--skip-zero"), "binary", 901, 50, 100):
+        "eb046eaefe5fa2759fd8c3b50641599ce588fb6902cac450ec41829151e6e9a4",
     (("solve", "--rule", "ps"), "strict", 1, 4, 7):
         "49307c741bcd324d1ce31ec7b950357e9fa6ed63bec909293f9873bf457b3efa",
     (("solve", "--rule", "ps"), "tied", 5, 4, 9):
@@ -131,6 +144,12 @@ def test_output_digest(tmp_path, case):
     code, out = run(argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[case]
+
+
+def test_strict_instances_are_those_gen_writes(tmp_path):
+    code, out = run(["gen", "--agents", "150", "--items", "150", "--seed", "7"])
+    assert code == 0
+    assert out == Path(instance_file(tmp_path, "strict", 7, 150, 150)).read_text()
 
 
 @pytest.mark.parametrize("flags, kind, seed", [
