@@ -13,12 +13,12 @@ k^2 - 2k + 2 steps.  No step subtracts from all k matched entries: each
 matched row keeps the extracted total at which its entry runs out, and
 only rows that die or move to another column have an entry written back.
 
-All arithmetic runs on one integer scale.  A bistochastic matrix is a
-square random allocation whose rows sum to 1 as well, so the matrix is
-checked and scaled as a ``RandomAllocation``: its integer form holds the
-matrix times L, the lcm of its denominators, as sparse rows (column ->
-positive int).  The residual starts as a copy of those rows, and a cell
-leaves its row as soon as it hits zero.  Every comparison is
+All arithmetic runs on one integer scale L: ``_extract`` takes the matrix
+times L as sparse rows (column -> positive int) and checks that every row
+and column sums to L.  ``birkhoff_decompose`` scales by the lcm of the
+denominators (``RandomAllocation.integer_form``); ``pslottery`` re-eats
+straight onto such rows.  The residual starts as a copy of the rows, and
+a cell leaves its row as soon as it hits zero.  Every comparison is
 scale-invariant, so the matchings are those of the rational residual,
 and each part's weight is ``Fraction(w, L)`` for the smallest matched
 integer w.
@@ -27,7 +27,7 @@ integer w.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .model import RandomAllocation
 
@@ -39,23 +39,31 @@ __all__ = [
 Matrix = Sequence[Sequence[Fraction]]
 
 
-def _residual(matrix: Matrix) -> tuple[list[dict[int, int]], int] | None:
-    """The matrix's integer form as a random allocation, rows to mutate
-    and L (``RandomAllocation.integer_form``); None unless it is square,
-    its columns sum to 1 and its rows sum to 1 too."""
+def _scaled_rows(matrix: Matrix) -> tuple[tuple[dict[int, int], ...], int] | None:
+    """The matrix's integer form as a random allocation, and its L; None
+    unless it is square, with entries in [0, 1] and columns summing to 1."""
     labels = tuple(range(len(matrix)))
     try:
-        rows, scale = RandomAllocation(labels, labels, tuple(map(tuple, matrix))).integer_form()
+        return RandomAllocation(labels, labels, tuple(map(tuple, matrix))).integer_form()
     except ValueError:
         return None
-    if any(sum(row.values()) != scale for row in rows):
-        return None
-    return [dict(row) for row in rows], scale
+
+
+def _balanced(rows: Sequence[Mapping[int, int]], scale: int) -> bool:
+    """Every row and every column of the sparse rows sums to ``scale``."""
+    totals = [0] * len(rows)
+    for row in rows:
+        if sum(row.values()) != scale:
+            return False
+        for j, x in row.items():
+            totals[j] += x
+    return totals.count(scale) == len(rows)
 
 
 def is_bistochastic(matrix: Matrix) -> bool:
     """Square, entries in [0, 1], every row and column sums to exactly 1."""
-    return _residual(matrix) is not None
+    scaled = _scaled_rows(matrix)
+    return scaled is not None and _balanced(*scaled)
 
 
 def _augment(adjacency: Sequence[Sequence[int]], row: int, match_col: list[int],
@@ -102,13 +110,22 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]
     Weights are in (0, 1] and sum to exactly 1; the recomposition equals
     the input structurally; the number of parts is at most k^2 - 2k + 2.
     """
-    scaled = _residual(matrix)
+    scaled = _scaled_rows(matrix)
     if scaled is None:
         raise ValueError("matrix is not bistochastic")
-    residual, scale = scaled
+    return [(weight, tuple(perm)) for weight, perm, _ in _extract(*scaled)]
+
+
+def _extract(rows: Sequence[Mapping[int, int]], scale: int) -> Iterator[tuple]:
+    """``birkhoff_decompose`` of the matrix whose rows times ``scale``
+    are ``rows`` (column -> positive int): each part as its weight, its
+    permutation and the permutation's inverse (column -> row).  The two
+    lists change for the next part, so a caller copies what it keeps."""
+    if not _balanced(rows, scale):
+        raise ValueError("matrix is not bistochastic")
+    residual = [dict(row) for row in rows]
     k = len(residual)
     adjacency = [sorted(row) for row in residual]
-    parts: list[tuple[Fraction, tuple[int, ...]]] = []
     match_col = [-1] * k
     if _complete_matching(adjacency, match_col, range(k)) is None:
         raise ValueError("no perfect matching: input was not bistochastic")
@@ -123,7 +140,7 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]
         weight = end - done
         if weight <= 0:
             raise AssertionError("matched entry is not positive")
-        parts.append((Fraction(weight, scale), tuple(perm)))
+        yield Fraction(weight, scale), perm, match_col
         done = end
         dead_rows = []
         r = -1
@@ -153,4 +170,3 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]
 
     if any(residual):
         raise AssertionError("residual nonzero after full decomposition")
-    return parts

@@ -6,14 +6,17 @@ certificates), ``oracle`` (implementability over a filtered allocation
 set), ``gen`` (reproducible random instances).
 
 Exit codes are a stable contract: 0 success/PASS/feasible, 1
-FAIL/infeasible, 2 usage or input errors.  FAIRLOT_BUDGET caps the
-enumeration size of the oracle-backed commands.
+FAIL/infeasible, 2 usage or input errors, a failed write to standard
+output included.  FAIRLOT_BUDGET caps the enumeration size of the
+oracle-backed commands.  A command returns its exit code and its output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from importlib import import_module
 from typing import Sequence
@@ -103,18 +106,17 @@ def _load_instance(path: str) -> Instance:
     return fileio.instance_from_obj(_load_json(path, "instance file"))
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
     _need("eps", "pslottery")
     instance = _load_instance(args.input)
     outcome = plan(instance, args.rule, args.skip_zero).expected
     extra = {}
     if args.skip_zero:
         extra["padded_items"] = list(globally_unwanted(instance))
-    sys.stdout.write(dumps(fileio.matrix_to_obj(outcome, extra)))
-    return EX_OK
+    return EX_OK, dumps(fileio.matrix_to_obj(outcome, extra))
 
 
-def cmd_lottery(args: argparse.Namespace) -> int:
+def cmd_lottery(args: argparse.Namespace) -> tuple[int, str]:
     _need("eps", "pslottery")
     instance = _load_instance(args.input)
     planned = plan(instance, args.rule, args.skip_zero)
@@ -133,14 +135,13 @@ def cmd_lottery(args: argparse.Namespace) -> int:
         metadata["padded_items"] = list(globally_unwanted(instance))
     document = dumps(fileio.lottery_to_obj(lottery, planned.expected, metadata))
     if args.out == "-":
-        sys.stdout.write(document)
-    else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(document)
-        except OSError as exc:
-            raise FormatError(f"output file {args.out}: {exc}") from None
-    return EX_OK
+        return EX_OK, document
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(document)
+    except OSError as exc:
+        raise FormatError(f"output file {args.out}: {exc}") from None
+    return EX_OK, ""
 
 
 _EX_ANTE = ("ef", "sdef", "sdeff")
@@ -148,7 +149,7 @@ _EX_POST = ("ef1", "efk", "sdef1", "strong-ef1", "rb", "po")
 _ORDINAL = ("sdef", "sdeff", "sdef1", "rb")  # the checks that read preference orders
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     _need("fairness")
     instance = _load_instance(args.input)
     prop = args.property
@@ -167,9 +168,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             report = check_sd_ef(expected, prefs)
         else:
             report = check_sd_efficient(expected, prefs)
-        payload = report.to_json()
-        sys.stdout.write(dumps(payload))
-        return EX_OK if report.ok else EX_FAIL
+        return (EX_OK if report.ok else EX_FAIL), dumps(report.to_json())
 
     c = -(-instance.m // instance.n)
     reports = []
@@ -192,19 +191,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         entry["weight"] = format_rational(weight)
         reports.append(entry)
     ok = all(r["verdict"] == "PASS" for r in reports)
-    sys.stdout.write(
-        dumps(
-            {
-                "property": prop,
-                "verdict": "PASS" if ok else "FAIL",
-                "support": reports,
-            }
-        )
-    )
-    return EX_OK if ok else EX_FAIL
+    verdict = {"property": prop, "verdict": "PASS" if ok else "FAIL", "support": reports}
+    return (EX_OK if ok else EX_FAIL), dumps(verdict)
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> tuple[int, str]:
     _need("fairness", "oracle")
     instance = _load_instance(args.input)
     target = fileio.matrix_from_obj(_load_json(args.allocation, "allocation file"))
@@ -225,33 +216,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             ]
 
     result = implementable_by(target, allowed)
-    if isinstance(result, InfeasibilityCertificate):
-        sys.stdout.write(
-            dumps(
-                {
-                    "feasible": False,
-                    "filter": args.filter,
-                    "allowed_count": len(allowed),
-                    "farkas": [format_rational(v) for v in result.farkas],
-                    "certificate_verified": result.verify(),
-                }
-            )
-        )
-        return EX_FAIL
-    sys.stdout.write(
-        dumps(
-            {
-                "feasible": True,
-                "filter": args.filter,
-                "allowed_count": len(allowed),
-                "lottery": fileio.lottery_to_obj(result),
-            }
-        )
-    )
-    return EX_OK
+    feasible = not isinstance(result, InfeasibilityCertificate)
+    answer = {"feasible": feasible, "filter": args.filter, "allowed_count": len(allowed)}
+    if feasible:
+        answer["lottery"] = fileio.lottery_to_obj(result)
+    else:
+        answer["farkas"] = [format_rational(v) for v in result.farkas]
+        answer["certificate_verified"] = result.verify()
+    return (EX_OK if feasible else EX_FAIL), dumps(answer)
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> tuple[int, str]:
     import random
 
     if args.agents < 1 or args.items < 1:
@@ -267,8 +242,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             values = rng.sample(range(1, 10 * args.items + 1), args.items)
             utilities[a] = dict(zip(items, values))
     instance = Instance.from_utilities(utilities, agents=agents, items=items)
-    sys.stdout.write(dumps(fileio.instance_to_obj(instance)))
-    return EX_OK
+    return EX_OK, dumps(fileio.instance_to_obj(instance))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,14 +297,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except FormatError as exc:
-        print(f"fairlot: error: {exc}", file=sys.stderr)
-        return EX_USAGE
+        code, text = args.func(args)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # Else what the buffer holds fails again at exit (status 120).
+            with contextlib.suppress(AttributeError, OSError, ValueError), \
+                    open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise FormatError(f"standard output: {exc}") from None
+        return code
     except BudgetExceeded as exc:
         print(f"fairlot: refused: {exc}", file=sys.stderr)
         return EX_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # FormatError included
         print(f"fairlot: error: {exc}", file=sys.stderr)
         return EX_USAGE
 

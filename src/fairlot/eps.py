@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import count
+from itertools import count, repeat
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -422,7 +422,7 @@ def _eat(
         if live:
             raise AssertionError("standard mode must consume every item")
         horizon = Fraction(len(items), len(agents))
-    entries = tuple(tuple(rows[a].get(o, _ZERO) for o in items) for a in agents)
+    entries = tuple(tuple(map(rows[a].get, items, repeat(_ZERO))) for a in agents)
     trace = EatingTrace(agents, items, {a: tuple(segments[a]) for a in agents}, horizon)
     return RandomAllocation(agents, items, entries), trace
 

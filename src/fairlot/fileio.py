@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain, repeat
+from operator import add, itemgetter
 from typing import Any, Mapping
 
 from .model import (
@@ -46,24 +47,44 @@ def dumps(obj: Any) -> str:
     Only str, int, bool, None, lists, tuples and str-keyed dicts are
     written; anything else raises ``TypeError``.
     """
-    return _encode(obj, "\n") + "\n"
+    return _encode(obj, "\n", {}, _Quoted()) + "\n"
 
 
 _string = json.encoder.encode_basestring_ascii  # the C escaper json uses
 
 
-def _encode(value: Any, newline: str) -> str:
+class _Quoted(dict):
+    """Strings and their JSON text, each escaped once; only str keys."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = quoted = _string(text)
+        return quoted
+
+
+def _encode(value: Any, newline: str, layouts: dict, quoted: _Quoted) -> str:
     """One JSON value, whose own line starts with ``newline`` (a newline
     and its indent).  A container whose members are all strings is one
-    C-level join; only other members recurse."""
+    C-level join or format; only other members recurse.  For one ``dumps``
+    call, ``quoted`` holds each string's text and ``layouts``, per indent
+    and key tuple, a getter of the values in key order and their template."""
     if isinstance(value, str):
-        return _string(value)
-    if isinstance(value, dict):
-        keys = sorted(value)
-        members = list(map(value.__getitem__, keys))
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        keys, members, brackets = None, value, "[]"
+        return quoted[value]
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        layout = layouts.get(shape := (inner, *value))
+        if layout is None:
+            keys = sorted(value)
+            # A value's place is "\0" until the keys' "%" are doubled; an
+            # escaped key holds no NUL.
+            text = ("\0," + inner).join(map(add, map(_string, keys), repeat(": ")))
+            template = f"{{{inner}{text}\0{newline}}}".replace("%", "%%").replace("\0", "%s")
+            layout = layouts[shape] = itemgetter(*keys), template
+        get, template = layout
+        members = get(value) if len(value) > 1 else (get(value),)
+    elif isinstance(value, (list, tuple)) and value:
+        template, members = None, value
+    elif isinstance(value, (dict, list, tuple)):
+        return "{}" if isinstance(value, dict) else "[]"
     elif value is None:
         return "null"
     elif value is True:
@@ -74,16 +95,13 @@ def _encode(value: Any, newline: str) -> str:
         return int.__repr__(value)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not members:
-        return brackets
-    inner = newline + "  "
     try:
-        parts = list(map(_string, members))
+        parts = tuple(map(quoted.__getitem__, members))
     except TypeError:
-        parts = [_encode(v, inner) for v in members]
-    if keys is not None:
-        parts = map(": ".join, zip(map(_string, keys), parts))
-    return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
+        parts = tuple(_encode(v, inner, layouts, quoted) for v in members)
+    if template is None:
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    return template % parts
 
 
 def _require(obj: Mapping, key: str, where: str):
@@ -158,10 +176,15 @@ def instance_from_obj(obj: Mapping) -> Instance:
 
 
 def matrix_to_obj(p: RandomAllocation, extra: Mapping | None = None) -> dict:
+    # Only the cells of the integer form are formatted; the rest are "0".
+    entries = [["0"] * len(p.items) for _ in p.rows]
+    for text, row, cells in zip(entries, p.integer_form()[0], p.entries):
+        for j in row:
+            text[j] = format_rational(cells[j])
     obj = {
         "rows": [str(r) if not isinstance(r, str) else r for r in p.rows],
         "items": list(p.items),
-        "entries": [list(map(format_rational, row)) for row in p.entries],
+        "entries": entries,
     }
     if extra:
         obj.update(extra)
@@ -198,7 +221,7 @@ def lottery_to_obj(
     return {
         "agents": list(lottery.agents),
         "items": list(lottery.items),
-        "expected": [list(map(format_rational, row)) for row in expected.entries],
+        "expected": matrix_to_obj(expected)["entries"],
         "support": [
             {
                 "weight": format_rational(weight),

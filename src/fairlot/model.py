@@ -15,6 +15,7 @@ import operator
 import os
 import re
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Any, Hashable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -182,6 +183,16 @@ def format_rational(value: Fraction) -> str:
     return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
+def _on_one_scale(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The values times L, the lcm of their denominators, and L."""
+    denominators = tuple(map(operator.attrgetter("denominator"), values))
+    scale = math.lcm(*denominators)
+    ints = tuple(map(operator.attrgetter("numerator"), values))
+    if scale > 1:
+        ints = tuple(map(operator.mul, ints, map(scale.__floordiv__, denominators)))
+    return ints, scale
+
+
 class SdRelation(enum.Enum):
     """Outcome of comparing two allocation rows under stochastic dominance."""
 
@@ -257,10 +268,9 @@ class Instance(_Frozen):
         for row in values:
             if len(row) != len(items):
                 raise ValueError("one utility per item required in every row")
-            if not all(isinstance(v, Fraction) for v in row):
+            if not all(map(isinstance, row, repeat(Fraction))):
                 raise TypeError("utilities must be Fractions; use Instance.from_utilities")
-            scale = math.lcm(*(v.denominator for v in row))
-            ints = tuple(v.numerator * (scale // v.denominator) for v in row)
+            ints, scale = _on_one_scale(row)
             if min(ints) < 0:
                 raise ValueError("utilities must be nonnegative")
             scaled.append((ints, scale))
@@ -356,6 +366,9 @@ class OrdinalProfile(_Frozen):
         for agent in agents:
             if agent not in tiers:
                 raise ValueError(f"no preference tiers for agent {agent!r}")
+            ranked = list(chain.from_iterable(tiers[agent]))
+            if len(ranked) == len(item_set) and set(ranked) == item_set and all(tiers[agent]):
+                continue  # nonempty tiers that partition the items; else name the fault
             seen: set[str] = set()
             for tier in tiers[agent]:
                 if not tier:
@@ -418,6 +431,10 @@ def ordinal_from_utilities(instance: Instance) -> OrdinalProfile:
         return profile
     tiers = {}
     for agent, (row, _scale) in zip(instance.agents, instance.integer_rows()):
+        if len(set(row)) == len(row):  # strict: one item per tier
+            best_first = sorted(range(len(row)), key=row.__getitem__, reverse=True)
+            tiers[agent] = tuple(zip(map(instance.items.__getitem__, best_first)))
+            continue
         by_value: dict[int, list[str]] = {}
         for item, value in zip(instance.items, row):
             by_value.setdefault(value, []).append(item)
@@ -555,15 +572,15 @@ class Lottery(_Frozen):
         if not entries:
             raise ValueError("a lottery needs at least one outcome")
         universe = (entries[0][1].agents, entries[0][1].items)
-        total = Fraction(0)
         for weight, allocation in entries:
             if not isinstance(weight, Fraction):
                 raise TypeError("weights must be Fractions")
-            if weight <= 0 or weight > 1:
+            if not 0 < weight.numerator <= weight.denominator:
                 raise ValueError("weights must lie in (0, 1]")
             if (allocation.agents, allocation.items) != universe:
                 raise ValueError("all support allocations must share one universe")
-            total += weight
+        weights, scale = _on_one_scale(tuple(map(operator.itemgetter(0), entries)))
+        total = Fraction(sum(weights), scale)
         if total != 1:
             raise ValueError(f"weights sum to {total}, expected 1")
         self.__dict__["entries"] = entries
@@ -703,10 +720,9 @@ def _support_totals(lottery: Lottery) -> tuple[dict[str, list[int]], int]:
     """The weighted sum of the support's 0/1 matrices on one integer
     scale: per agent, its row of totals t over L, the lcm of the weight
     denominators, so entry (a, o) is t / L."""
-    scale = math.lcm(*(weight.denominator for weight, _ in lottery.entries))
+    weights, scale = _on_one_scale(tuple(map(operator.itemgetter(0), lottery.entries)))
     totals = {a: [0] * len(lottery.items) for a in lottery.agents}
-    for weight, allocation in lottery.entries:
-        w = weight.numerator * (scale // weight.denominator)
+    for w, (_, allocation) in zip(weights, lottery.entries):
         for j, owner in enumerate(allocation.owners):
             totals[owner][j] += w
     return totals, scale

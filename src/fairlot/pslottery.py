@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import ceil, gcd
+from math import ceil, gcd, lcm
+from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .birkhoff import birkhoff_decompose
+# birkhoff_decompose is not called here: benchmarks/spans.py wraps it on this module.
+from .birkhoff import _extract, birkhoff_decompose
 from .eps import eps_outcome
 from .model import (
     DeterministicAllocation,
@@ -84,42 +86,51 @@ def pad_with_dummies(instance: Instance, c: int) -> PaddedInstance:
     return PaddedInstance(instance, c)
 
 
+def _re_eat_scaled(
+    bundles: Mapping[str, Mapping[str, Fraction]], padded: PaddedInstance
+) -> tuple[list[dict[int, int]], int]:
+    """``re_eat`` on one integer scale: the rows of its matrix times L, the
+    lcm of the bundle entries' denominators, as sparse rows (column ->
+    positive int), and L.  A window of L units feeds one representative."""
+    c = padded.c
+    col = {o: j for j, o in enumerate(padded.items)}
+    scale = lcm(*(v.denominator for bundle in bundles.values() for v in bundle.values()))
+    rows: list[dict[int, int]] = []
+    for agent in padded.instance.agents:
+        # Zero entries add nothing and are not eaten.
+        row = {o: v.numerator * (scale // v.denominator)
+               for o, v in bundles[agent].items() if v}
+        mass = sum(row.values())
+        if mass != c * scale:
+            raise ValueError(f"bundle of {agent!r} has mass {Fraction(mass, scale)}, expected {c}")
+        if min(row.values()) < 0:
+            raise ValueError("negative bundle entry")
+        reps: list[dict[int, int]] = [{} for _ in range(c)]
+        clock = 0
+        for o in filter(row.__contains__, padded.orders[agent]):
+            amount = row[o]
+            while amount:
+                # An item is eaten in one stretch: one bite per window.
+                window, eaten = divmod(clock, scale)
+                bite = min(amount, scale - eaten)
+                reps[window][col[o]] = bite
+                clock += bite
+                amount -= bite
+        rows += reps
+    return rows, scale
+
+
 def re_eat(
     bundles: Mapping[str, Mapping[str, Fraction]], padded: PaddedInstance
 ) -> list[list[Fraction]]:
     """Let each agent re-eat its bundle at unit speed in its strict
     preference order; representative k receives what was eaten during
     [k-1, k].  The result is a (cn) x (cn) bistochastic matrix indexed by
-    ``padded.representatives`` and ``padded.items``.
+    ``padded.representatives`` and ``padded.items``: the ``Fraction``
+    view of the integer re-eat that ``implement`` decomposes.
     """
-    c = padded.c
-    items = padded.items
-    col = {o: j for j, o in enumerate(items)}
-    size = c * len(padded.instance.agents)
-    matrix: list[list[Fraction]] = [[Fraction(0)] * size for _ in range(size)]
-
-    rep_base = 0
-    for agent in padded.instance.agents:
-        # Bundles are mostly zeros, which add nothing and are not eaten.
-        row = {o: v for o, v in bundles[agent].items() if v}
-        total = sum(row.values(), Fraction(0))
-        if total != c:
-            raise ValueError(f"bundle of {agent!r} has mass {total}, expected {c}")
-        clock = Fraction(0)
-        for o in padded.orders[agent]:
-            amount = row.get(o)
-            if amount is None:
-                continue
-            if amount < 0:
-                raise ValueError("negative bundle entry")
-            while amount > 0:
-                window = int(clock) + 1  # mass at time (w-1, w] feeds representative w
-                bite = min(amount, Fraction(window) - clock)
-                matrix[rep_base + window - 1][col[o]] += bite
-                clock += bite
-                amount -= bite
-        rep_base += c
-    return matrix
+    rows, scale = _re_eat_scaled(bundles, padded)
+    return [[Fraction(row.get(j, 0), scale) for j in range(len(rows))] for row in rows]
 
 
 def project(
@@ -193,8 +204,10 @@ def plan(instance: Instance, rule: str = "ps", skip_zero: bool = False) -> Plan:
         outcome, _trace = ps_outcome(instance.agents, instance.items, strict)
     else:
         outcome, _trace = eps_outcome(instance, "skip_zero" if skip_zero else "standard")
-    rows = {a: {o: v for o, v in outcome.row(a).items() if v} for a in instance.agents}
-    loads = {a: sum(rows[a].values(), Fraction(0)) for a in instance.agents}
+    int_rows, scale = outcome.integer_form()
+    rows = {a: {instance.items[j]: cells[j] for j in row}
+            for a, row, cells in zip(instance.agents, int_rows, outcome.entries)}
+    loads = {a: Fraction(sum(row.values()), scale) for a, row in zip(instance.agents, int_rows)}
     c = max(map(ceil, loads.values()))
     padded = pad_with_dummies(instance, c)
     if not skip_zero:
@@ -217,11 +230,19 @@ def plan(instance: Instance, rule: str = "ps", skip_zero: bool = False) -> Plan:
 
 def implement(planned: Plan) -> Lottery:
     """Re-eat the planned bundles, decompose, project and merge: a lottery
-    whose expectation is exactly ``planned.expected``."""
+    whose expectation is exactly ``planned.expected``.  A part's inverse
+    permutation names the representative, hence the agent, that owns each
+    real item (the dummies follow them)."""
     padded = planned.padded
-    parts = birkhoff_decompose(re_eat(planned.bundles, padded))
-    entries = tuple((weight, project(perm, padded)) for weight, perm in parts)
-    return Lottery(entries).merged()
+    agents, items = padded.instance.agents, padded.instance.items
+    owner = tuple(agent for agent, _ in padded.representatives)
+    m = len(items)
+    entries = []
+    for weight, _, match in _extract(*_re_eat_scaled(planned.bundles, padded)):
+        owners = itemgetter(*match[:m])(owner)
+        entries.append((weight, DeterministicAllocation(
+            agents, items, owners if m > 1 else (owners,))))
+    return Lottery(tuple(entries)).merged()
 
 
 def ps_lottery(

@@ -1,6 +1,8 @@
 """Reference oracles that only tests use: the exact utility of a
 fractional bundle, the fractional Pareto-improvement LP and the leximin
-optimum of a binary instance, all over the package's exact simplex.
+optimum of a binary instance, all over the package's exact simplex; and
+the re-eating loop on a dense ``Fraction`` matrix, as the library ran it
+before it re-ate on one integer scale.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from typing import Mapping, Sequence
 
 from fairlot import Instance, RandomAllocation, rational
 from fairlot.oracle import _allocation_from_x, _cells, _item_sum_rows
+from fairlot.pslottery import PaddedInstance
 from fairlot.simplex import LpResult, solve_lp
 
 
@@ -136,3 +139,36 @@ def leximin_bruteforce(
     witness = _allocation_from_x(agents, instance.items, last_x)
     vector = tuple(sorted(fixed[a] for a in agents))
     return vector, witness
+
+
+def fraction_re_eat(
+    bundles: Mapping[str, Mapping[str, Fraction]], padded: PaddedInstance
+) -> list[list[Fraction]]:
+    """Each agent re-eats its bundle at unit speed in its re-eating order;
+    representative k receives what was eaten during [k-1, k].  A dense
+    (cn) x (cn) matrix, every bite in ``Fraction`` arithmetic."""
+    c = padded.c
+    col = {o: j for j, o in enumerate(padded.items)}
+    size = c * len(padded.instance.agents)
+    matrix: list[list[Fraction]] = [[Fraction(0)] * size for _ in range(size)]
+    rep_base = 0
+    for agent in padded.instance.agents:
+        row = {o: v for o, v in bundles[agent].items() if v}
+        total = sum(row.values(), Fraction(0))
+        if total != c:
+            raise ValueError(f"bundle of {agent!r} has mass {total}, expected {c}")
+        clock = Fraction(0)
+        for o in padded.orders[agent]:
+            amount = row.get(o)
+            if amount is None:
+                continue
+            if amount < 0:
+                raise ValueError("negative bundle entry")
+            while amount > 0:
+                window = int(clock) + 1  # mass at time (w-1, w] feeds representative w
+                bite = min(amount, Fraction(window) - clock)
+                matrix[rep_base + window - 1][col[o]] += bite
+                clock += bite
+                amount -= bite
+        rep_base += c
+    return matrix

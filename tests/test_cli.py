@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -864,3 +868,67 @@ def test_pipeline_byte_determinism(tmp_path, example_file):
     run(["lottery", "--rule", "ps", "--input", example_file, "--out", str(a)])
     run(["lottery", "--rule", "ps", "--input", example_file, "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+class FullStdout(io.StringIO):
+    """A standard output on a full disk: ``write`` or ``flush`` raises."""
+
+    def __init__(self, failing: str) -> None:
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text: str) -> int:
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self) -> None:
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+NO_SPACE = "fairlot: error: standard output: [Errno 28] No space left on device\n"
+
+
+def printing_commands(tmp_path, example_file):
+    """One command line per command that prints a document."""
+    lottery = tmp_path / "lottery.json"
+    assert run(["lottery", "--rule", "ps", "--input", example_file, "--out", str(lottery)])[0] == 0
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(run(["solve", "--rule", "ps", "--input", example_file])[1])
+    return [
+        ["gen", "--agents", "2", "--items", "2", "--seed", "1"],
+        ["solve", "--rule", "eps", "--input", example_file],
+        ["lottery", "--rule", "ps", "--input", example_file, "--out", "-"],
+        ["verify", "--property", "ef", "--input", example_file, "--lottery", str(lottery)],
+        ["verify", "--property", "ef1", "--input", example_file, "--lottery", str(lottery)],
+        ["oracle", "--filter", "ef1-po", "--input", example_file, "--allocation", str(matrix)],
+    ]
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_failed_stdout_write_exits_2(tmp_path, example_file, capsys, failing):
+    # Exit 1 means FAIL: a full disk must not read as a failed property.
+    for argv in printing_commands(tmp_path, example_file):
+        with contextlib.redirect_stdout(FullStdout(failing)):
+            code = main(argv)
+        assert code == 2, argv
+        assert capsys.readouterr().err == NO_SPACE, argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("items", ["2", "400"], ids=["small", "past-the-buffer"])
+def test_stdout_on_a_full_device_exits_2(unbuffered, items):
+    # Buffered, the small document waits in the buffer until main flushes
+    # it; what the failed flush leaves there must not fail again as Python
+    # exits (status 120, "Exception ignored").
+    env = dict(os.environ, PYTHONPATH=str(Path(fileio.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairlot.cli", "gen", "--agents", "2", "--items", items,
+             "--seed", "1"], stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (2, NO_SPACE)

@@ -13,7 +13,10 @@ serial rule's own loop, and against its stage-by-stage loop; the lottery plan, w
 pads, against the pad-first plan; the strictified profile against the
 rebuilt one; the literal reader against its grammar-only form, the
 matrix and instance readers against conversion cell by cell, and
-the document writer against ``json.dumps``.
+the document writer against ``json.dumps``; the integer re-eat and the
+decomposition of its sparse rows against the ``Fraction`` loops they
+replaced; and the first fault ``Instance`` and ``OrdinalProfile`` name
+against their cell-by-cell checks.
 
 The checkers compare per-agent integer-scaled utilities, so instances
 here carry fractional utilities (denominators up to 12), zeros and ties:
@@ -74,17 +77,21 @@ from fairlot.model import (
     rational,
 )
 from fairlot.oracle import enumerate_allocations, sd_improvement_exists
+from fairlot.birkhoff import _extract
 from fairlot.pslottery import (
     _find_affine_dependency,
     _fresh_dummy_ids,
     _independent_mod2,
     _last_users_cover,
+    _re_eat_scaled,
     implement,
     plan,
+    project,
+    re_eat,
 )
 from fairlot.simplex import solve_lp, verify_farkas
 from conftest import max_eating_duration, strict_instance
-from references import utility_of_bundle
+from references import fraction_re_eat, utility_of_bundle
 from test_fairness import slow_efk, slow_sd_ef1
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1848,8 +1855,26 @@ json_trees = st.recursive(
 )
 
 
+@st.composite
+def shared_key_dicts(draw):
+    """A list of dicts that share one key set, each with an insertion
+    order of its own, nested up to three deep: the writer lays a key set
+    out once per indent and reuses it.  Keys may hold "%", which the
+    laid-out text escapes."""
+    keys = draw(st.lists(st.one_of(json_strings(), st.sampled_from(["%", "%s", "a%%"])),
+                         min_size=1, max_size=5, unique=True))
+
+    def one(depth):
+        return {key: one(depth - 1) if depth and draw(st.booleans()) else draw(json_scalars)
+                for key in draw(st.permutations(keys))}
+
+    depth = draw(st.integers(0, 2))
+    return [one(depth) for _ in range(draw(st.integers(1, 4)))]
+
+
 @SETTINGS
-@given(json_trees)
+@given(st.one_of(json_trees, shared_key_dicts()))
+@example([{"%s": "a", "b": {"%s": 1, "b": "%"}}, {"b": {"b": None, "%s": "x"}, "%s": "%d"}])
 def test_dumps_matches_indented_json(tree):
     assert dumps(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
@@ -1934,3 +1959,166 @@ def test_plan_matches_pad_first_reference(case):
     assert got.expected == expected
     assert (got.padded.c, got.padded.dummies) == (c, dummies)
     assert {a: {o: v for o, v in row.items() if v} for a, row in got.bundles.items()} == rows
+
+
+# The integer re-eat and the decomposition of its rows, against the
+# Fraction loops they replaced (``fraction_re_eat``, ``fraction_birkhoff``)
+# and the projection of each permutation.
+def assert_re_eat_matches(planned):
+    bundles, padded = planned.bundles, planned.padded
+    rows, scale = _re_eat_scaled(bundles, padded)
+    dense = fraction_re_eat(bundles, padded)
+    assert scale == lcm(*(v.denominator for bundle in bundles.values() for v in bundle.values()))
+    assert all(x > 0 for row in rows for x in row.values())
+    assert [{j: F(x, scale) for j, x in row.items()} for row in rows] == [
+        {j: v for j, v in enumerate(row) if v} for row in dense]
+    assert re_eat(bundles, padded) == dense
+    return rows, scale, dense
+
+
+@SETTINGS
+@given(plan_cases())
+def test_integer_re_eat_matches_fraction_loop(case):
+    planned = plan(*case)
+    rows, scale, dense = assert_re_eat_matches(planned)
+    parts = [(weight, tuple(perm), tuple(match)) for weight, perm, match in _extract(rows, scale)]
+    reference = fraction_birkhoff(dense)
+    assert [(weight, perm) for weight, perm, _ in parts] == reference
+    for _, perm, match in parts:
+        assert [match[c] for c in perm] == list(range(len(perm)))
+    entries = tuple((weight, project(perm, planned.padded)) for weight, perm in reference)
+    assert implement(planned) == Lottery(entries).merged()
+
+
+def test_integer_re_eat_crosses_windows_at_c_4():
+    # 40 agents, 150 items: c = 4 and the ps denominators are large, so
+    # bites cross the windows of an agent's representatives mid-item.
+    planned = plan(strict_instance(random.Random(7), 40, 150), "ps")
+    assert planned.padded.c == 4
+    rows, _, _ = assert_re_eat_matches(planned)
+    crossing = sum(any(rows[i + w].keys() & rows[i + w + 1].keys() for w in range(3))
+                   for i in range(0, len(rows), 4))  # agents with an item split across windows
+    assert crossing > 20
+
+
+@st.composite
+def scaled_matrices(draw):
+    """A bistochastic matrix and its sparse rows on a multiple of its lcm
+    scale L, untouched or unbalanced one way: an entry moved to another
+    row of its column (row sums break), to another column of its row
+    (column sums break), or raised by one unit (both break)."""
+    matrix = draw(bistochastic())
+    k = len(matrix)
+    scale = lcm(*(v.denominator for row in matrix for v in row)) * draw(st.integers(1, 3))
+    rows = [{j: v.numerator * scale // v.denominator for j, v in enumerate(row) if v}
+            for row in matrix]
+    how = draw(st.sampled_from(["none", "column", "row", "unit"] if k > 1 else ["none", "unit"]))
+    r = draw(st.integers(0, k - 1))
+    j = draw(st.sampled_from(sorted(rows[r])))
+    if how == "column":
+        rows[(r + 1) % k][j] = rows[(r + 1) % k].get(j, 0) + rows[r].pop(j)
+    elif how == "row":
+        rows[r][(j + 1) % k] = rows[r].get((j + 1) % k, 0) + rows[r].pop(j)
+    elif how == "unit":
+        rows[r][j] += 1
+    return matrix, rows, scale, how
+
+
+@SETTINGS
+@given(scaled_matrices())
+def test_birkhoff_from_scaled_rows_matches_fraction_loop(case):
+    matrix, rows, scale, how = case
+    event(how)
+    if how != "none":
+        with pytest.raises(ValueError, match="^matrix is not bistochastic$"):
+            next(_extract(rows, scale))
+        return
+    parts = [(weight, tuple(perm), tuple(match)) for weight, perm, match in _extract(rows, scale)]
+    assert [(weight, perm) for weight, perm, _ in parts] == fraction_birkhoff(matrix)
+    for _, perm, match in parts:
+        assert [match[c] for c in perm] == list(range(len(perm)))
+
+
+# The first fault the constructors name, as their cell-by-cell checks
+# named it: row by row for an instance (a row's types before its signs),
+# agent by agent and tier by tier for a profile.
+def per_cell_instance_fault(items, values):
+    for row in values:
+        if len(row) != len(items):
+            return ValueError, "one utility per item required in every row"
+        for v in row:
+            if not isinstance(v, F):
+                return TypeError, "utilities must be Fractions; use Instance.from_utilities"
+        for v in row:
+            if v < 0:
+                return ValueError, "utilities must be nonnegative"
+    return None
+
+
+def per_cell_profile_fault(agents, items, tiers):
+    item_set = set(items)
+    for agent in agents:
+        if agent not in tiers:
+            return ValueError, f"no preference tiers for agent {agent!r}"
+        seen = set()
+        for tier in tiers[agent]:
+            if not tier:
+                return ValueError, "empty preference tier"
+            for o in tier:
+                if o in seen or o not in item_set:
+                    return ValueError, f"tiers of {agent!r} do not partition the item set"
+                seen.add(o)
+        if seen != item_set:
+            return ValueError, f"tiers of {agent!r} do not cover the item set"
+    return None
+
+
+def raised_by(build):
+    try:
+        build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_instance_names_the_first_fault_as_cell_checks_do(n, m, data):
+    cells = {"ok": utilities, "sign": st.builds(F, st.integers(-3, -1), st.integers(1, 4)),
+             "type": st.sampled_from([1, 0.5, "1", True])}
+    kinds = st.sampled_from(["ok"] * 6 + ["sign", "type"])
+    values = tuple(tuple(data.draw(cells[data.draw(kinds)]) for _ in range(m)) for _ in range(n))
+    if data.draw(st.booleans()):
+        values = values[:-1] + (values[-1][:-1],)
+    agents = tuple(f"a{i}" for i in range(n))
+    items = tuple(f"o{j}" for j in range(m))
+    fault = per_cell_instance_fault(items, values)
+    event(str(fault and fault[1]))
+    assert raised_by(lambda: Instance(agents, items, values)) == fault
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_profile_names_the_first_fault_as_cell_checks_do(n, m, data):
+    agents = tuple(f"a{i}" for i in range(n))
+    items = tuple(f"o{j}" for j in range(m))
+    tiers = {}
+    for agent in agents:
+        if data.draw(st.integers(0, 9)) == 0:
+            continue  # no tiers at all
+        ranked = list(data.draw(st.permutations(items)))
+        fault = data.draw(st.sampled_from(["none"] * 4 + ["drop", "repeat", "foreign", "empty"]))
+        if fault == "drop":
+            ranked.pop(data.draw(st.integers(0, m - 1)))
+        elif fault == "repeat":
+            ranked.insert(data.draw(st.integers(0, m)), data.draw(st.sampled_from(items)))
+        elif fault == "foreign":
+            ranked.insert(data.draw(st.integers(0, m)), "zz")
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(ranked) - 1)))))
+        agent_tiers = [tuple(ranked[a:b]) for a, b in zip([0, *cuts], [*cuts, len(ranked)])]
+        if fault == "empty":
+            agent_tiers.insert(data.draw(st.integers(0, len(agent_tiers))), ())
+        tiers[agent] = tuple(tier for tier in agent_tiers if tier or fault == "empty")
+    fault = per_cell_profile_fault(agents, items, tiers)
+    event(str(fault and fault[1].split("'")[-1]))
+    assert raised_by(lambda: OrdinalProfile(agents, items, tiers)) == fault

@@ -92,6 +92,12 @@ GOLDEN = {
         "0da5ae24899a7da59e02e18b0401950af4a11511ed1eab349b48493c7691c3eb",
     (("lottery", "--rule", "eps", "--skip-zero"), "binary", 7, 7, 30):
         "662eb1ec66853ef507564213f8491e04f24cea597d0405fbad49361a73b4e68f",
+    # c = 4 at 40x150: bundles of four units on large denominators cross
+    # representative windows mid-item, which c = 1 never does.
+    (("lottery", "--rule", "ps"), "strict", 7, 40, 150):
+        "d6913aa8e7533a66e45c0ca2e73f36eba1050edd2b853b267be3879562898339",
+    (("lottery", "--rule", "eps", "--skip-zero"), "binary", 7, 40, 150):
+        "62e804670a0a3ab5ca9ccb0712131ca80a160545543e9d46796df062798e937b",
     # At the scale where the reader, strictification, the first max-flow
     # phase, Birkhoff's settling and the independence test do their work:
     # "strict" 7 at 150x150 is `fairlot gen --agents 150 --items 150
