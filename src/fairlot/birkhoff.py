@@ -68,16 +68,34 @@ def is_bistochastic(matrix: Matrix) -> bool:
 
 def _augment(adjacency: Sequence[Sequence[int]], row: int, match_col: list[int],
              visited: list[bool], changed: list[int]) -> bool:
-    for col in adjacency[row]:
-        if visited[col]:
+    """Depth-first search for an augmenting path from ``row``, columns
+    scanned in adjacency order.  The stack holds, per row above the one
+    being scanned, that row, the matched column it went down through and
+    the rest of its scan, so paths of any length need no recursion.  On
+    success the path's columns are rematched and appended to ``changed``
+    from its free end back to ``row``."""
+    stack: list[tuple[int, int, Iterator[int]]] = []
+    scan = iter(adjacency[row])
+    while True:
+        for col in scan:
+            if not visited[col]:
+                visited[col] = True
+                break
+        else:
+            if not stack:
+                return False
+            row, _, scan = stack.pop()
             continue
-        visited[col] = True
-        if match_col[col] == -1 or _augment(adjacency, match_col[col], match_col, visited,
-                                            changed):
+        if match_col[col] == -1:
             match_col[col] = row
             changed.append(col)
+            for row, col, _ in reversed(stack):
+                match_col[col] = row
+                changed.append(col)
             return True
-    return False
+        stack.append((row, col, scan))
+        row = match_col[col]
+        scan = iter(adjacency[row])
 
 
 def _complete_matching(adjacency: Sequence[Sequence[int]], match_col: list[int],

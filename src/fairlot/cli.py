@@ -150,6 +150,8 @@ _ORDINAL = ("sdef", "sdeff", "sdef1", "rb")  # the checks that read preference o
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    if args.property == "efk" and (args.k is None or args.k < 0):
+        raise FormatError("--property efk needs a nonnegative --k")
     _need("fairness")
     instance = _load_instance(args.input)
     prop = args.property
@@ -176,8 +178,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         if prop == "ef1":
             report = check_ef1(allocation, instance)
         elif prop == "efk":
-            if args.k is None:
-                raise FormatError("--property efk needs --k")
             report = check_efk(allocation, instance, args.k)
         elif prop == "sdef1":
             report = check_sd_ef1(allocation, prefs)

@@ -8,11 +8,16 @@ The ex-ante checkers take a ``RandomAllocation``, the ex-post ones a
 solves an LP (SD-efficiency is a cycle test on a trade graph of items).
 The ex-ante checkers read sparse integer rows (nonzero cells on one lcm
 scale, ``RandomAllocation.integer_form``), not all n * m cells.
-The ex-post checkers keep what they learn about a bundle (every agent's
-value of it, an agent's best-first order of it) and their ``sdef1``
-verdict on an (envier, own bundle, other bundle) triple on the
-``Instance`` or ``OrdinalProfile`` they are given: a lottery's support
-allocations share most of their bundles, so each is worked out once.
+The ex-post checkers of the EF1 family share one balanced-rounds test:
+every bundle has c or c - 1 items, and no agent ranks an item held in a
+later round strictly above its own item of that round (round r holds
+each bundle's r-th best item for its owner).  An allocation that passes
+it passes ``efk`` for k >= 1, ``sdef1`` and ``strong-ef1`` (Aziz 2020,
+arXiv 2004.02554): agent i's round-r item is at least as good, for i, as
+every item of j's rounds r + 1 and later.  So i's bundle SD-dominates
+j's once i's best item of it goes, and j's own best item is a common
+removal.  ``rb`` runs the test first.  Only allocations that fail it are
+searched pair by pair.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .model import (
     _check_budget,
     _Frozen,
     format_rational,
+    ordinal_from_utilities,
     sd_compare,
 )
 
@@ -138,57 +144,64 @@ def check_sd_ef(p: RandomAllocation, prefs: OrdinalProfile) -> Report:
     return Report("sdef", True, witness={"pairs_checked": len(agents) * (len(agents) - 1)})
 
 
-def _memo(owner: Instance | OrdinalProfile, name: str) -> dict:
-    """A dict kept on a frozen ``Instance`` or ``OrdinalProfile``, as
-    ``Instance.integer_rows`` is.  It lives as long as that object, so a
-    bundle, or an (envier, own bundle, other bundle) triple, is decided
-    once for every allocation checked against it."""
-    return owner.__dict__.setdefault(name, {})
-
-
-def _bundles(allocation: DeterministicAllocation) -> dict[str, tuple[str, ...]]:
-    """Every agent's bundle as an item tuple in item order, from one pass
+def _bundles(allocation: DeterministicAllocation) -> dict[str, list[str]]:
+    """Every agent's bundle as an item list in item order, from one pass
     over the owners."""
     bundles: dict[str, list[str]] = {a: [] for a in allocation.agents}
     for o, owner in zip(allocation.items, allocation.owners):
         bundles[owner].append(o)
-    return {a: tuple(bundle) for a, bundle in bundles.items()}
+    return bundles
 
 
-def _bundle_values(
-    instance: Instance, bundles: dict[str, tuple[str, ...]]
-) -> dict[str, tuple[int, ...]]:
-    """Per agent of ``bundles``, every agent's integer value of its bundle
-    (``integer_rows`` scales), in the order of ``bundles``.  A bundle's
-    values are summed once per instance, from its items' columns."""
-    cache = _memo(instance, "_bundle_values")
-    if not cache:  # seeded with the empty bundle and every single item
-        cache[()] = (0,) * instance.n
-        columns = zip(*(row for row, _ in instance.integer_rows()))
-        cache.update(((o,), column) for o, column in zip(instance.items, columns))
-    values = {}
+def _rounds(
+    bundles: dict[str, list[str]], prefs: OrdinalProfile, c: int
+) -> tuple[dict[str, list[str]], tuple[int, str] | None] | None:
+    """The balanced-rounds test.  None unless every bundle has c or c - 1
+    items.  Else each bundle best first for its owner (ties broken by item
+    id), its r-th item the owner's round-r item, and the first late item:
+    the earliest round r (from 0) at which some agent ranks an item held
+    in a later round strictly above its own round-r item, as (r, the
+    first such agent in ``bundles`` order), or None.
+
+    The tiers from an agent's round-(q - 1) item down to, not with, its
+    round-q item hold the items it ranks strictly above its round-q item
+    but not above its earlier ones: one of them held after round q is a
+    late item at round q.  So each agent's tiers are walked once, down to
+    its own item of round c - 1, which no round follows, or of the
+    earliest late round found so far.  At c = 1 nothing is walked.
+    """
+    if any(len(bundle) not in (c, c - 1) for bundle in bundles.values()):
+        return None
+    if c < 2:
+        return bundles, None
+    ordered = {}
+    round_of: dict[str, int] = {}
     for a, bundle in bundles.items():
-        row = cache.get(bundle)
-        if row is None:
-            row = cache[bundle] = tuple(map(sum, zip(*(cache[o,] for o in bundle))))
-        values[a] = row
-    if tuple(bundles) != instance.agents:
-        order = [instance.agent_index(a) for a in bundles]
-        values = {a: tuple(row[t] for t in order) for a, row in values.items()}
-    return values
+        ordered[a] = own = sorted(sorted(bundle), key=prefs.tier_rank(a).__getitem__)
+        round_of.update(zip(own, range(c)))
+    late = None
+    stop = c - 1
+    for a, own in ordered.items():
+        rank, tiers = prefs.tier_rank(a), prefs.tiers[a]
+        start = 0
+        for q, o in enumerate(own[:stop]):
+            end = rank[o]
+            held = map(round_of.__getitem__, itertools.chain.from_iterable(tiers[start:end]))
+            if max(held, default=q) > q:
+                late, stop = (q, a), q
+                break
+            start = end
+    return ordered, late
 
 
-def _best_first(prefs: OrdinalProfile, agent: str, bundle: tuple[str, ...]) -> tuple[str, ...]:
-    """``bundle`` sorted best-first for ``agent``, ties broken by item id;
-    sorted once per profile."""
-    if len(bundle) < 2:
-        return bundle
-    orders = _memo(prefs, "_best_first")
-    order = orders.get((agent, bundle))
-    if order is None:
-        rank = prefs.tier_rank(agent)
-        order = orders[agent, bundle] = tuple(sorted(bundle, key=lambda o: (rank[o], o)))
-    return order
+def _balanced_rounds(
+    allocation: DeterministicAllocation, bundles: dict[str, list[str]], prefs: OrdinalProfile
+) -> int | None:
+    """c = ceil(m / n) if the allocation passes the balanced-rounds test
+    at c, else None."""
+    c = -(-len(allocation.items) // len(allocation.agents))
+    rounds = _rounds(bundles, prefs, c)
+    return c if rounds is not None and rounds[1] is None else None
 
 
 def check_efk(allocation: DeterministicAllocation, instance: Instance, k: int) -> Report:
@@ -197,33 +210,32 @@ def check_efk(allocation: DeterministicAllocation, instance: Instance, k: int) -
 
     Items live in exactly one bundle, so the best removal drops the k
     items of the envied bundle the envier likes most, and a bundle of at
-    most k items is never envied after it.  Sums and comparisons run on
-    the envier's integer-scaled utilities, from bundle values summed
-    once per instance.
+    most k items is never envied after it.  For k >= 1 a pass by
+    balanced rounds needs no pair compared; otherwise every pair is, on
+    the envier's integer-scaled utilities.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     prop = f"ef{k}"
     bundles = _bundles(allocation)
-    large = [(j, bundle) for j, bundle in bundles.items() if len(bundle) > k]
-    if large:
-        values = _bundle_values(instance, bundles)
-        large_values = [values[j] for j, _ in large]
+    if any(len(bundle) > k for bundle in bundles.values()) and not (
+            k and _balanced_rounds(allocation, bundles, ordinal_from_utilities(instance))):
         item_idx = instance._index_maps()[1]
-        for s, i in enumerate(bundles):
-            mine = values[i][s]
-            envies = map(mine.__lt__, map(operator.itemgetter(s), large_values))
-            for j, other in itertools.compress(large, envies):
-                row, scale = instance.integer_rows()[instance.agent_index(i)]
-                chosen = sorted(other, key=lambda o: (-row[item_idx[o]], o))[:k]
-                left = values[j][s] - sum(row[item_idx[o]] for o in chosen)
-                if mine < left:
-                    return Report(
-                        prop,
-                        False,
-                        violation={"envious": i, "envied": j, "best_removal": chosen,
-                                   "gap": Fraction(left - mine, scale)},
-                    )
+        for i in bundles:
+            row, scale = instance.integer_rows()[instance.agent_index(i)]
+            worth = {j: sum(row[item_idx[o]] for o in bundle) for j, bundle in bundles.items()}
+            mine = worth[i]
+            for j, other in bundles.items():
+                if mine < worth[j]:
+                    chosen = sorted(other, key=lambda o: (-row[item_idx[o]], o))[:k]
+                    left = worth[j] - sum(row[item_idx[o]] for o in chosen)
+                    if mine < left:
+                        return Report(
+                            prop,
+                            False,
+                            violation={"envious": i, "envied": j, "best_removal": chosen,
+                                       "gap": Fraction(left - mine, scale)},
+                        )
     return Report(prop, True, witness={"k": k, "removal": "both"})
 
 
@@ -236,93 +248,72 @@ def check_sd_ef1(allocation: DeterministicAllocation, prefs: OrdinalProfile) -> 
     """SD envy-freeness up to one item: own bundle SD-dominates the other
     bundle, or does so after zeroing a single item of the other bundle.
 
-    Works on the envier's ranks of the two bundles, each sorted best
-    first.  Own SD-dominates other iff own is at least as large and its
-    r-th best item is ranked at or above other's r-th best, for every r.
-    Removing an item of rank t lowers other's tier counts from tier t on,
-    so the best removal is other's best item (by rank, then id): the pair
-    passes with one removal iff own dominates other without it.  Against
-    a single item that is one rank comparison; a larger other bundle is
-    decided once per (envier, own, other) triple and profile.
+    A pass by balanced rounds has the witness ``{"balanced_rounds": c}``:
+    each pair's removal is the envier's best item of the other bundle (by
+    rank, then id).  Otherwise each pair is decided on the envier's sorted
+    ranks of the two bundles: own SD-dominates other iff it is at least as
+    large and its r-th best rank is at or above other's, for every r, and
+    that best item is the best removal.  The witness names it for every
+    pair that needs one.
     """
     bundles = _bundles(allocation)
+    c = _balanced_rounds(allocation, bundles, prefs)
+    if c is not None:
+        return Report("sdef1", True, witness={"balanced_rounds": c})
     single_holder = {bundle[0]: j for j, bundle in bundles.items() if len(bundle) == 1}
-    larger = [(j, bundle) for j, bundle in bundles.items() if len(bundle) > 1]
-    verdicts = _memo(prefs, "_sdef1")
     witness = {}
     for i, own in bundles.items():
         rank = prefs.tier_rank(i)
-        if single_holder:
-            # A single item goes iff i ranks it above its own best item
-            # (an empty bundle ranks below every item).
-            best = min(map(rank.__getitem__, own), default=len(rank))
-            for tier in prefs.tiers[i][:best]:
-                for o in tier:
-                    j = single_holder.get(o)
-                    if j is not None:
-                        witness[f"{i}->{j}"] = o
-        for j, other in larger:
-            if j == i:
+        mine = sorted(map(rank.__getitem__, own))
+        # A single item goes iff i ranks it above its own best item (an
+        # empty bundle ranks below every item).
+        for tier in prefs.tiers[i][:mine[0] if mine else len(rank)]:
+            for o in tier:
+                j = single_holder.get(o)
+                if j is not None:
+                    witness[f"{i}->{j}"] = o
+        for j, other in bundles.items():
+            if j == i or len(other) < 2:
                 continue
-            key = (i, own, other)
-            removal = verdicts.get(key)
-            if removal is None:
-                removal = verdicts[key] = _sd_ef1_verdict(prefs, i, own, other)
-            if removal is False:
-                return Report("sdef1", False, violation={"envious": i, "envied": j})
-            if removal is not True:
-                witness[f"{i}->{j}"] = removal
+            theirs = sorted(map(rank.__getitem__, other))
+            if len(mine) >= len(theirs) and all(map(operator.le, mine, theirs)):
+                continue
+            if len(mine) + 1 >= len(theirs) and all(map(operator.le, mine, theirs[1:])):
+                witness[f"{i}->{j}"] = min(other, key=lambda o: (rank[o], o))
+                continue
+            return Report("sdef1", False, violation={"envious": i, "envied": j})
     return Report("sdef1", True, witness={"removals": witness})
-
-
-def _sd_ef1_verdict(
-    prefs: OrdinalProfile, i: str, own: tuple[str, ...], other: tuple[str, ...]
-) -> bool | str:
-    """True if i's ``own`` SD-dominates ``other``, other's best item if
-    it does once that item goes, else False."""
-    rank = prefs.tier_rank(i)
-    mine = sorted(map(rank.__getitem__, own))
-    order = _best_first(prefs, i, other)
-    theirs = [rank[o] for o in order]
-    if len(mine) >= len(theirs) and all(map(operator.le, mine, theirs)):
-        return True
-    if len(mine) + 1 >= len(theirs) and all(map(operator.le, mine, theirs[1:])):
-        return order[0]
-    return False
 
 
 def check_strong_ef1(allocation: DeterministicAllocation, instance: Instance) -> Report:
     """Strong EF1: for each agent i, one common item of i's bundle can be
-    removed so that nobody envies i.  Each agent's comparisons run on its
-    integer-scaled utilities: every agent's value of a bundle is summed
-    once per instance, so i's enviers take one comparison per agent, and
-    a single item is always a common removal."""
-    agents = allocation.agents
+    removed so that nobody envies i.
+
+    A pass by balanced rounds has the witness ``{"balanced_rounds": c}``:
+    i's common removal is its own best item.  Otherwise each agent values
+    every bundle on its integer-scaled utilities, and each envied bundle's
+    items are tried in item order.
+    """
     bundles = _bundles(allocation)
-    values = _bundle_values(instance, bundles)
-    own = [row[s] for s, row in enumerate(values.values())]
+    c = _balanced_rounds(allocation, bundles, ordinal_from_utilities(instance))
+    if c is not None:
+        return Report("strong-ef1", True, witness={"balanced_rounds": c})
+    item_idx = instance._index_maps()[1]
+    rows = {s: instance.integer_rows()[instance.agent_index(s)][0] for s in bundles}
+    worth = {s: {j: sum(row[item_idx[o]] for o in bundle) for j, bundle in bundles.items()}
+             for s, row in rows.items()}
     witness = {}
     for i, bundle in bundles.items():
-        theirs = values[i]
-        if not any(map(operator.lt, own, theirs)):
+        enviers = [s for s in bundles if worth[s][s] < worth[s][i]]
+        if not enviers:
             continue
-        found = bundle[0]
-        if len(bundle) > 1:
-            envious = list(itertools.compress(range(len(agents)), map(operator.lt, own, theirs)))
-            rows = instance.integer_rows()
-            item_idx = instance._index_maps()[1]
-            held = [rows[instance.agent_index(agents[s])][0] for s in envious]
-            found = next(
-                (o for o in bundle
-                 if all(own[s] >= theirs[s] - row[item_idx[o]] for s, row in zip(envious, held))),
-                None,
-            )
-            if found is None:
-                return Report(
-                    "strong-ef1",
-                    False,
-                    violation={"envied": i, "enviers": [agents[s] for s in envious]},
-                )
+        found = next(
+            (o for o in bundle
+             if all(worth[s][s] >= worth[s][i] - rows[s][item_idx[o]] for s in enviers)),
+            None,
+        )
+        if found is None:
+            return Report("strong-ef1", False, violation={"envied": i, "enviers": enviers})
         witness[i] = found
     return Report("strong-ef1", True, witness={"common_removals": witness})
 
@@ -335,48 +326,34 @@ def check_rb(
 
     Bundle sizes must be c or c-1.  Round r pins each participant's r-th
     best owned item (bundle-internal ties broken by item id); the
-    allocation is reconstructible iff no agent strictly prefers a later
-    round's item to its own round item, and the within-round "wants the
-    other's item" digraph is acyclic (a topological order of it is a
-    valid picking order).  The witness is the full picking sequence,
+    allocation is reconstructible iff it passes the balanced-rounds test
+    (no agent strictly prefers a later round's item to its own round
+    item), and the within-round "wants the other's item" digraph is
+    acyclic (a topological order of it is a valid picking order).  A
+    violation is reported at the earliest round that has one, a late
+    item before a cycle.  The witness is the full picking sequence,
     replayable by greedy picks.
     """
     agents = allocation.agents
     bundles = _bundles(allocation)
-    sizes = {a: len(bundle) for a, bundle in bundles.items()}
-    if any(size not in (c, c - 1) for size in sizes.values()):
+    rounds = _rounds(bundles, prefs, c)
+    if rounds is None:
+        sizes = {a: len(bundle) for a, bundle in bundles.items()}
         return Report(
             "rb",
             False,
             violation={"reason": "bundle sizes incompatible with balanced rounds", "sizes": sizes},
         )
-    ordered = {a: _best_first(prefs, a, bundle) for a, bundle in bundles.items()}
-    ranks = {a: prefs.tier_rank(a) for a in agents}
+    ordered, late = rounds
     sequence: list[str] = []
     picks: list[str] = []
-    for r in range(c):
-        participants = [a for a in agents if sizes[a] > r]
-        later = [z for a in agents for z in ordered[a][r + 1:]]
-        for a in participants:
-            rank = ranks[a]
-            mine = rank[ordered[a][r]]
-            if later and min(map(rank.__getitem__, later)) < mine:
-                z = next(z for z in later if rank[z] < mine)
-                return Report(
-                    "rb",
-                    False,
-                    violation={
-                        "agent": a,
-                        "round": r + 1,
-                        "own_item": ordered[a][r],
-                        "preferred_later_item": z,
-                    },
-                )
+    for r in range(c if late is None else late[0]):
+        participants = [a for a in agents if len(ordered[a]) > r]
         # j must pick before i when i strictly prefers j's round item.
         holder = {ordered[a][r]: a for a in participants}
         succ = {a: [] for a in participants}
         for i in participants:
-            for tier in prefs.tiers[i][:ranks[i][ordered[i][r]]]:
+            for tier in prefs.tiers[i][:prefs.tier_rank(i)[ordered[i][r]]]:
                 for o in tier:
                     j = holder.get(o)
                     if j is not None:
@@ -391,6 +368,17 @@ def check_rb(
             )
         sequence.extend(order)
         picks.extend(ordered[a][r] for a in order)
+    if late is not None:
+        r, a = late
+        rank = prefs.tier_rank(a)
+        mine = rank[ordered[a][r]]
+        z = next(z for b in agents for z in ordered[b][r + 1:] if rank[z] < mine)
+        return Report(
+            "rb",
+            False,
+            violation={"agent": a, "round": r + 1, "own_item": ordered[a][r],
+                       "preferred_later_item": z},
+        )
     return Report("rb", True, witness={"sequence": sequence, "picks": picks})
 
 
@@ -517,8 +505,8 @@ def pareto_front(
     every owner tuple that reaches it (so ties and zeros keep every optimum).
     """
     _check_budget(instance.n, instance.m)
-    cache = _memo(instance, "_pareto")
-    if "front" not in cache:
+    front = instance.__dict__.get("_pareto")
+    if front is None:
         agents = instance.agents
         rows = [row for row, _ in instance.integer_rows()]
         reached: dict[tuple[int, ...], list[tuple[int, ...]]] = {(0,) * instance.n: [()]}
@@ -540,14 +528,14 @@ def pareto_front(
                     bits = masks[x] = bits | masks[x]
                 above = [a & masks[x] for a, x in zip(above, coordinate)]
             reached = {v: grown[v] for t, v in enumerate(vectors) if above[t] == 1 << t}
-        front = sorted((t, w) for w, owners in reached.items() for t in owners)
-        cache["front"] = (
+        ranked = sorted((t, w) for w, owners in reached.items() for t in owners)
+        front = instance.__dict__["_pareto"] = (
             [DeterministicAllocation(agents, instance.items, tuple(map(agents.__getitem__, t)))
-             for t, _ in front],
-            [w for _, w in front],
+             for t, _ in ranked],
+            [w for _, w in ranked],
             set(reached),
         )
-    return cache["front"]
+    return front
 
 
 def check_po_bruteforce(allocation: DeterministicAllocation, instance: Instance) -> Report:

@@ -210,8 +210,8 @@ class _Frozen:
     Objects are equal when they are of one class with equal field values,
     and hash as those values.  Assigning or deleting any attribute raises
     ``AttributeError``.  Caches that are not fields (``integer_rows``, the
-    checkers' memos) are kept in the ``__dict__`` too and take no part in
-    equality, hashing or ``repr``.
+    ordinal profile, the Pareto front) are kept in the ``__dict__`` too and
+    take no part in equality, hashing or ``repr``.
     """
 
     _fields: tuple[str, ...]

@@ -1,9 +1,16 @@
+import contextlib
+import io
+import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from fairlot import birkhoff_decompose, is_bistochastic
+from fairlot import birkhoff_decompose, expected_allocation, fileio, is_bistochastic
+from fairlot.birkhoff import _complete_matching
+from fairlot.cli import _load_instance, main
+from fairlot.pslottery import plan
 
 IDENTITY_3 = tuple(
     tuple(F(1) if i == j else F(0) for j in range(3)) for i in range(3)
@@ -117,3 +124,28 @@ def test_decompose_on_the_lcm_scale():
     assert parts == [(F(1, 10), (0, 1, 2)), (F(1, 10), (1, 2, 0)), (F(1, 15), (0, 2, 1)),
                      (F(1, 10), (2, 0, 1)), (F(19, 30), (2, 1, 0))]
     assert recompose(parts, 3) == matrix
+
+
+def test_augmenting_path_longer_than_the_recursion_limit():
+    # Row r + 1 holds column r, and row r is adjacent to columns r - 1 and
+    # r: matching row 0 shifts every row, along one path through all k
+    # rows, far deeper than the interpreter's recursion limit.
+    k = 3 * sys.getrecursionlimit()
+    adjacency = [[0]] + [[r - 1, r] for r in range(1, k)]
+    match_col = list(range(1, k)) + [-1]
+    assert _complete_matching(adjacency, match_col, [0]) == list(range(k - 1, -1, -1))
+    assert match_col == list(range(k))
+
+
+def test_lottery_at_20x4000_builds_and_recomposes_its_outcome(tmp_path):
+    # 20 agents, c = 200: an augmenting path runs through more rows than
+    # the recursion limit allows frames.
+    instance, lottery = tmp_path / "instance.json", tmp_path / "lottery.json"
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["gen", "--agents", "20", "--items", "4000", "--seed", "7"]) == 0
+    instance.write_text(out.getvalue())
+    assert main(["lottery", "--rule", "ps", "--input", str(instance),
+                 "--out", str(lottery)]) == 0
+    built, _, _ = fileio.lottery_from_obj(json.loads(lottery.read_text()))
+    planned = plan(_load_instance(str(instance)), "ps", False)
+    assert expected_allocation(built) == planned.expected

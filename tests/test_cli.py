@@ -254,12 +254,14 @@ def test_verify_needs_lottery(example_file, capsys, prop):
     assert "the following arguments are required: --lottery" in capsys.readouterr().err
 
 
-def test_verify_efk_needs_k(tmp_path, example_file):
-    lot_path = tmp_path / "lot.json"
-    run(["lottery", "--rule", "ps", "--input", example_file, "--out", str(lot_path)])
-    code, _ = run(["verify", "--property", "efk", "--input", example_file,
-                   "--lottery", str(lot_path)])
-    assert code == 2
+def test_verify_efk_needs_k(tmp_path, example_file, capsys):
+    # Refused before either file is read: the lottery file does not exist,
+    # and the missing or negative --k is what the error names.
+    for flags in ([], ["--k", "-1"]):
+        code, out = run(["verify", "--property", "efk", *flags, "--input", example_file,
+                         "--lottery", str(tmp_path / "missing.json")])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "fairlot: error: --property efk needs a nonnegative --k\n"
 
 
 def test_verify_rejects_inconsistent_lottery_file(tmp_path, example_file):

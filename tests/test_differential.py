@@ -173,6 +173,29 @@ def test_efk_matches_definition(case):
             assert report.violation["gap"] == gap > 0
 
 
+def replay_sd_ef1(inst, alloc, report):
+    """Each removal a PASS names leaves the envier's row SD-dominating
+    the other row.  The balanced-rounds witness names one by rule: for
+    every pair with a nonempty other bundle, the envier's best item of
+    it (by rank, then id)."""
+    if not report.ok:
+        return
+    prefs = ordinal_from_utilities(inst)
+    if "balanced_rounds" in report.witness:
+        assert report.witness == {"balanced_rounds": -(-inst.m // inst.n)}
+        removals = {
+            f"{i}->{j}": min(alloc.bundle(j), key=lambda o: (prefs.tier_rank(i)[o], o))
+            for i in inst.agents for j in inst.agents if j != i and alloc.bundle(j)}
+    else:
+        removals = report.witness["removals"]
+    for pair, o in removals.items():
+        i, j = pair.split("->")
+        reduced = alloc.row(j)
+        assert reduced[o] == 1
+        reduced[o] = F(0)
+        assert upper_contour_dominates(inst, i, alloc.row(i), reduced)
+
+
 @SETTINGS
 @given(allocated())
 def test_sd_ef1_matches_definition(case):
@@ -180,13 +203,7 @@ def test_sd_ef1_matches_definition(case):
     prefs = ordinal_from_utilities(inst)
     report = check_sd_ef1(alloc, prefs)
     assert report.ok == slow_sd_ef1(alloc, prefs)
-    if report.ok:
-        for pair, o in report.witness["removals"].items():
-            i, j = pair.split("->")
-            reduced = alloc.row(j)
-            assert reduced[o] == 1
-            reduced[o] = F(0)
-            assert upper_contour_dominates(inst, i, alloc.row(i), reduced)
+    replay_sd_ef1(inst, alloc, report)
 
 
 @SETTINGS
@@ -283,18 +300,33 @@ def test_sd_efficient_matches_lp(case):
     assert any(edges[step] for step in steps)
 
 
+def replay_strong_ef1(inst, alloc, report):
+    """Each common removal a PASS names leaves nobody envying the rest of
+    the bundle.  The balanced-rounds witness names one by rule: every
+    nonempty bundle's owner's own best item (by rank, then id)."""
+    if not report.ok:
+        return
+    if "balanced_rounds" in report.witness:
+        assert report.witness == {"balanced_rounds": -(-inst.m // inst.n)}
+        prefs = ordinal_from_utilities(inst)
+        removals = {i: min(alloc.bundle(i), key=lambda o: (prefs.tier_rank(i)[o], o))
+                    for i in inst.agents if alloc.bundle(i)}
+    else:
+        removals = report.witness["common_removals"]
+    for i, o in removals.items():
+        rest = [x for x in alloc.bundle(i) if x != o]
+        for j in inst.agents:
+            if j != i:
+                assert utility(inst, j, alloc.bundle(j)) >= utility(inst, j, rest)
+
+
 @SETTINGS
 @given(allocated())
 def test_strong_ef1_matches_definition(case):
     inst, alloc = case
     report = check_strong_ef1(alloc, inst)
     assert report.ok == slow_strong_ef1(alloc, inst)
-    if report.ok:
-        for i, o in report.witness["common_removals"].items():
-            rest = [x for x in alloc.bundle(i) if x != o]
-            for j in inst.agents:
-                if j != i:
-                    assert utility(inst, j, alloc.bundle(j)) >= utility(inst, j, rest)
+    replay_strong_ef1(inst, alloc, report)
 
 
 @SETTINGS
@@ -1143,8 +1175,9 @@ def test_strictified_equals_the_rebuilt_profile(inst):
     assert (strict is prefs) == (prefs == rebuilt)
 
 
-# The ex-post checkers as the library ran them before their verdicts were
-# cached per bundle and triple: every pair decided afresh, per allocation.
+# The ex-post checkers as the library ran them before the balanced-rounds
+# test decided PASS for the EF1 family: every pair decided afresh, per
+# allocation.
 def reference_bundles(allocation):
     bundles = {a: [] for a in allocation.agents}
     for o, owner in zip(allocation.items, allocation.owners):
@@ -1255,15 +1288,45 @@ def reference_rb(allocation, prefs, c):
     return Report("rb", True, witness={"sequence": sequence, "picks": picks})
 
 
+def reference_rounds(allocation, prefs):
+    """c = ceil(m / n) if every bundle has c or c - 1 items and no agent
+    ranks an item held in a later round strictly above its own item of
+    that round (bundles best first, ties broken by item id); else None."""
+    c = -(-len(allocation.items) // len(allocation.agents))
+    bundles = reference_bundles(allocation)
+    if any(len(bundle) not in (c, c - 1) for bundle in bundles.values()):
+        return None
+    ranks = {a: prefs.tier_rank(a) for a in allocation.agents}
+    ordered = [sorted(bundle, key=lambda o: (ranks[a][o], o)) for a, bundle in bundles.items()]
+    for a, own in zip(bundles, ordered):
+        for r, mine in enumerate(own):
+            if any(ranks[a][z] < ranks[a][mine] for other in ordered for z in other[r + 1:]):
+                return None
+    return c
+
+
+def by_rounds(prop, reference):
+    """``reference``, except that an allocation that passes the
+    balanced-rounds test gets the rule witness.  That such an allocation
+    passes ``reference`` is pinned by the picking-sequence test below."""
+    def decide(allocation, instance, prefs, c):
+        rounds = reference_rounds(allocation, prefs)
+        if rounds is not None:
+            return Report(prop, True, witness={"balanced_rounds": rounds})
+        return reference(allocation, instance, prefs, c)
+    return decide
+
+
 # name -> (checker, reference), both called as (allocation, instance, prefs, c)
 EX_POST = {
     **{f"ef{k}": (lambda a, inst, prefs, c, k=k: check_efk(a, inst, k),
                   lambda a, inst, prefs, c, k=k: reference_efk(a, inst, k))
        for k in (0, 1, 2)},
     "sdef1": (lambda a, inst, prefs, c: check_sd_ef1(a, prefs),
-              lambda a, inst, prefs, c: reference_sd_ef1(a, prefs)),
+              by_rounds("sdef1", lambda a, inst, prefs, c: reference_sd_ef1(a, prefs))),
     "strong-ef1": (lambda a, inst, prefs, c: check_strong_ef1(a, inst),
-                   lambda a, inst, prefs, c: reference_strong_ef1(a, inst)),
+                   by_rounds("strong-ef1",
+                             lambda a, inst, prefs, c: reference_strong_ef1(a, inst))),
     "rb": (lambda a, inst, prefs, c: check_rb(a, prefs, c),
            lambda a, inst, prefs, c: reference_rb(a, prefs, c)),
 }
@@ -1317,7 +1380,7 @@ def test_cached_checkers_match_fresh_objects_and_the_reference(case):
 
 
 def test_caches_stay_with_their_instance():
-    # Same ids, different utilities: each instance keeps its own verdicts.
+    # Same ids, different utilities: each instance's verdicts are its own.
     items = ["a", "b", "c"]
     tables = [{"1": {"a": 3, "b": 0, "c": 0}, "2": {"a": 1, "b": 1, "c": 1}},
               {"1": {"a": 0, "b": 0, "c": 3}, "2": {"a": 1, "b": 1, "c": 1}}]
@@ -1332,6 +1395,62 @@ def test_caches_stay_with_their_instance():
         assert reports[:2] == reports[:1:-1], name
     assert [check_efk(a, *profiled(t)[:1], 0).ok for t in tables for a in support] == [
         False, True, True, False]
+
+
+@st.composite
+def picked(draw):
+    """An instance (fractional utilities, zeros and ties, n <= 5, m <= 10)
+    and an allocation built by picking: each agent of the sequence takes
+    a best remaining item, the smallest id among equals or any of them.
+    Half the sequences are rounds that each hold every agent once, which
+    pass the balanced-rounds test; the other half, and one item moved
+    after the picking, make late items and unbalanced sizes.  The
+    allocation lists the agents in an order of its own."""
+    inst = draw(instances(max_agents=5, max_items=10))
+    prefs = ordinal_from_utilities(inst)
+    agents, m = inst.agents, inst.m
+    if draw(st.booleans()):
+        rounds = [draw(st.permutations(agents)) for _ in range(-(-m // inst.n))]
+        sequence = [a for turn in rounds for a in turn][:m]
+    else:
+        sequence = draw(st.lists(st.sampled_from(agents), min_size=m, max_size=m))
+    left, owners = list(inst.items), {}
+    for a in sequence:
+        rank = prefs.tier_rank(a)
+        best = min(map(rank.__getitem__, left))
+        o = draw(st.sampled_from([o for o in left if rank[o] == best]))
+        left.remove(o)
+        owners[o] = a
+    for o, a in draw(st.lists(st.tuples(st.sampled_from(inst.items), st.sampled_from(agents)),
+                              max_size=1)):
+        owners[o] = a
+    order = tuple(draw(st.permutations(agents)))
+    return inst, DeterministicAllocation(order, inst.items, tuple(map(owners.get, inst.items)))
+
+
+@SETTINGS
+@given(picked())
+def test_round_test_decides_the_ef1_family(case):
+    # A PASS by rounds is a PASS of each pairwise reference; without one,
+    # every checker's whole report is its reference's.
+    inst, alloc = case
+    prefs = ordinal_from_utilities(inst)
+    c = reference_rounds(alloc, prefs)
+    event("pairwise search" if c is None else f"balanced rounds, c {'= 1' if c < 2 else '>= 2'}")
+    reports = {"ef1": check_efk(alloc, inst, 1), "ef2": check_efk(alloc, inst, 2),
+               "sdef1": check_sd_ef1(alloc, prefs), "strong-ef1": check_strong_ef1(alloc, inst)}
+    references = {"ef1": reference_efk(alloc, inst, 1), "ef2": reference_efk(alloc, inst, 2),
+                  "sdef1": reference_sd_ef1(alloc, prefs),
+                  "strong-ef1": reference_strong_ef1(alloc, inst)}
+    if c is None:
+        assert reports == references
+    else:
+        assert all(report.ok for report in references.values())
+        assert reports["ef1"] == references["ef1"] and reports["ef2"] == references["ef2"]
+        assert reports["sdef1"].witness == reports["strong-ef1"].witness == {
+            "balanced_rounds": c}
+    replay_sd_ef1(inst, alloc, reports["sdef1"])
+    replay_strong_ef1(inst, alloc, reports["strong-ef1"])
 
 
 # The eating-step duration as the library computed it before each

@@ -130,8 +130,9 @@ def test_check_sd_ef1_examples(example_instance):
         example_instance.agents, example_instance.items, ("1", "1", "2", "2")
     )
     report = check_sd_ef1(split, prefs)
-    assert report.ok
-    assert report.witness["removals"]["2->1"] == "a"
+    # Balanced rounds: for every pair the removal is the envier's best
+    # item of the other bundle, here a of 1's {a, b} for agent 2.
+    assert report.ok and report.witness == {"balanced_rounds": 2}
     one_each = DeterministicAllocation(("1", "2"), ("a", "b"), ("1", "2"))
     two = Instance.from_utilities(
         {"1": {"a": 1, "b": 2}, "2": {"a": 1, "b": 2}},
@@ -186,7 +187,14 @@ def test_check_strong_ef1(example_instance):
         example_instance.agents, example_instance.items, ("1", "1", "2", "2")
     )
     report = check_strong_ef1(split, example_instance)
-    assert report.ok and report.witness["common_removals"] == {"1": "a"}
+    assert report.ok and report.witness == {"balanced_rounds": 2}
+    # Agent 2 ranks 1's c above its own b, a late item: the pairwise
+    # search names the common removal, 1's a.
+    late = DeterministicAllocation(
+        example_instance.agents, example_instance.items, ("1", "2", "1", "2")
+    )
+    report = check_strong_ef1(late, example_instance)
+    assert report.ok and report.witness == {"common_removals": {"1": "a"}}
     one_each = DeterministicAllocation(("1", "2"), ("a", "b"), ("1", "2"))
     two = Instance.from_utilities(
         {"1": {"a": 2, "b": 1}, "2": {"a": 2, "b": 1}},

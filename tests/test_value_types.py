@@ -4,6 +4,7 @@ keyword construction, structural equality, hashing, a field-by-field
 keep in their ``__dict__``.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,7 @@ from fairlot.model import (
     ordinal_from_utilities,
 )
 from fairlot.oracle import InfeasibilityCertificate
-from fairlot.pslottery import Plan, pad_with_dummies
+from fairlot.pslottery import Plan, implement, pad_with_dummies, plan
 from fairlot.simplex import LpResult
 
 HALF = F(1, 2)
@@ -183,16 +184,40 @@ def test_caches_live_on_the_frozen_objects():
     profile = ordinal_from_utilities(instance)
     assert ordinal_from_utilities(instance) is profile
     assert profile.tier_rank("2") is profile.tier_rank("2") == {"b": 0, "a": 1}
-    memo = fairness._memo(instance, "_bundle_values")
-    memo["key"] = "kept"
-    assert fairness._memo(instance, "_bundle_values") is memo
-    assert fairness._memo(profile, "_pairs") is fairness._memo(profile, "_pairs")
     matrix = RandomAllocation(AGENTS, ITEMS, MATRIX.entries)
     assert matrix.integer_form() is matrix.integer_form() == (({0: 1, 1: 1}, {0: 1, 1: 1}), 2)
     # caches take no part in equality or hashing
     assert instance == INSTANCE and hash(instance) == hash(Instance(AGENTS, ITEMS,
                                                                     INSTANCE.values))
     assert matrix == MATRIX
+
+
+def test_verifying_a_lottery_leaves_no_per_bundle_state():
+    # Every ex-post checker on the four support allocations of a c = 3 ps
+    # lottery, which pass the balanced-rounds test, and on twenty random
+    # allocations, which fail it: the instance keeps only its own caches
+    # (index maps, ordinal profile, Pareto front), and the profile one
+    # tier-rank map per agent.
+    rng = random.Random(5)
+    agents, items = ("1", "2", "3"), tuple("abcdefg")
+    instance = Instance.from_utilities(
+        {a: dict(zip(items, rng.sample(range(1, 30), len(items)))) for a in agents},
+        agents=agents, items=items)
+    profile = ordinal_from_utilities(instance)
+    support = list(implement(plan(instance, "ps", False)).support)
+    support += [DeterministicAllocation(agents, items, tuple(rng.choice(agents) for _ in items))
+                for _ in range(20)]
+    for allocation in support:
+        for k in (0, 1, 2):
+            fairness.check_efk(allocation, instance, k)
+        fairness.check_sd_ef1(allocation, profile)
+        fairness.check_strong_ef1(allocation, instance)
+        fairness.check_rb(allocation, profile, 3)
+        fairness.check_po_bruteforce(allocation, instance)
+    assert set(instance.__dict__) == {"agents", "items", "values", "_int", "_idx", "_ordinal",
+                                      "_pareto"}
+    assert set(profile.__dict__) == {"agents", "items", "tiers", "_ranks"}
+    assert set(profile.__dict__["_ranks"]) == set(agents)
 
 
 def test_merged_is_a_class_attribute_that_can_be_rebound():
