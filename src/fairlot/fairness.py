@@ -22,11 +22,12 @@ searched pair by pair.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import operator
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from .fileio import matrix_to_obj
 from .model import (
@@ -153,6 +154,21 @@ def _bundles(allocation: DeterministicAllocation) -> dict[str, list[str]]:
     return bundles
 
 
+def _values(
+    instance: Instance, agents: Iterable[str], bundles: Iterable[list[str]]
+) -> list[Sequence[int]]:
+    """Every agent's integer value (``integer_rows`` scales) of each of
+    ``bundles``, agents in the order of ``agents``: the bundle's item
+    columns summed for this allocation alone."""
+    column, add = instance.integer_columns(), functools.partial(map, operator.add)
+    values = [tuple(functools.reduce(add, map(column.__getitem__, bundle))) if bundle
+              else (0,) * instance.n for bundle in bundles]
+    if tuple(agents) != instance.agents:
+        order = [instance.agent_index(a) for a in agents]
+        values = [[row[t] for t in order] for row in values]
+    return values
+
+
 def _rounds(
     bundles: dict[str, list[str]], prefs: OrdinalProfile, c: int
 ) -> tuple[dict[str, list[str]], tuple[int, str] | None] | None:
@@ -211,31 +227,31 @@ def check_efk(allocation: DeterministicAllocation, instance: Instance, k: int) -
     Items live in exactly one bundle, so the best removal drops the k
     items of the envied bundle the envier likes most, and a bundle of at
     most k items is never envied after it.  For k >= 1 a pass by
-    balanced rounds needs no pair compared; otherwise every pair is, on
-    the envier's integer-scaled utilities.
+    balanced rounds needs no pair compared; otherwise each agent compares
+    its own bundle with every bundle of more than k items, on its
+    integer-scaled utilities.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     prop = f"ef{k}"
     bundles = _bundles(allocation)
-    if any(len(bundle) > k for bundle in bundles.values()) and not (
+    large = [(j, bundle) for j, bundle in bundles.items() if len(bundle) > k]
+    if large and not (
             k and _balanced_rounds(allocation, bundles, ordinal_from_utilities(instance))):
-        item_idx = instance._index_maps()[1]
-        for i in bundles:
-            row, scale = instance.integer_rows()[instance.agent_index(i)]
-            worth = {j: sum(row[item_idx[o]] for o in bundle) for j, bundle in bundles.items()}
-            mine = worth[i]
-            for j, other in bundles.items():
-                if mine < worth[j]:
-                    chosen = sorted(other, key=lambda o: (-row[item_idx[o]], o))[:k]
-                    left = worth[j] - sum(row[item_idx[o]] for o in chosen)
-                    if mine < left:
-                        return Report(
-                            prop,
-                            False,
-                            violation={"envious": i, "envied": j, "best_removal": chosen,
-                                       "gap": Fraction(left - mine, scale)},
-                        )
+        values = _values(instance, bundles, (bundle for _, bundle in large))
+        agent_idx, item_idx = instance._index_maps()
+        rows = instance.integer_rows()
+        for s, (i, own) in enumerate(bundles.items()):
+            row, scale = rows[agent_idx[i]]
+            mine = sum(row[item_idx[o]] for o in own)
+            envies = map(mine.__lt__, map(operator.itemgetter(s), values))
+            for (j, other), theirs in itertools.compress(zip(large, values), envies):
+                chosen = sorted(other, key=lambda o: (-row[item_idx[o]], o))[:k]
+                left = theirs[s] - sum(row[item_idx[o]] for o in chosen)
+                if mine < left:
+                    return Report(prop, False, violation={
+                        "envious": i, "envied": j, "best_removal": chosen,
+                        "gap": Fraction(left - mine, scale)})
     return Report(prop, True, witness={"k": k, "removal": "both"})
 
 
@@ -298,21 +314,18 @@ def check_strong_ef1(allocation: DeterministicAllocation, instance: Instance) ->
     c = _balanced_rounds(allocation, bundles, ordinal_from_utilities(instance))
     if c is not None:
         return Report("strong-ef1", True, witness={"balanced_rounds": c})
-    item_idx = instance._index_maps()[1]
-    rows = {s: instance.integer_rows()[instance.agent_index(s)][0] for s in bundles}
-    worth = {s: {j: sum(row[item_idx[o]] for o in bundle) for j, bundle in bundles.items()}
-             for s, row in rows.items()}
+    agents = list(bundles)
+    values = _values(instance, agents, bundles.values())
+    own = [row[s] for s, row in enumerate(values)]
     witness = {}
-    for i, bundle in bundles.items():
-        enviers = [s for s in bundles if worth[s][s] < worth[s][i]]
-        if not enviers:
+    for (i, bundle), theirs in zip(bundles.items(), values):
+        if not bundle or not any(map(operator.lt, own, theirs)):
             continue
-        found = next(
-            (o for o in bundle
-             if all(worth[s][s] >= worth[s][i] - rows[s][item_idx[o]] for s in enviers)),
-            None,
-        )
+        drops = _values(instance, agents, ([o] for o in bundle))
+        found = next((o for o, drop in zip(bundle, drops)
+                      if all(map(operator.ge, own, map(operator.sub, theirs, drop)))), None)
         if found is None:
+            enviers = list(itertools.compress(agents, map(operator.lt, own, theirs)))
             return Report("strong-ef1", False, violation={"envied": i, "enviers": enviers})
         witness[i] = found
     return Report("strong-ef1", True, witness={"common_removals": witness})

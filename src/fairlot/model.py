@@ -209,9 +209,9 @@ class _Frozen:
     ``__init__`` checks them and binds them in the instance ``__dict__``.
     Objects are equal when they are of one class with equal field values,
     and hash as those values.  Assigning or deleting any attribute raises
-    ``AttributeError``.  Caches that are not fields (``integer_rows``, the
-    ordinal profile, the Pareto front) are kept in the ``__dict__`` too and
-    take no part in equality, hashing or ``repr``.
+    ``AttributeError``.  Caches that are not fields (``integer_rows`` and
+    its columns, the ordinal profile, the Pareto front) are kept in the
+    ``__dict__`` too and take no part in equality, hashing or ``repr``.
     """
 
     _fields: tuple[str, ...]
@@ -330,6 +330,15 @@ class Instance(_Frozen):
         which tests the signs on them.
         """
         return self._int
+
+    def integer_columns(self) -> dict[str, tuple[int, ...]]:
+        """Per item, every agent's ``integer_rows`` value of it, in agent
+        order.  Built on first use."""
+        cached = self.__dict__.get("_cols")
+        if cached is None:
+            cached = dict(zip(self.items, zip(*(row for row, _ in self._int))))
+            self.__dict__["_cols"] = cached
+        return cached
 
     def agent_index(self, agent: str) -> int:
         return self._index_maps()[0][agent]

@@ -1307,13 +1307,15 @@ def reference_rounds(allocation, prefs):
 
 def by_rounds(prop, reference):
     """``reference``, except that an allocation that passes the
-    balanced-rounds test gets the rule witness.  That such an allocation
-    passes ``reference`` is pinned by the picking-sequence test below."""
+    balanced-rounds test gets the rule witness, once ``reference`` has
+    passed it too."""
     def decide(allocation, instance, prefs, c):
+        report = reference(allocation, instance, prefs, c)
         rounds = reference_rounds(allocation, prefs)
         if rounds is not None:
+            assert report.ok, (prop, allocation)
             return Report(prop, True, witness={"balanced_rounds": rounds})
-        return reference(allocation, instance, prefs, c)
+        return report
     return decide
 
 

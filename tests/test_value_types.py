@@ -181,6 +181,8 @@ def test_caches_live_on_the_frozen_objects():
     instance = Instance(AGENTS, ITEMS, INSTANCE.values)
     assert instance.integer_rows() is instance.integer_rows()
     assert instance.integer_rows() == (((2, 1), 1), ((1, 3), 1))
+    assert instance.integer_columns() is instance.integer_columns() == {"a": (2, 1),
+                                                                        "b": (1, 3)}
     profile = ordinal_from_utilities(instance)
     assert ordinal_from_utilities(instance) is profile
     assert profile.tier_rank("2") is profile.tier_rank("2") == {"b": 0, "a": 1}
@@ -196,8 +198,8 @@ def test_verifying_a_lottery_leaves_no_per_bundle_state():
     # Every ex-post checker on the four support allocations of a c = 3 ps
     # lottery, which pass the balanced-rounds test, and on twenty random
     # allocations, which fail it: the instance keeps only its own caches
-    # (index maps, ordinal profile, Pareto front), and the profile one
-    # tier-rank map per agent.
+    # (index maps, integer columns, ordinal profile, Pareto front), and the
+    # profile one tier-rank map per agent.
     rng = random.Random(5)
     agents, items = ("1", "2", "3"), tuple("abcdefg")
     instance = Instance.from_utilities(
@@ -214,8 +216,9 @@ def test_verifying_a_lottery_leaves_no_per_bundle_state():
         fairness.check_strong_ef1(allocation, instance)
         fairness.check_rb(allocation, profile, 3)
         fairness.check_po_bruteforce(allocation, instance)
-    assert set(instance.__dict__) == {"agents", "items", "values", "_int", "_idx", "_ordinal",
-                                      "_pareto"}
+    assert set(instance.__dict__) == {"agents", "items", "values", "_int", "_idx", "_cols",
+                                      "_ordinal", "_pareto"}
+    assert set(instance.__dict__["_cols"]) == set(items)
     assert set(profile.__dict__) == {"agents", "items", "tiers", "_ranks"}
     assert set(profile.__dict__["_ranks"]) == set(agents)
 
