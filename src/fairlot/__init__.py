@@ -22,12 +22,12 @@ _SUBMODULES = ("birkhoff", "eps", "fairness", "fileio", "model", "oracle", "ps",
 _EXPORTS = {
     name: module
     for module, names in {
-        "birkhoff": "birkhoff_decompose is_bistochastic",
+        "birkhoff": "birkhoff_decompose",
         "eps": "eps_outcome globally_unwanted",
         "fairness": "Report check_ef check_ef1 check_efk check_po_bruteforce check_rb "
-                    "check_sd_ef check_sd_ef1 check_sd_efficient check_strong_ef1",
+                    "check_sd_ef check_sd_ef1 check_sd_efficient check_strong_ef1 pareto_front",
         "model": "BudgetExceeded DeterministicAllocation EatingTrace Instance Lottery "
-                 "OrdinalProfile RandomAllocation Rational SdRelation TraceSegment "
+                 "OrdinalProfile RandomAllocation SdRelation TraceSegment "
                  "expected_allocation format_rational ordinal_from_utilities rational "
                  "sd_compare",
         "oracle": "InfeasibilityCertificate enumerate_allocations implementable_by "

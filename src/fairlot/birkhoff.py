@@ -31,22 +31,9 @@ from typing import Iterator, Mapping, Sequence
 
 from .model import RandomAllocation
 
-__all__ = [
-    "is_bistochastic",
-    "birkhoff_decompose",
-]
+__all__ = ["birkhoff_decompose"]
 
 Matrix = Sequence[Sequence[Fraction]]
-
-
-def _scaled_rows(matrix: Matrix) -> tuple[tuple[dict[int, int], ...], int] | None:
-    """The matrix's integer form as a random allocation, and its L; None
-    unless it is square, with entries in [0, 1] and columns summing to 1."""
-    labels = tuple(range(len(matrix)))
-    try:
-        return RandomAllocation(labels, labels, tuple(map(tuple, matrix))).integer_form()
-    except ValueError:
-        return None
 
 
 def _balanced(rows: Sequence[Mapping[int, int]], scale: int) -> bool:
@@ -58,12 +45,6 @@ def _balanced(rows: Sequence[Mapping[int, int]], scale: int) -> bool:
         for j, x in row.items():
             totals[j] += x
     return totals.count(scale) == len(rows)
-
-
-def is_bistochastic(matrix: Matrix) -> bool:
-    """Square, entries in [0, 1], every row and column sums to exactly 1."""
-    scaled = _scaled_rows(matrix)
-    return scaled is not None and _balanced(*scaled)
 
 
 def _augment(adjacency: Sequence[Sequence[int]], row: int, match_col: list[int],
@@ -128,9 +109,11 @@ def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]
     Weights are in (0, 1] and sum to exactly 1; the recomposition equals
     the input structurally; the number of parts is at most k^2 - 2k + 2.
     """
-    scaled = _scaled_rows(matrix)
-    if scaled is None:
-        raise ValueError("matrix is not bistochastic")
+    labels = tuple(range(len(matrix)))
+    try:  # square, entries in [0, 1], columns summing to 1; _extract checks rows
+        scaled = RandomAllocation(labels, labels, tuple(map(tuple, matrix))).integer_form()
+    except ValueError:
+        raise ValueError("matrix is not bistochastic") from None
     return [(weight, tuple(perm)) for weight, perm, _ in _extract(*scaled)]
 
 

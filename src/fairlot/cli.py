@@ -21,44 +21,31 @@ import sys
 from importlib import import_module
 from typing import Sequence
 
-from . import fileio
+from . import _EXPORTS, fileio
 from .fileio import FormatError, dumps
-from .model import BudgetExceeded, Instance, format_rational, ordinal_from_utilities
-
-# Loaded by the commands that run them (``_need``), by defining module.
-# Names no command calls are here too, because benchmarks/spans.py looks
-# them up on this module.
-_LAZY = {
-    "eps": ("eps_outcome", "globally_unwanted"),
-    "fairness": ("check_ef", "check_ef1", "check_efk", "check_po_bruteforce", "check_rb",
-                 "check_sd_ef", "check_sd_ef1", "check_sd_efficient", "check_strong_ef1",
-                 "pareto_front"),
-    "oracle": ("InfeasibilityCertificate", "enumerate_allocations", "implementable_by",
-               "sd_improvement_exists"),
-    "ps": ("ps_outcome",),
-    "pslottery": ("implement", "pad_with_dummies", "plan", "ps_lottery", "reduce_support",
-                  "support_bound"),
-}
+from .model import (BudgetExceeded, Instance, _check_budget, format_rational,
+                    ordinal_from_utilities)
 
 
 def _need(*modules: str) -> None:
-    """Import ``modules`` and bind their ``_LAZY`` names here.  A name
-    already bound is kept, so a wrapper set on this module from outside
-    stays the one the command calls."""
+    """Import ``modules`` and bind their public names (``__all__``) here,
+    where the commands look them up.  A name already bound is kept, so a
+    wrapper set on this module from outside stays the one the command
+    calls."""
     namespace = globals()
     for module in modules:
         loaded = import_module(f".{module}", __package__)
-        for name in _LAZY[module]:
+        for name in loaded.__all__:
             if name not in namespace:
                 namespace[name] = getattr(loaded, name)
 
 
 def __getattr__(name: str):
-    for module, names in _LAZY.items():
-        if name in names:
-            _need(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A public name of the package, looked up before a command bound it."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _need(_EXPORTS[name])
+    return globals()[name]
 
 
 EX_OK = 0
@@ -152,9 +139,13 @@ _ORDINAL = ("sdef", "sdeff", "sdef1", "rb")  # the checks that read preference o
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     if args.property == "efk" and (args.k is None or args.k < 0):
         raise FormatError("--property efk needs a nonnegative --k")
+    if args.property != "efk" and args.k is not None:
+        raise FormatError("--k applies to --property efk only")
     _need("fairness")
     instance = _load_instance(args.input)
     prop = args.property
+    if prop == "po":  # check_po_bruteforce would refuse: do so before reading the lottery
+        _check_budget(instance.n, instance.m)
     prefs = ordinal_from_utilities(instance) if prop in _ORDINAL else None
 
     lottery, expected, _meta = fileio.lottery_from_obj(
@@ -198,6 +189,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_oracle(args: argparse.Namespace) -> tuple[int, str]:
     _need("fairness", "oracle")
     instance = _load_instance(args.input)
+    _check_budget(instance.n, instance.m)  # every filter would refuse: do so before the read
     target = fileio.matrix_from_obj(_load_json(args.allocation, "allocation file"))
     if tuple(target.rows) != instance.agents or target.items != instance.items:
         raise FormatError("allocation matrix universe does not match the instance")

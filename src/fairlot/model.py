@@ -8,6 +8,7 @@ structural equality of canonical rationals.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import math
@@ -18,11 +19,9 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Any, Hashable, Mapping, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 __all__ = [
-    "Rational",
     "rational",
     "format_rational",
     "Instance",
@@ -203,15 +202,17 @@ class SdRelation(enum.Enum):
 
 
 class _Frozen:
-    """Base of the package's immutable value types.
+    """Base of the package's immutable value types (``TraceSegment``, a
+    named tuple, is the one that is not a subclass).
 
     ``_fields`` names a subclass's fields in constructor order; its
     ``__init__`` checks them and binds them in the instance ``__dict__``.
     Objects are equal when they are of one class with equal field values,
     and hash as those values.  Assigning or deleting any attribute raises
-    ``AttributeError``.  Caches that are not fields (``integer_rows`` and
-    its columns, the ordinal profile, the Pareto front) are kept in the
-    ``__dict__`` too and take no part in equality, hashing or ``repr``.
+    ``AttributeError``.  Derived data that is not a field (the integer
+    forms, ``integer_columns``, the index maps, the tier ranks, the
+    ordinal profile, the Pareto front) is kept in the ``__dict__`` too and
+    takes no part in equality, hashing or ``repr``.
     """
 
     _fields: tuple[str, ...]
@@ -343,10 +344,6 @@ class Instance(_Frozen):
     def agent_index(self, agent: str) -> int:
         return self._index_maps()[0][agent]
 
-    def utility(self, agent: str, item: str) -> Fraction:
-        agent_idx, item_idx = self._index_maps()
-        return self.values[agent_idx[agent]][item_idx[item]]
-
     def utility_row(self, agent: str) -> dict[str, Fraction]:
         row = self.values[self._index_maps()[0][agent]]
         return dict(zip(self.items, row))
@@ -400,15 +397,6 @@ class OrdinalProfile(_Frozen):
             rank = {o: k for k, tier in enumerate(self.tiers[agent]) for o in tier}
             cache[agent] = rank
         return rank
-
-    def strict_order(self, agent: str) -> tuple[str, ...]:
-        """Descending item order; requires the agent's order to be strict."""
-        order = []
-        for tier in self.tiers[agent]:
-            if len(tier) != 1:
-                raise ValueError(f"preferences of {agent!r} contain ties")
-            order.append(tier[0])
-        return tuple(order)
 
     def strictified(self) -> "OrdinalProfile":
         """Break every tie lexicographically on item id (smaller id preferred).
@@ -513,9 +501,6 @@ class RandomAllocation(_Frozen):
         ``__init__``.  Callers must not mutate the rows."""
         return self._int
 
-    def entry(self, row: Hashable, item: str) -> Fraction:
-        return self.entries[self.rows.index(row)][self.items.index(item)]
-
     def row(self, label: Hashable) -> dict[str, Fraction]:
         values = self.entries[self.rows.index(label)]
         return dict(zip(self.items, values))
@@ -549,9 +534,6 @@ class DeterministicAllocation(_Frozen):
     ) -> "DeterministicAllocation":
         return cls(tuple(agents), tuple(items), tuple(map(owner.__getitem__, items)))
 
-    def owner_of(self, item: str) -> str:
-        return self.owners[self.items.index(item)]
-
     def owner_map(self) -> dict[str, str]:
         return dict(zip(self.items, self.owners))
 
@@ -561,15 +543,6 @@ class DeterministicAllocation(_Frozen):
     def row(self, agent: str) -> dict[str, Fraction]:
         one, zero = Fraction(1), Fraction(0)
         return {o: (one if a == agent else zero) for o, a in zip(self.items, self.owners)}
-
-    def matrix(self) -> RandomAllocation:
-        """0/1 matrix view (a valid RandomAllocation)."""
-        one, zero = Fraction(1), Fraction(0)
-        entries = tuple(
-            tuple(one if owner == agent else zero for owner in self.owners)
-            for agent in self.agents
-        )
-        return RandomAllocation(self.agents, self.items, entries)
 
 
 class Lottery(_Frozen):
@@ -602,10 +575,6 @@ class Lottery(_Frozen):
     def items(self) -> tuple[str, ...]:
         return self.entries[0][1].items
 
-    @property
-    def support(self) -> tuple[DeterministicAllocation, ...]:
-        return tuple(allocation for _, allocation in self.entries)
-
     def merged(self) -> "Lottery":
         """Combine repeated support allocations by adding their weights;
         a lottery with no repeats is its own merge."""
@@ -622,29 +591,8 @@ class Lottery(_Frozen):
         return Lottery(tuple((weights[a.owners], a) for a in order))
 
 
-class TraceSegment(tuple):
-    """One consumption interval: (item, start, end, amount)."""
-
-    __slots__ = ()
-
-    def __new__(cls, item: str, start: Fraction, end: Fraction, amount: Fraction):
-        return super().__new__(cls, (item, start, end, amount))
-
-    @property
-    def item(self) -> str:
-        return self[0]
-
-    @property
-    def start(self) -> Fraction:
-        return self[1]
-
-    @property
-    def end(self) -> Fraction:
-        return self[2]
-
-    @property
-    def amount(self) -> Fraction:
-        return self[3]
+# One consumption interval: ``amount`` of ``item`` eaten over [start, end].
+TraceSegment = collections.namedtuple("TraceSegment", "item start end amount")
 
 
 class EatingTrace(_Frozen):
@@ -667,16 +615,6 @@ class EatingTrace(_Frozen):
     ) -> None:
         d = self.__dict__
         d["agents"], d["items"], d["segments"], d["horizon"] = agents, items, segments, horizon
-
-    def integrate(self) -> dict[str, dict[str, Fraction]]:
-        """Total amount of each item per agent, summed over all segments."""
-        rows: dict[str, dict[str, Fraction]] = {}
-        for agent in self.agents:
-            row: dict[str, Fraction] = {}
-            for seg in self.segments.get(agent, ()):
-                row[seg.item] = row.get(seg.item, Fraction(0)) + seg.amount
-            rows[agent] = row
-        return rows
 
 
 def sd_compare(

@@ -14,7 +14,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .model import BUDGET_ENV_VAR, DEFAULT_BUDGET, configured_budget  # re-exported
 from .model import (
     BudgetExceeded,
     DeterministicAllocation,
@@ -27,9 +26,6 @@ from .model import (
 from .simplex import solve_lp, verify_farkas
 
 __all__ = [
-    "DEFAULT_BUDGET",
-    "BUDGET_ENV_VAR",
-    "configured_budget",
     "enumerate_allocations",
     "InfeasibilityCertificate",
     "implementable_by",

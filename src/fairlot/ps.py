@@ -39,5 +39,5 @@ def ps_outcome(
         raise ValueError("the preference profile ranks other items than the ones to eat")
     for a in agents:  # the tiers partition the items: one per item is strict
         if len(strict_prefs.tiers[a]) != len(strict_prefs.items):
-            strict_prefs.strict_order(a)  # raises on ties
+            raise ValueError(f"preferences of {a!r} contain ties")
     return _eat(agents, items, strict_prefs.tiers)

@@ -2,7 +2,9 @@
 fractional bundle, the fractional Pareto-improvement LP and the leximin
 optimum of a binary instance, all over the package's exact simplex; and
 the re-eating loop on a dense ``Fraction`` matrix, as the library ran it
-before it re-ate on one integer scale.
+before it re-ate on one integer scale.  Also views the library does not
+need: an allocation's 0/1 matrix, a trace's totals per agent, and the
+bistochastic test.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from fairlot import Instance, RandomAllocation, rational
+from fairlot import (DeterministicAllocation, EatingTrace, Instance, Lottery,
+                     RandomAllocation, expected_allocation, rational)
+from fairlot.birkhoff import _balanced
 from fairlot.oracle import _allocation_from_x, _cells, _item_sum_rows
 from fairlot.pslottery import PaddedInstance
 from fairlot.simplex import LpResult, solve_lp
@@ -28,6 +32,34 @@ def utility_of_bundle(instance: Instance, agent: str, row: Mapping[str, Fraction
     return total
 
 
+def matrix_of(allocation: DeterministicAllocation) -> RandomAllocation:
+    """The 0/1 matrix of a deterministic allocation: the expected
+    allocation of the lottery that picks it for sure."""
+    return expected_allocation(Lottery(((Fraction(1), allocation),)))
+
+
+def integrate(trace: EatingTrace) -> dict[str, dict[str, Fraction]]:
+    """Total amount of each item per agent, summed over all segments."""
+    rows: dict[str, dict[str, Fraction]] = {}
+    for agent in trace.agents:
+        row: dict[str, Fraction] = {}
+        for seg in trace.segments.get(agent, ()):
+            row[seg.item] = row.get(seg.item, Fraction(0)) + seg.amount
+        rows[agent] = row
+    return rows
+
+
+def is_bistochastic(matrix: Sequence[Sequence[Fraction]]) -> bool:
+    """Square, entries in [0, 1], every row and column sums to exactly 1;
+    tested on one integer scale, as ``birkhoff_decompose`` tests its input."""
+    labels = tuple(range(len(matrix)))
+    try:
+        scaled = RandomAllocation(labels, labels, tuple(map(tuple, matrix))).integer_form()
+    except ValueError:
+        return False
+    return _balanced(*scaled)
+
+
 def pareto_improvement_exists(
     p: RandomAllocation, instance: Instance
 ) -> RandomAllocation | None:
@@ -39,10 +71,8 @@ def pareto_improvement_exists(
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for idx, a in enumerate(instance.agents):
-        row = [
-            instance.utility(cell_a, cell_o) if cell_a == a else Fraction(0)
-            for (cell_a, cell_o) in cells
-        ]
+        values = instance.utility_row(a)
+        row = [values[cell_o] if cell_a == a else Fraction(0) for (cell_a, cell_o) in cells]
         surplus = [Fraction(0)] * n
         surplus[idx] = Fraction(-1)
         rows.append(row + surplus)
@@ -76,10 +106,8 @@ def leximin_bruteforce(
 
     def utility_row(a: str, t_coeff: Fraction, slack_pos: int | None,
                     nslack: int) -> list[Fraction]:
-        row = [
-            instance.utility(cell_a, cell_o) if cell_a == a else Fraction(0)
-            for (cell_a, cell_o) in cells
-        ]
+        values = instance.utility_row(a)
+        row = [values[cell_o] if cell_a == a else Fraction(0) for (cell_a, cell_o) in cells]
         row.append(t_coeff)
         slack = [Fraction(0)] * nslack
         if slack_pos is not None:
@@ -113,9 +141,10 @@ def leximin_bruteforce(
         if maximize_agent is None:
             objective[len(cells)] = Fraction(-1)  # maximize t
         else:
+            values = instance.utility_row(maximize_agent)
             for j, (cell_a, cell_o) in enumerate(cells):
                 if cell_a == maximize_agent:
-                    objective[j] = -instance.utility(cell_a, cell_o)
+                    objective[j] = -values[cell_o]
         result = solve_lp(objective, rows, rhs)
         if result.status != "optimal":
             raise AssertionError(f"leximin LP ended {result.status}")

@@ -7,10 +7,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from fairlot import birkhoff_decompose, expected_allocation, fileio, is_bistochastic
+from fairlot import birkhoff_decompose, expected_allocation, fileio
 from fairlot.birkhoff import _complete_matching
 from fairlot.cli import _load_instance, main
 from fairlot.pslottery import plan
+from references import is_bistochastic
 
 IDENTITY_3 = tuple(
     tuple(F(1) if i == j else F(0) for j in range(3)) for i in range(3)

@@ -264,6 +264,15 @@ def test_verify_efk_needs_k(tmp_path, example_file, capsys):
         assert capsys.readouterr().err == "fairlot: error: --property efk needs a nonnegative --k\n"
 
 
+@pytest.mark.parametrize("prop", ["ef", "ef1", "sdef1", "po"])
+def test_verify_k_with_another_property_is_a_usage_error(tmp_path, capsys, prop):
+    # Refused before either file is read: neither file exists.
+    code, out = run(["verify", "--property", prop, "--k", "3", "--input",
+                     str(tmp_path / "missing.json"), "--lottery", str(tmp_path / "missing.json")])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "fairlot: error: --k applies to --property efk only\n"
+
+
 def test_verify_rejects_inconsistent_lottery_file(tmp_path, example_file):
     broken = {
         "agents": ["1", "2"],
@@ -350,6 +359,19 @@ def test_oracle_budget_refusal(tmp_path, example_file, monkeypatch):
     code, _ = run(["oracle", "--filter", "none", "--input", example_file,
                    "--allocation", str(m_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--property", "po", "--lottery"],
+    *[["oracle", "--filter", name, "--allocation"] for name in ("ef1-po", "balanced-po", "none")],
+], ids=["po", "ef1-po", "balanced-po", "none"])
+def test_over_budget_refuses_before_reading_the_second_file(tmp_path, example_file,
+                                                            monkeypatch, capsys, argv):
+    # The lottery or target file does not exist: the refusal comes first.
+    monkeypatch.setenv("FAIRLOT_BUDGET", "15")
+    code, out = run([*argv, str(tmp_path / "missing.json"), "--input", example_file])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "fairlot: refused: 2^4 allocations exceed the budget 15\n"
 
 
 def test_budget_refusal_past_the_digit_limit(tmp_path, monkeypatch, capsys):
@@ -611,8 +633,8 @@ def test_literals_past_4300_digits_read_back(tmp_path):
     doc["utilities"]["2"]["a"] = BIG
     doc["utilities"]["2"]["b"] = f"1/{BIG}"
     instance = fileio.instance_from_obj(doc)
-    assert instance.utility("2", "a") == 10**4400
-    assert instance.utility("2", "b") == Fraction(1, 10**4400)
+    row = instance.utility_row("2")
+    assert (row["a"], row["b"]) == (10**4400, Fraction(1, 10**4400))
     assert fileio.instance_to_obj(instance) == doc
     matrix = {"rows": ["1", "2"], "items": ["a"],
               "entries": [[f"1/{BIG}"], [f"{'9' * 4400}/{BIG}"]]}
@@ -633,7 +655,7 @@ def test_long_literal_forms(literal, value):
     assert rational(literal) == value
     # the Python API reads what the file reader reads
     instance = Instance.from_utilities({"1": {"a": literal.strip().lstrip("-")}})
-    assert instance.utility("1", "a") == abs(value)
+    assert instance.utility_row("1") == {"a": abs(value)}
 
 
 def test_literal_caps(tmp_path, capsys):

@@ -58,7 +58,6 @@ from fairlot import (
     check_strong_ef1,
     eps_outcome,
     expected_allocation,
-    is_bistochastic,
     ordinal_from_utilities,
     ps_outcome,
     reduce_support,
@@ -91,7 +90,7 @@ from fairlot.pslottery import (
 )
 from fairlot.simplex import solve_lp, verify_farkas
 from conftest import max_eating_duration, strict_instance
-from references import fraction_re_eat, utility_of_bundle
+from references import fraction_re_eat, is_bistochastic, utility_of_bundle
 from test_fairness import slow_efk, slow_sd_ef1
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -117,7 +116,8 @@ def allocated(draw, max_agents=4, max_items=6):
 
 
 def utility(inst, agent, bundle):
-    return sum((inst.utility(agent, o) for o in bundle), F(0))
+    values = inst.utility_row(agent)
+    return sum((values[o] for o in bundle), F(0))
 
 
 def vector(inst, alloc):
@@ -131,8 +131,9 @@ def dominates(v, w):
 def upper_contour_dominates(inst, agent, x, y):
     """x weakly SD-dominates y for the agent: on every set of the items it
     values at least some u, x puts at least as much mass as y."""
-    for level in {inst.utility(agent, o) for o in inst.items}:
-        upper = [o for o in inst.items if inst.utility(agent, o) >= level]
+    values = inst.utility_row(agent)
+    for level in set(values.values()):
+        upper = [o for o in inst.items if values[o] >= level]
         if sum(x[o] for o in upper) < sum(y[o] for o in upper):
             return False
     return True
@@ -259,9 +260,9 @@ def trade_edges(p, prefs):
     agent holding y ranks at or above y."""
     edges = {}
     for a in p.rows:
-        rank = prefs.tier_rank(a)
+        rank, row = prefs.tier_rank(a), p.row(a)
         for y in p.items:
-            if p.entry(a, y) > 0:
+            if row[y] > 0:
                 for x in p.items:
                     if x != y and rank[x] <= rank[y]:
                         edges[x, y] = edges.get((x, y), False) or rank[x] < rank[y]
@@ -563,8 +564,8 @@ def rank(rows):
 def test_reduce_support_matches_dense_elimination(lottery):
     slim = reduce_support(lottery)
     assert expected_allocation(slim) == expected_allocation(lottery)
-    assert {a.owners for a in slim.support} <= {a.owners for a in lottery.support}
-    vectors = [dense_vector(a) for a in slim.support]
+    assert {a.owners for _, a in slim.entries} <= {a.owners for _, a in lottery.entries}
+    vectors = [dense_vector(a) for _, a in slim.entries]
     assert rank(vectors) == len(vectors)
     assert slim.entries == dense_reduce(lottery)
 
@@ -585,8 +586,8 @@ def test_last_use_test_never_calls_a_dependent_support_independent(lottery):
     verdict = _last_users_cover(merged)
     event(f"independent by last use: {verdict}")
     if verdict:
-        masks = [dense_mask(a) for a in merged.support]
-        assert _find_affine_dependency(masks, len(dense_vector(merged.support[0]))) is None
+        masks = [dense_mask(a) for _, a in merged.entries]
+        assert _find_affine_dependency(masks, len(dense_vector(merged.entries[0][1]))) is None
 
 
 @pytest.mark.parametrize("n", [150, 300])
@@ -1148,11 +1149,9 @@ def fraction_tiers(inst):
     """Tiers from sorting the ``Fraction`` utilities, best first."""
     tiers = {}
     for a in inst.agents:
-        values = sorted({inst.utility(a, o) for o in inst.items}, reverse=True)
-        tiers[a] = tuple(
-            tuple(sorted(o for o in inst.items if inst.utility(a, o) == v))
-            for v in values
-        )
+        row = inst.utility_row(a)
+        values = sorted(set(row.values()), reverse=True)
+        tiers[a] = tuple(tuple(sorted(o for o in inst.items if row[o] == v)) for v in values)
     return tiers
 
 
@@ -1550,7 +1549,7 @@ def test_integer_duration_matches_fraction_reference(group):
 # became one interval: every stage regroups all agents and adds one
 # ``Fraction`` per agent, merging adjacent trace segments.
 def stage_loop_ps_outcome(agents, items, strict_prefs):
-    orders = {a: strict_prefs.strict_order(a) for a in agents}
+    orders = {a: [o for (o,) in strict_prefs.tiers[a]] for a in agents}
     remaining = set(items)
     eaten = {o: F(0) for o in items}
     shares = {a: {} for a in agents}
@@ -1621,7 +1620,7 @@ def reference_ps_outcome(agents, items, strict_prefs):
     items = tuple(items)
     if set(strict_prefs.items) != set(items):
         raise ValueError("the preference profile ranks other items than the ones to eat")
-    orders = {a: strict_prefs.strict_order(a) for a in agents}
+    orders = {a: [o for (o,) in strict_prefs.tiers[a]] for a in agents}
 
     remaining = set(items)
     shares = {a: {} for a in agents}
@@ -2045,7 +2044,7 @@ def reference_plan(inst, rule, skip_zero):
     else:
         lift = len(dummies) + 1
         outcome, _ = eps_outcome(Instance.from_utilities({
-            a: {**{o: inst.utility(a, o) + lift for o in inst.items},
+            a: {**{o: v + lift for o, v in inst.utility_row(a).items()},
                 **{d: lift - k for k, d in enumerate(dummies, 1)}}
             for a in inst.agents}, agents=inst.agents, items=items))
     expected = RandomAllocation(inst.agents, inst.items,

@@ -16,7 +16,7 @@ from fairlot import (
 from fairlot.eps import _Flow
 from fairlot.oracle import sd_improvement_exists
 from conftest import binary_instance, max_eating_duration, strict_instance, weak_instance
-from references import leximin_bruteforce, utility_of_bundle
+from references import integrate, leximin_bruteforce, utility_of_bundle
 
 
 def test_matches_serial_eating_on_strict_profiles(example_instance):
@@ -147,7 +147,7 @@ def test_equal_agents_get_equal_rows(mode, data):
     out, _ = eps_outcome(inst, mode=mode)
     tiers = ordinal_from_utilities(inst).tiers
     if mode == "skip_zero":
-        tiers = {a: {o for o in inst.items if inst.utility(a, o) == 1} for a in inst.agents}
+        tiers = {a: {o for o, v in inst.utility_row(a).items() if v == 1} for a in inst.agents}
     for a, b in combinations(inst.agents, 2):
         if tiers[a] == tiers[b]:
             assert out.row(a) == out.row(b)
@@ -164,7 +164,7 @@ def test_eating_is_anonymous_and_neutral_on_strict_profiles(data):
     names = dict(zip(inst.items, data.draw(st.permutations([f"x{j:02d}" for j in range(inst.m)]))))
     items = tuple(data.draw(st.permutations([names[o] for o in inst.items])))
     renamed = Instance.from_utilities(
-        {a: {names[o]: inst.utility(a, o) for o in inst.items} for a in agents},
+        {a: {names[o]: v for o, v in inst.utility_row(a).items()} for a in agents},
         agents=agents, items=items)
     for eat in (
         lambda i: ps_outcome(i.agents, i.items, ordinal_from_utilities(i)),
@@ -199,7 +199,7 @@ def test_standard_trace_covers_horizon():
                 assert prev.end == cur.start
             for seg in segs:
                 assert seg.amount == seg.end - seg.start > 0
-        integrated = trace.integrate()
+        integrated = integrate(trace)
         for a in inst.agents:
             assert integrated[a] == {o: v for o, v in out.row(a).items() if v > 0}
 
@@ -241,11 +241,11 @@ def test_skip_zero_zero_entries_and_padding():
     out, trace = eps_outcome(inst, mode="skip_zero")
     assert globally_unwanted(inst) == ("c",)
     # zero-utility entries stay zero except for the uniformly split leftover
-    assert out.entry("1", "b") == 0
-    assert out.entry("1", "c") == out.entry("2", "c") == F(1, 2)
+    assert out.row("1")["b"] == 0
+    assert out.row("1")["c"] == out.row("2")["c"] == F(1, 2)
     pads = [s for a in inst.agents for s in trace.segments[a] if s.start >= trace.horizon]
     assert {s.item for s in pads} == {"c"}
-    integrated = trace.integrate()
+    integrated = integrate(trace)
     for a in inst.agents:
         assert integrated[a] == {o: v for o, v in out.row(a).items() if v > 0}
 

@@ -26,7 +26,7 @@ from fairlot import (
 from fairlot.fairness import pareto_front
 from fairlot.oracle import sd_improvement_exists
 from conftest import consistent_utilities, weak_instance
-from references import utility_of_bundle
+from references import matrix_of, utility_of_bundle
 
 HALF = F(1, 2)
 
@@ -50,11 +50,11 @@ def test_check_ef(example_instance):
     grab = DeterministicAllocation(
         example_instance.agents, example_instance.items, ("1", "1", "1", "1")
     )
-    report = check_ef(grab.matrix(), example_instance)
+    report = check_ef(matrix_of(grab), example_instance)
     assert not report.ok
     assert report.violation["envious"] == "2" and report.violation["envied"] == "1"
     solo = Instance.from_utilities({"1": {"a": 3}}, agents=["1"], items=["a"])
-    assert check_ef(DeterministicAllocation(("1",), ("a",), ("1",)).matrix(), solo).ok
+    assert check_ef(matrix_of(DeterministicAllocation(("1",), ("a",), ("1",))), solo).ok
 
 
 def test_check_sd_ef(example_instance):
@@ -402,7 +402,7 @@ def test_implication_chain_fuzz():
         inst = weak_instance(rng, rng.randint(2, 4), rng.randint(1, 6))
         prefs = ordinal_from_utilities(inst)
         alloc = rand_alloc(rng, inst)
-        p = alloc.matrix()
+        p = matrix_of(alloc)
         if check_sd_ef(p, prefs).ok:
             assert check_ef(p, inst).ok
             for _ in range(5):

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -148,12 +149,12 @@ out = [codes + run(), traced, calls[len(traced):],
 
 # Every public name of the package, by the module that defines it.
 PUBLIC = {
-    "birkhoff": "birkhoff_decompose is_bistochastic",
+    "birkhoff": "birkhoff_decompose",
     "eps": "eps_outcome globally_unwanted",
     "fairness": "Report check_ef check_ef1 check_efk check_po_bruteforce check_rb "
-                "check_sd_ef check_sd_ef1 check_sd_efficient check_strong_ef1",
+                "check_sd_ef check_sd_ef1 check_sd_efficient check_strong_ef1 pareto_front",
     "model": "BudgetExceeded DeterministicAllocation EatingTrace Instance Lottery "
-             "OrdinalProfile RandomAllocation Rational SdRelation TraceSegment "
+             "OrdinalProfile RandomAllocation SdRelation TraceSegment "
              "expected_allocation format_rational ordinal_from_utilities rational "
              "sd_compare",
     "oracle": "InfeasibilityCertificate enumerate_allocations implementable_by "
@@ -179,7 +180,7 @@ def test_submodules_are_attributes():
 
 def test_every_public_name_is_listed_and_star_imported():
     names = {name for _, name in NAMES} | set(SUBMODULES)
-    assert len(names) == 53
+    assert len(names) == 52
     assert sorted(fairlot.__all__) == sorted(names)
     assert names <= set(dir(fairlot))
     namespace = {}
@@ -206,13 +207,42 @@ def referenced(path: Path, strings: bool) -> set[str]:
     return found
 
 
+def used_outside_tests() -> set[str]:
+    """Identifiers the package and the benchmark refer to."""
+    return set().union(*(referenced(path, False) for path in (SRC / "fairlot").glob("*.py")),
+                       *(referenced(path, True) for path in (SRC.parent / "benchmarks").glob("*.py")))
+
+
 def test_public_names_only_tests_use_are_pinned():
     # Public names that neither the package (the defining module
     # included) nor the benchmark refers to: only tests call them.  A new
     # such name fails here; moving one out of the package shrinks the set.
-    used = set().union(*(referenced(path, False) for path in (SRC / "fairlot").glob("*.py")),
-                       *(referenced(path, True) for path in (SRC.parent / "benchmarks").glob("*.py")))
-    assert sorted(set(fairlot._EXPORTS) - used) == ["Rational", "is_bistochastic"]
+    assert sorted(set(fairlot._EXPORTS) - used_outside_tests()) == []
+
+
+def test_public_methods_only_tests_use_are_pinned():
+    """The same for the public methods and properties of the package's
+    public classes.  Matching is by name alone: a member whose name the
+    package or the benchmark uses for anything (a variable, a key, another
+    class's member) counts as used, so such a member only tests call
+    is not caught."""
+    members = {
+        member
+        for name in fairlot._EXPORTS
+        if isinstance(cls := getattr(fairlot, name), type) and cls.__module__.startswith("fairlot.")
+        for member, value in vars(cls).items()
+        if not member.startswith("_")
+        and isinstance(value, (property, classmethod, staticmethod, types.FunctionType))
+    }
+    assert sorted(members - used_outside_tests()) == []
+
+
+def test_cli_resolves_every_public_name():
+    # ``benchmarks/spans.py`` looks names up on ``fairlot.cli`` before any
+    # command has run and bound them.
+    proc = fresh("import fairlot, fairlot.cli as cli\n"
+                 "print(all(getattr(cli, n) is getattr(fairlot, n) for n in fairlot._EXPORTS))")
+    assert proc.stdout == "True\n", proc.stderr
 
 
 def test_budget_exceeded_is_one_class():

@@ -71,7 +71,7 @@ def test_strictified_breaks_ties_lexicographically():
         {"1": {"x": 2, "b": 2, "a": 2, "z": 5}}, agents=["1"], items=["x", "b", "a", "z"]
     )
     strict = ordinal_from_utilities(inst).strictified()
-    assert strict.strict_order("1") == ("z", "a", "b", "x")
+    assert strict.tiers["1"] == (("z",), ("a",), ("b",), ("x",))
 
 
 def test_utility_of_bundle(example_instance):
@@ -176,9 +176,8 @@ def test_random_allocation_validation():
 def test_deterministic_allocation_views():
     alloc = DeterministicAllocation(("1", "2"), ("a", "b"), ("1", "2"))
     assert alloc.bundle("1") == ("a",)
-    assert alloc.owner_of("b") == "2"
-    matrix = alloc.matrix()
-    assert matrix.entry("1", "a") == 1 and matrix.entry("1", "b") == 0
+    assert alloc.owner_map()["b"] == "2"
+    assert alloc.row("1") == {"a": 1, "b": 0}
 
 
 def test_lottery_validation_and_expected(example_instance):
@@ -197,7 +196,8 @@ def test_lottery_validation_and_expected(example_instance):
         (half, F(0), F(1), half),
     )
     single = Lottery(((F(1), first),))
-    assert expected_allocation(single) == first.matrix()
+    assert expected_allocation(single).entries == ((F(1), F(1), F(0), F(0)),
+                                                   (F(0), F(0), F(1), F(1)))
     with pytest.raises(ValueError):
         Lottery(((F(1, 2), first),))
     with pytest.raises(ValueError):

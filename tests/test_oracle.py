@@ -12,15 +12,16 @@ from fairlot import (
     expected_allocation,
     ordinal_from_utilities,
 )
+from fairlot.model import configured_budget
 from fairlot.oracle import (
     InfeasibilityCertificate,
-    configured_budget,
     enumerate_allocations,
     implementable_by,
     sd_improvement_exists,
 )
 from conftest import binary_instance
-from references import leximin_bruteforce, pareto_improvement_exists, utility_of_bundle
+from references import (leximin_bruteforce, matrix_of, pareto_improvement_exists,
+                        utility_of_bundle)
 
 HALF = F(1, 2)
 
@@ -68,7 +69,7 @@ def test_implementable_by_unit_weight(example_instance):
         DeterministicAllocation(agents, items, ("2", "1", "2", "1")),
         alloc,
     ]
-    result = implementable_by(alloc.matrix(), others)
+    result = implementable_by(matrix_of(alloc), others)
     assert isinstance(result, Lottery)
     assert result.entries == ((F(1), alloc),)
 
@@ -106,7 +107,7 @@ def test_implementable_by_recomposition_fuzz():
         total = sum(weights)
         lottery = Lottery(tuple((w / total, al) for w, al in zip(weights, allocs))).merged()
         p = expected_allocation(lottery)
-        result = implementable_by(p, list(lottery.support))
+        result = implementable_by(p, [al for _, al in lottery.entries])
         assert isinstance(result, Lottery)
         assert expected_allocation(result) == p
 
@@ -164,7 +165,7 @@ def test_pareto_improvement_on_crossed_ratios():
     p = RandomAllocation(("1", "2"), ("a", "b"), ((HALF, HALF), (HALF, HALF)))
     witness = pareto_improvement_exists(p, inst)
     assert witness is not None
-    assert witness.entry("1", "b") == 0 or witness.entry("2", "a") == 1
+    assert witness.row("1")["b"] == 0 or witness.row("2")["a"] == 1
     for a in inst.agents:
         assert utility_of_bundle(inst, a, witness.row(a)) >= utility_of_bundle(inst, a, p.row(a))
 

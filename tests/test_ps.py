@@ -5,6 +5,7 @@ import pytest
 
 from fairlot import OrdinalProfile, ordinal_from_utilities, ps_outcome
 from conftest import strict_instance
+from references import integrate
 
 
 def orders(items, by_agent):
@@ -76,7 +77,7 @@ def test_conservation_and_trace_fuzz():
         # row sums must be m/n exactly
         for i in range(n):
             assert sum(out.entries[i]) == F(m, n)
-        integrated = trace.integrate()
+        integrated = integrate(trace)
         for a in inst.agents:
             row = out.row(a)
             assert integrated[a] == {o: v for o, v in row.items() if v > 0}
@@ -87,7 +88,7 @@ def test_conservation_and_trace_fuzz():
             for seg in segs:
                 assert seg.amount == seg.end - seg.start > 0
             # eating follows the preference order downward
-            order = prof.strict_order(a)
+            order = [o for (o,) in prof.tiers[a]]
             positions = [order.index(s.item) for s in segs]
             assert positions == sorted(positions)
         # segment count stays linear in n*m

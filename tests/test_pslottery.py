@@ -23,7 +23,7 @@ from fairlot import (
     support_bound,
 )
 from conftest import binary_instance, strict_instance, weak_instance
-from references import leximin_bruteforce, utility_of_bundle
+from references import leximin_bruteforce, matrix_of, utility_of_bundle
 
 
 def test_padding_counts(example_instance):
@@ -229,9 +229,9 @@ def test_eps_rule_support_is_sd_efficient():
         assert sd_improvement_exists(expected, prefs) is None
         for _w, alloc in lottery.entries:
             for o, owner in zip(alloc.items, alloc.owners):
-                assert expected.entry(owner, o) > 0  # consistency with expected
-            assert check_sd_efficient(alloc.matrix(), prefs).ok
-            assert sd_improvement_exists(alloc.matrix(), prefs) is None
+                assert expected.row(owner)[o] > 0  # consistency with expected
+            assert check_sd_efficient(matrix_of(alloc), prefs).ok
+            assert sd_improvement_exists(matrix_of(alloc), prefs) is None
 
 
 def test_skip_zero_lottery_unbalanced_bundles():

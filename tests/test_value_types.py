@@ -206,7 +206,7 @@ def test_verifying_a_lottery_leaves_no_per_bundle_state():
         {a: dict(zip(items, rng.sample(range(1, 30), len(items)))) for a in agents},
         agents=agents, items=items)
     profile = ordinal_from_utilities(instance)
-    support = list(implement(plan(instance, "ps", False)).support)
+    support = [allocation for _, allocation in implement(plan(instance, "ps", False)).entries]
     support += [DeterministicAllocation(agents, items, tuple(rng.choice(agents) for _ in items))
                 for _ in range(20)]
     for allocation in support:
