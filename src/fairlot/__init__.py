@@ -27,9 +27,8 @@ _EXPORTS = {
         "fairness": "Report check_ef check_ef1 check_efk check_po_bruteforce check_rb "
                     "check_sd_ef check_sd_ef1 check_sd_efficient check_strong_ef1 pareto_front",
         "model": "BudgetExceeded DeterministicAllocation EatingTrace Instance Lottery "
-                 "OrdinalProfile RandomAllocation SdRelation TraceSegment "
-                 "expected_allocation format_rational ordinal_from_utilities rational "
-                 "sd_compare",
+                 "OrdinalProfile RandomAllocation TraceSegment expected_allocation "
+                 "format_rational ordinal_from_utilities rational",
         "oracle": "InfeasibilityCertificate enumerate_allocations implementable_by "
                   "sd_improvement_exists",
         "ps": "ps_outcome",

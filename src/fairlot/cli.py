@@ -131,54 +131,47 @@ def cmd_lottery(args: argparse.Namespace) -> tuple[int, str]:
     return EX_OK, ""
 
 
-_EX_ANTE = ("ef", "sdef", "sdeff")
-_EX_POST = ("ef1", "efk", "sdef1", "strong-ef1", "rb", "po")
-_ORDINAL = ("sdef", "sdeff", "sdef1", "rb")  # the checks that read preference orders
+# --property -> (checks the expected matrix, not each support allocation;
+# reads preference orders, not the instance; the check).  Checkers are
+# looked up in this module as they run: a traced run wraps them here.
+_PROPERTIES = {
+    "ef": (True, False, lambda p, instance, k: check_ef(p, instance)),
+    "sdef": (True, True, lambda p, prefs, k: check_sd_ef(p, prefs)),
+    "sdeff": (True, True, lambda p, prefs, k: check_sd_efficient(p, prefs)),
+    "ef1": (False, False, lambda alloc, instance, k: check_ef1(alloc, instance)),
+    "efk": (False, False, lambda alloc, instance, k: check_efk(alloc, instance, k)),
+    "sdef1": (False, True, lambda alloc, prefs, k: check_sd_ef1(alloc, prefs)),
+    "strong-ef1": (False, False, lambda alloc, instance, k: check_strong_ef1(alloc, instance)),
+    "rb": (False, True, lambda alloc, prefs, k:
+           check_rb(alloc, prefs, -(-len(prefs.items) // len(prefs.agents)))),
+    "po": (False, False, lambda alloc, instance, k: check_po_bruteforce(alloc, instance)),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
-    if args.property == "efk" and (args.k is None or args.k < 0):
+    prop = args.property
+    if prop == "efk" and (args.k is None or args.k < 0):
         raise FormatError("--property efk needs a nonnegative --k")
-    if args.property != "efk" and args.k is not None:
+    if prop != "efk" and args.k is not None:
         raise FormatError("--k applies to --property efk only")
     _need("fairness")
     instance = _load_instance(args.input)
-    prop = args.property
+    ex_ante, ordinal, check = _PROPERTIES[prop]
     if prop == "po":  # check_po_bruteforce would refuse: do so before reading the lottery
         _check_budget(instance.n, instance.m)
-    prefs = ordinal_from_utilities(instance) if prop in _ORDINAL else None
+    table = ordinal_from_utilities(instance) if ordinal else instance
 
-    lottery, expected, _meta = fileio.lottery_from_obj(
-        _load_json(args.lottery, "lottery file")
-    )
+    lottery, expected, _ = fileio.lottery_from_obj(_load_json(args.lottery, "lottery file"))
     if set(lottery.agents) != set(instance.agents) or set(lottery.items) != set(instance.items):
         raise FormatError("lottery universe does not match the instance")
 
-    if prop in _EX_ANTE:
-        if prop == "ef":
-            report = check_ef(expected, instance)
-        elif prop == "sdef":
-            report = check_sd_ef(expected, prefs)
-        else:
-            report = check_sd_efficient(expected, prefs)
+    if ex_ante:
+        report = check(expected, table, args.k)
         return (EX_OK if report.ok else EX_FAIL), dumps(report.to_json())
 
-    c = -(-instance.m // instance.n)
     reports = []
     for weight, allocation in lottery.entries:
-        if prop == "ef1":
-            report = check_ef1(allocation, instance)
-        elif prop == "efk":
-            report = check_efk(allocation, instance, args.k)
-        elif prop == "sdef1":
-            report = check_sd_ef1(allocation, prefs)
-        elif prop == "strong-ef1":
-            report = check_strong_ef1(allocation, instance)
-        elif prop == "rb":
-            report = check_rb(allocation, prefs, c)
-        else:
-            report = check_po_bruteforce(allocation, instance)
-        entry = report.to_json()
+        entry = check(allocation, table, args.k).to_json()
         entry["weight"] = format_rational(weight)
         reports.append(entry)
     ok = all(r["verdict"] == "PASS" for r in reports)
@@ -262,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lot.set_defaults(func=cmd_lottery)
 
     p_ver = sub.add_parser("verify", help="check a property and print a certificate")
-    p_ver.add_argument("--property", required=True, choices=_EX_ANTE + _EX_POST)
+    p_ver.add_argument("--property", required=True, choices=tuple(_PROPERTIES))
     p_ver.add_argument("--input", required=True)
     p_ver.add_argument("--lottery", required=True)
     p_ver.add_argument("--k", type=int, help="k for --property efk")

@@ -22,8 +22,8 @@ with plain max-flow calls (``_bottleneck``): a Dinkelbach iteration
 min-cut's violating set) that needs at most one round per agent.  Every
 live item is one whole unit, so each round's network lives on one
 integer scale L, the lcm of the denominators of the eaters' demands,
-with L at every item; the max-flow adds and compares plain ints, and one
-search from the source per failing round yields the violating set.
+with L at every item; the max-flow adds and compares plain ints, and its
+last search from the source yields a failing round's violating set.
 Most of the flow runs on shortest paths, which ``_network`` pushes in
 one pass with no search; Edmonds–Karp then finds only the longer ones.
 
@@ -66,7 +66,9 @@ class _Flow:
     path; ``Fraction`` works too), and reverse edges start at ``0``.
     Edges are stored in pairs (forward at even index, its reverse right
     after), so ``edge ^ 1`` flips direction.  Deterministic: BFS follows
-    insertion order.
+    insertion order.  After ``maxflow``, ``reached[v]`` tells whether its
+    last search, which found no path to the sink, reached node v: those
+    nodes are the smallest min-cut source side.
     """
 
     def __init__(self, n_nodes: int) -> None:
@@ -106,6 +108,7 @@ class _Flow:
                         prev[v] = e
                         queue.append(v)
             if prev[t] == -1:
+                self.reached = [label != -1 for label in prev]
                 return total
             path = []
             v = t
@@ -118,18 +121,6 @@ class _Flow:
                 cap[e] -= bottleneck
                 cap[e ^ 1] += bottleneck
             total += bottleneck
-
-    def reachable_from(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.adj[u]:
-                v = self.to[e]
-                if v not in seen and self.cap[e] > 0:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
 
     def cannot_reach(self, t: int) -> set[int]:
         """Nodes with no residual path to t (the largest min-cut source side)."""
@@ -212,8 +203,7 @@ def _bottleneck(
                                             [demand[e] + delta for e in eaters])
         if pushed + net.maxflow(0, 1) == want:
             break
-        reach = net.reachable_from(0)
-        violator = [e for i, e in enumerate(eaters) if 2 + i in reach]
+        violator = [e for i, e in enumerate(eaters) if net.reached[2 + i]]
         vio_items = len({o for e in violator for o in eligible[e]})
         new_delta = Fraction(vio_items - sum(demand[e] for e in violator), len(violator))
         if new_delta < 0:

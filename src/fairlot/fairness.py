@@ -40,7 +40,6 @@ from .model import (
     _Frozen,
     format_rational,
     ordinal_from_utilities,
-    sd_compare,
 )
 
 __all__ = [
@@ -123,8 +122,9 @@ def check_sd_ef(p: RandomAllocation, prefs: OrdinalProfile) -> Report:
     Runs on p's integer form, each nonzero cell at the envier's tier rank.
     Another row's mass on the upper contour sets rises only at the ranks
     where it has mass, and the own row's never falls, so own dominates
-    other iff it holds at least as much at those ranks.  ``sd_compare``
-    names the relation of a failing pair.
+    other iff it holds at least as much at those ranks.  A failing pair
+    is "dominated" when own holds at most as much as other on every upper
+    contour set, else "incomparable": dominating and equivalent rows pass.
     """
     agents = p.rows
     rows, _ = p.integer_form()
@@ -139,9 +139,13 @@ def check_sd_ef(p: RandomAllocation, prefs: OrdinalProfile) -> Report:
             cells = sorted(zip(map(ranks.__getitem__, row), row.values()))
             if not all(map(operator.le, itertools.accumulate(x for _, x in cells),
                            (ceiling[t] for t, _ in cells))):
-                rel = sd_compare(prefs, i, p.row(i), p.row(j))
+                masses = [0] * len(ceiling)
+                for t, x in cells:
+                    masses[t] += x
+                below = all(map(operator.le, ceiling, itertools.accumulate(masses)))
+                rel = "dominated" if below else "incomparable"
                 return Report("sdef", False,
-                              violation={"envious": i, "envied": j, "relation": rel.value})
+                              violation={"envious": i, "envied": j, "relation": rel})
     return Report("sdef", True, witness={"pairs_checked": len(agents) * (len(agents) - 1)})
 
 

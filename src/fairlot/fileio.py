@@ -8,6 +8,7 @@ round trips are lossless: parse(serialize(x)) == x.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, itemgetter
@@ -277,7 +278,10 @@ def lottery_from_obj(obj: Mapping) -> tuple[Lottery, RandomAllocation, dict]:
     except ValueError as exc:
         raise FormatError(f"lottery: {exc}") from None
     raw = _require(obj, "expected", "lottery")
-    expected = matrix_from_obj({"rows": list(agents), "items": list(items), "entries": raw})
+    try:
+        expected = matrix_from_obj({"rows": list(agents), "items": list(items), "entries": raw})
+    except FormatError as exc:  # a fault of the lottery document, not of a matrix file
+        raise FormatError(re.sub(r"\Amatrix(\.entries)?", "lottery.expected", str(exc))) from None
     # x / L must equal t / T; columns sum to L and to T, so L divides T.
     rows, scale = expected.integer_form()
     totals, total_scale = _support_totals(lottery)

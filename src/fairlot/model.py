@@ -9,7 +9,6 @@ structural equality of canonical rationals.
 from __future__ import annotations
 
 import collections
-import enum
 import functools
 import math
 import operator
@@ -17,7 +16,7 @@ import os
 import re
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Any, Hashable, Mapping, Sequence, Union
+from typing import Hashable, Mapping, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -31,9 +30,7 @@ __all__ = [
     "Lottery",
     "EatingTrace",
     "TraceSegment",
-    "SdRelation",
     "ordinal_from_utilities",
-    "sd_compare",
     "expected_allocation",
     "BudgetExceeded",
     "DEFAULT_BUDGET",
@@ -190,15 +187,6 @@ def _on_one_scale(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     if scale > 1:
         ints = tuple(map(operator.mul, ints, map(scale.__floordiv__, denominators)))
     return ints, scale
-
-
-class SdRelation(enum.Enum):
-    """Outcome of comparing two allocation rows under stochastic dominance."""
-
-    DOMINATES = "dominates"
-    DOMINATED = "dominated"
-    EQUIVALENT = "equivalent"
-    INCOMPARABLE = "incomparable"
 
 
 class _Frozen:
@@ -443,14 +431,6 @@ def ordinal_from_utilities(instance: Instance) -> OrdinalProfile:
     return profile
 
 
-Row = Mapping[str, Fraction]
-
-
-def _as_row(items: Sequence[str], row: Row) -> dict[str, Fraction]:
-    """Complete an item->value mapping over ``items`` with exact entries."""
-    return {o: rational(row.get(o, 0)) for o in items}
-
-
 class RandomAllocation(_Frozen):
     """Fractional allocation matrix: rows are agents (or representatives),
     columns are items; every column sums to exactly one.
@@ -615,52 +595,6 @@ class EatingTrace(_Frozen):
     ) -> None:
         d = self.__dict__
         d["agents"], d["items"], d["segments"], d["horizon"] = agents, items, segments, horizon
-
-
-def sd_compare(
-    prefs: OrdinalProfile,
-    agent: str,
-    x: Row,
-    y: Row,
-) -> SdRelation:
-    """Relate two rows (item -> amount; a missing item counts as 0) under
-    the agent's stochastic-dominance order.
-
-    Row x weakly dominates row y when, for every item, x places at least
-    as much mass on the upper contour set (all items weakly preferred to
-    it) as y does.  With a weak order, upper contour sets are the tier
-    prefixes, ties included.
-    """
-    tiers = prefs.tiers[agent]
-    return _sd_relation(
-        _tier_prefixes(tiers, _as_row(prefs.items, x)),
-        _tier_prefixes(tiers, _as_row(prefs.items, y)),
-    )
-
-
-def _tier_prefixes(tiers: Sequence[Sequence[str]], row: Mapping[str, Any]) -> list:
-    """Mass of ``row`` on each upper contour set: cumulative sums over the
-    tiers, best first."""
-    prefixes = []
-    total = 0
-    for tier in tiers:
-        for o in tier:
-            total += row[o]
-        prefixes.append(total)
-    return prefixes
-
-
-def _sd_relation(x: Sequence, y: Sequence) -> SdRelation:
-    """Relate two rows from their tier prefix sums (see sd_compare)."""
-    ge = all(map(operator.ge, x, y))
-    le = all(map(operator.le, x, y))
-    if ge and le:
-        return SdRelation.EQUIVALENT
-    if ge:
-        return SdRelation.DOMINATES
-    if le:
-        return SdRelation.DOMINATED
-    return SdRelation.INCOMPARABLE
 
 
 def _support_totals(lottery: Lottery) -> tuple[dict[str, list[int]], int]:

@@ -1,7 +1,8 @@
 """Reference oracles that only tests use: the exact utility of a
 fractional bundle, the fractional Pareto-improvement LP and the leximin
-optimum of a binary instance, all over the package's exact simplex; and
-the re-eating loop on a dense ``Fraction`` matrix, as the library ran it
+optimum of a binary instance, all over the package's exact simplex; the
+stochastic-dominance relation of two ``Fraction`` rows; and the
+re-eating loop on a dense ``Fraction`` matrix, as the library ran it
 before it re-ate on one integer scale.  Also views the library does not
 need: an allocation's 0/1 matrix, a trace's totals per agent, and the
 bistochastic test.
@@ -9,10 +10,12 @@ bistochastic test.
 
 from __future__ import annotations
 
+import enum
+import operator
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from fairlot import (DeterministicAllocation, EatingTrace, Instance, Lottery,
+from fairlot import (DeterministicAllocation, EatingTrace, Instance, Lottery, OrdinalProfile,
                      RandomAllocation, expected_allocation, rational)
 from fairlot.birkhoff import _balanced
 from fairlot.oracle import _allocation_from_x, _cells, _item_sum_rows
@@ -30,6 +33,58 @@ def utility_of_bundle(instance: Instance, agent: str, row: Mapping[str, Fraction
         if amount:
             total += values[item_idx[o]] * rational(amount)
     return total
+
+
+class SdRelation(enum.Enum):
+    """Outcome of comparing two allocation rows under stochastic dominance."""
+
+    DOMINATES = "dominates"
+    DOMINATED = "dominated"
+    EQUIVALENT = "equivalent"
+    INCOMPARABLE = "incomparable"
+
+
+def sd_compare(
+    prefs: OrdinalProfile, agent: str, x: Mapping[str, Any], y: Mapping[str, Any]
+) -> SdRelation:
+    """Relate two rows (item -> exact amount or rational literal; a
+    missing item counts as 0) under the agent's stochastic-dominance order.
+
+    Row x weakly dominates row y when, for every item, x places at least
+    as much mass on the upper contour set (all items weakly preferred to
+    it) as y does.  With a weak order, upper contour sets are the tier
+    prefixes, ties included.
+    """
+    tiers = prefs.tiers[agent]
+    return sd_relation(
+        tier_prefixes(tiers, {o: rational(x.get(o, 0)) for o in prefs.items}),
+        tier_prefixes(tiers, {o: rational(y.get(o, 0)) for o in prefs.items}),
+    )
+
+
+def tier_prefixes(tiers: Sequence[Sequence[str]], row: Mapping[str, Any]) -> list:
+    """Mass of ``row`` on each upper contour set: cumulative sums over the
+    tiers, best first."""
+    prefixes = []
+    total = 0
+    for tier in tiers:
+        for o in tier:
+            total += row[o]
+        prefixes.append(total)
+    return prefixes
+
+
+def sd_relation(x: Sequence, y: Sequence) -> SdRelation:
+    """Relate two rows from their tier prefix sums (see sd_compare)."""
+    ge = all(map(operator.ge, x, y))
+    le = all(map(operator.le, x, y))
+    if ge and le:
+        return SdRelation.EQUIVALENT
+    if ge:
+        return SdRelation.DOMINATES
+    if le:
+        return SdRelation.DOMINATED
+    return SdRelation.INCOMPARABLE
 
 
 def matrix_of(allocation: DeterministicAllocation) -> RandomAllocation:

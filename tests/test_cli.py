@@ -8,10 +8,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from fairlot import Instance, SdRelation, fileio, ordinal_from_utilities, sd_compare
+from fairlot import Instance, fileio, ordinal_from_utilities
 from fairlot.model import _MAX_DIGITS, _MAX_LITERAL, format_rational, rational
 from fairlot.cli import main
+from references import SdRelation, sd_compare
 from test_golden import checking_inputs, hand_files
 
 EXAMPLE = {
@@ -739,7 +741,7 @@ def test_bad_expected_entry_deep_in_a_lottery_is_located(tmp_path, capsys):
                    "--lottery", str(lottery)])
     assert code == 2
     assert capsys.readouterr().err == (
-        "fairlot: error: matrix.entries[39][37]: bad rational literal '1/2/3' "
+        "fairlot: error: lottery.expected[39][37]: bad rational literal '1/2/3' "
         "(not a rational literal)\n")
 
 
@@ -956,3 +958,95 @@ def test_stdout_on_a_full_device_exits_2(unbuffered, items):
             [sys.executable, "-m", "fairlot.cli", "gen", "--agents", "2", "--items", items,
              "--seed", "1"], stdout=full, stderr=subprocess.PIPE, text=True, env=env)
     assert (proc.returncode, proc.stderr) == (2, NO_SPACE)
+
+
+# Mutations of valid documents for the verify fuzzer.  A swapped-in
+# value is JSON of another type, a literal the reader refuses, or an id.
+ODD_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                       st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from(["", "x", "1/0", "-1", "2", "1e99999", "1", "a", "d"]),
+                       st.just([]), st.just({}), st.just(["1", "1"]))
+
+
+def _paths(doc, path=()):
+    """The path from the root of a JSON document to each of its nodes."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(child, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, new):
+    """A copy of ``doc`` with the node at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], new)
+    return copy
+
+
+@st.composite
+def mutated_text(draw, doc):
+    """The JSON text of ``doc`` after one mutation: a key deleted, a node
+    of another type, a node nested one level deeper, a key written twice,
+    or the text cut short."""
+    kind = draw(st.sampled_from(["delete", "swap", "nest", "duplicate", "truncate"]))
+    event(kind)
+    paths = list(_paths(doc))
+    objects = [path for path in paths if isinstance(_at(doc, path), dict) and _at(doc, path)]
+    if kind in ("delete", "duplicate"):
+        path = draw(st.sampled_from(objects))
+        node = _at(doc, path)
+        key = draw(st.sampled_from(sorted(node)))
+        if kind == "delete":
+            return json.dumps(_replaced(doc, path, {k: v for k, v in node.items() if k != key}))
+        # json.dumps writes no repeated key: splice one into the text.
+        members = [*node.items(), (key, draw(st.one_of(ODD_VALUES, st.just(node[key]))))]
+        spliced = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in members) + "}"
+        return json.dumps(_replaced(doc, path, "\0")).replace(json.dumps("\0"), spliced, 1)
+    if kind == "truncate":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    path = draw(st.sampled_from(paths))
+    if kind == "swap":
+        return json.dumps(_replaced(doc, path, draw(ODD_VALUES)))
+    node = _at(doc, path)
+    return json.dumps(_replaced(doc, path, draw(st.sampled_from([[node], {"x": node}]))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verify_survives_mutated_documents(tmp_path, data):
+    # Exit 0 or 1 with a report, or 2 with one located line; no exception
+    # escapes main, whatever a mutation did to either document.
+    instance, lottery = tmp_path / "instance.json", tmp_path / "lottery.json"
+    base = data.draw(st.sampled_from(["example", "hand"]))
+    if base == "example":
+        docs = {instance: EXAMPLE, lottery: _example_lottery()}
+    else:
+        docs = {path: json.loads(Path(written).read_text())
+                for path, written in zip((instance, lottery), hand_files(tmp_path))}
+    target = data.draw(st.sampled_from([instance, lottery]))
+    for path, doc in docs.items():
+        path.write_text(data.draw(mutated_text(doc)) if path == target else json.dumps(doc))
+    prop = data.draw(st.sampled_from(["ef1", "sdef"]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--property", prop, "--input", str(instance),
+                     "--lottery", str(lottery)])
+    event(f"exit {code}")
+    if code in (0, 1):
+        assert json.loads(out.getvalue())["verdict"] == ("PASS" if code == 0 else "FAIL")
+        assert err.getvalue() == ""
+        return
+    assert code == 2 and out.getvalue() == ""
+    line, = err.getvalue().splitlines()
+    assert line.startswith(("fairlot: error: ", "fairlot: refused: "))
+    assert target.stem in line, line

@@ -46,7 +46,6 @@ from fairlot import (
     OrdinalProfile,
     RandomAllocation,
     Report,
-    SdRelation,
     birkhoff_decompose,
     check_ef,
     check_efk,
@@ -61,7 +60,6 @@ from fairlot import (
     ordinal_from_utilities,
     ps_outcome,
     reduce_support,
-    sd_compare,
 )
 from fairlot.eps import _Flow, _network
 from fairlot.fairness import _topological_order, pareto_front
@@ -70,8 +68,6 @@ from fairlot.fileio import FormatError, dumps, instance_from_obj, matrix_from_ob
 from fairlot.model import (
     EatingTrace,
     TraceSegment,
-    _sd_relation,
-    _tier_prefixes,
     format_rational,
     rational,
 )
@@ -90,7 +86,8 @@ from fairlot.pslottery import (
 )
 from fairlot.simplex import solve_lp, verify_farkas
 from conftest import max_eating_duration, strict_instance
-from references import fraction_re_eat, is_bistochastic, utility_of_bundle
+from references import (SdRelation, fraction_re_eat, is_bistochastic, sd_compare, sd_relation,
+                        tier_prefixes, utility_of_bundle)
 from test_fairness import slow_efk, slow_sd_ef1
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -675,7 +672,8 @@ def test_maxflow_matches_networkx(network):
     assert value == nx.maximum_flow_value(graph, 0, 1)
     # Both residual cuts certify the value: the smallest source side and
     # the largest one.
-    smallest, largest = flow.reachable_from(0), flow.cannot_reach(1)
+    smallest = {v for v, seen in enumerate(flow.reached) if seen}
+    largest = flow.cannot_reach(1)
     assert 0 in smallest <= largest and 1 not in largest
     assert cut_capacity(edges, smallest) == cut_capacity(edges, largest) == value
 
@@ -723,7 +721,7 @@ def test_first_phase_pass_matches_plain_edmonds_karp(network):
     target(float(rest > 0), label="longer paths needed")
     assert pushed + rest == value
     assert edge_flows(net) == edge_flows(plain)
-    assert net.reachable_from(0) == plain.reachable_from(0)
+    assert net.reached == plain.reached
     assert net.cannot_reach(1) == plain.cannot_reach(1)
 
 
@@ -1058,9 +1056,9 @@ def reference_sd_ef(p, prefs):
     scaled, _ = dense_scaled_rows(p)
     for i in agents:
         tiers = prefs.tiers[i]
-        prefixes = {a: _tier_prefixes(tiers, scaled[a]) for a in agents}
+        prefixes = {a: tier_prefixes(tiers, scaled[a]) for a in agents}
         for j in agents:
-            rel = _sd_relation(prefixes[i], prefixes[j])
+            rel = sd_relation(prefixes[i], prefixes[j])
             if rel not in (SdRelation.DOMINATES, SdRelation.EQUIVALENT):
                 return Report("sdef", False,
                               violation={"envious": i, "envied": j, "relation": rel.value})
@@ -1142,7 +1140,8 @@ def test_ex_ante_checkers_match_dense_references(case):
                                     (check_sd_efficient, reference_sd_efficient, prefs)]:
         report = check(p, table)
         assert report == reference(p, table)
-        event(f"{report.prop} {'PASS' if report.ok else 'FAIL'}")
+        relation = "" if report.ok else report.violation.get("relation", "")
+        event(f"{report.prop} {'PASS' if report.ok else 'FAIL'} {relation}".rstrip())
 
 
 def fraction_tiers(inst):
@@ -1490,7 +1489,7 @@ def reference_max_eating_duration(eaters, eligible, demand):
         net, want = build(delta)
         if net.maxflow(0, 1) == want:
             break
-        violator = [e for e in eaters if eater_node[e] in net.reachable_from(0)]
+        violator = [e for e in eaters if net.reached[eater_node[e]]]
         vio_cap = sum(cap[o] for o in sorted({o for e in violator for o in eligible[e]}))
         vio_fixed = sum(demand[e] for e in violator)
         new_delta = F(vio_cap - vio_fixed, len(violator))

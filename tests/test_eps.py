@@ -13,6 +13,7 @@ from fairlot import (
     ordinal_from_utilities,
     ps_outcome,
 )
+from fairlot import eps
 from fairlot.eps import _Flow
 from fairlot.oracle import sd_improvement_exists
 from conftest import binary_instance, max_eating_duration, strict_instance, weak_instance
@@ -365,22 +366,38 @@ def test_duration_flow_is_exact_on_mixed_denominators():
     assert all(sum(row.get(o, F(0)) for row in flow.values()) == 1 for o in "abc")
 
 
-def test_one_residual_search_per_failing_dinkelbach_round(monkeypatch):
+def test_no_residual_search_beyond_maxflow_and_one_towards_the_sink_per_step(monkeypatch):
     # Each Dinkelbach round runs one max-flow; a round that falls short
-    # reads its violator set off one search from the source, and a
-    # multi-item step ends with one search towards the sink.
-    calls = {"maxflow": 0, "reachable_from": 0, "cannot_reach": 0}
-    for name in calls:
+    # reads its violator set off the max-flow's own last search, and a
+    # multi-item step ends with one search towards the sink.  Every
+    # search starts a deque: none starts outside those two methods.
+    calls = {"deque": 0, "in_flow": 0, "maxflow": 0, "cannot_reach": 0, "step": 0}
+    real_deque, real_step = eps.deque, eps._bottleneck
+
+    def counted_deque(*args):
+        calls["deque"] += 1
+        return real_deque(*args)
+
+    def counted_step(*args):
+        calls["step"] += 1
+        return real_step(*args)
+
+    for name in ("maxflow", "cannot_reach"):
         original = getattr(_Flow, name)
 
         def counted(self, node, *rest, _name=name, _original=original):
             calls[_name] += 1
-            return _original(self, node, *rest)
+            before = calls["deque"]
+            result = _original(self, node, *rest)
+            calls["in_flow"] += calls["deque"] - before
+            return result
 
         monkeypatch.setattr(_Flow, name, counted)
+    monkeypatch.setattr(eps, "deque", counted_deque)
+    monkeypatch.setattr(eps, "_bottleneck", counted_step)
     inst = weak_instance(random.Random(2), 30, 60, 20)
     out, _ = eps_outcome(inst, mode="standard")
     assert all(sum(out.row(a).values()) == 2 for a in inst.agents)
-    failing = calls["maxflow"] - calls["cannot_reach"]
-    assert calls["maxflow"] >= 10 and failing >= 10
-    assert calls["reachable_from"] <= failing
+    assert calls["deque"] == calls["in_flow"]
+    assert calls["cannot_reach"] == calls["step"] >= 1
+    assert calls["maxflow"] - calls["step"] >= 10  # rounds that fell short

@@ -9,7 +9,6 @@ from fairlot import (
     DeterministicAllocation,
     Instance,
     RandomAllocation,
-    SdRelation,
     check_ef,
     check_ef1,
     check_efk,
@@ -21,12 +20,11 @@ from fairlot import (
     check_strong_ef1,
     ordinal_from_utilities,
     ps_outcome,
-    sd_compare,
 )
 from fairlot.fairness import pareto_front
 from fairlot.oracle import sd_improvement_exists
 from conftest import consistent_utilities, weak_instance
-from references import matrix_of, utility_of_bundle
+from references import SdRelation, matrix_of, sd_compare, utility_of_bundle
 
 HALF = F(1, 2)
 

@@ -246,7 +246,12 @@ RECUR_SUPPORT = (("1/4", "13212"), ("1/8", "23113"), ("1/8", "11123"),
 # pinned.  The third passes the round test, but its first round is a
 # trading cycle: rb fails it, and the EF1 family passes it by rounds.
 LATE_SUPPORT = (("1/2", "12233"), ("1/4", "21132"), ("1/4", "12312"))
-HAND_SUPPORTS = {"hand": HAND_SUPPORT, "recur": RECUR_SUPPORT, "late": LATE_SUPPORT}
+# Agent 1 holds its two worst items, d and e, and 2 holds c and half of
+# a and b: 1's expected row is SD-dominated by 2's, with equal mass on
+# the whole item set, not incomparable to it.
+DOMINATED_SUPPORT = (("1/2", "32211"), ("1/2", "23211"))
+HAND_SUPPORTS = {"hand": HAND_SUPPORT, "recur": RECUR_SUPPORT, "late": LATE_SUPPORT,
+                 "dominated": DOMINATED_SUPPORT}
 
 # (verify flags, instance kind or a HAND_SUPPORTS key, seed, n, m) -> sha256 of stdout
 VERIFY_GOLDEN = {
@@ -276,6 +281,8 @@ VERIFY_GOLDEN = {
         "256734347c2563295e4cba4b2d3d126a038f28b01e1268b5e2de628ea8fd88b0",
     (("sdef",), "hand", 0, 3, 5):
         "e385865a3b234df7bafaf8379e2598d9373d1572fcfaff79279289e4635978ca",
+    (("sdef",), "dominated", 0, 3, 5):
+        "563dfac8a2538a1f0fa66a786bda1b60c108eccb824c5c79cbd301eb2d073147",
     (("ef1",), "hand", 0, 3, 5):
         "24dc424a681b4ed47b19da6be676f3740a0dd51d6bef3a646c6f80942ce476a7",
     (("efk", "--k", "0"), "hand", 0, 3, 5):

@@ -154,9 +154,8 @@ PUBLIC = {
     "fairness": "Report check_ef check_ef1 check_efk check_po_bruteforce check_rb "
                 "check_sd_ef check_sd_ef1 check_sd_efficient check_strong_ef1 pareto_front",
     "model": "BudgetExceeded DeterministicAllocation EatingTrace Instance Lottery "
-             "OrdinalProfile RandomAllocation SdRelation TraceSegment "
-             "expected_allocation format_rational ordinal_from_utilities rational "
-             "sd_compare",
+             "OrdinalProfile RandomAllocation TraceSegment expected_allocation "
+             "format_rational ordinal_from_utilities rational",
     "oracle": "InfeasibilityCertificate enumerate_allocations implementable_by "
               "sd_improvement_exists",
     "ps": "ps_outcome",
@@ -180,7 +179,7 @@ def test_submodules_are_attributes():
 
 def test_every_public_name_is_listed_and_star_imported():
     names = {name for _, name in NAMES} | set(SUBMODULES)
-    assert len(names) == 52
+    assert len(names) == 50
     assert sorted(fairlot.__all__) == sorted(names)
     assert names <= set(dir(fairlot))
     namespace = {}

@@ -8,15 +8,13 @@ from fairlot import (
     Instance,
     Lottery,
     RandomAllocation,
-    SdRelation,
     expected_allocation,
     format_rational,
     ordinal_from_utilities,
     rational,
-    sd_compare,
 )
 from conftest import consistent_utilities, weak_instance
-from references import utility_of_bundle
+from references import SdRelation, sd_compare, utility_of_bundle
 
 
 def test_rational_parsing_and_formatting():
