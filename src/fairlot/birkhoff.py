@@ -1,27 +1,18 @@
-"""Decomposition of bistochastic rational matrices into convex combinations
-of permutation matrices.
+"""Decomposition of bistochastic matrices into convex combinations of
+permutation matrices, in integers.
 
-Matrices are sequences of sequences of Fractions (another entry type
-raises ``TypeError``, as in ``RandomAllocation``).  Permutations are given
-as a tuple ``perm`` with ``perm[row] = column``.  Each extraction step
-takes a perfect matching on the positivity graph (guaranteed to exist
-while the residual is a positive multiple of a bistochastic matrix;
-columns are scanned in ascending order, so decompositions are
-reproducible byte for byte) weighted by its smallest matched entry; at
-least one entry hits zero per step, so a k-by-k matrix needs at most
-k^2 - 2k + 2 steps.  No step subtracts from all k matched entries: each
-matched row keeps the extracted total at which its entry runs out, and
-only rows that die or move to another column have an entry written back.
-
-All arithmetic runs on one integer scale L: ``_extract`` takes the matrix
-times L as sparse rows (column -> positive int) and checks that every row
-and column sums to L.  ``birkhoff_decompose`` scales by the lcm of the
-denominators (``RandomAllocation.integer_form``); ``pslottery`` re-eats
-straight onto such rows.  The residual starts as a copy of the rows, and
-a cell leaves its row as soon as it hits zero.  Every comparison is
-scale-invariant, so the matchings are those of the rational residual,
-and each part's weight is ``Fraction(w, L)`` for the smallest matched
-integer w.
+A matrix arrives as its rows times one integer scale L, in sparse form
+(column -> positive int), as ``pslottery.re_eat`` builds them; a
+permutation leaves as its holders, ``holders[column] = row``.  Each step
+takes a perfect matching on the positivity graph of the residual (one
+exists while the residual is a positive multiple of a bistochastic
+matrix; columns are scanned in ascending order, so decompositions are
+reproducible byte for byte), weighted by ``Fraction(w, L)`` for its
+smallest matched entry w.  At least one entry hits zero per step and
+leaves its row, so a k-by-k matrix needs at most k^2 - 2k + 2 steps.  No
+step subtracts from all k matched entries: each matched row keeps the
+extracted total at which its entry runs out, and only rows that die or
+move to another column have an entry written back.
 """
 
 from __future__ import annotations
@@ -29,22 +20,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .model import RandomAllocation
-
 __all__ = ["birkhoff_decompose"]
-
-Matrix = Sequence[Sequence[Fraction]]
 
 
 def _balanced(rows: Sequence[Mapping[int, int]], scale: int) -> bool:
-    """Every row and every column of the sparse rows sums to ``scale``."""
-    totals = [0] * len(rows)
+    """Every entry of the sparse rows is positive and in one of their
+    ``len(rows)`` columns, and every row and every column sums to ``scale``."""
+    k = len(rows)
+    totals = [0] * k
     for row in rows:
         if sum(row.values()) != scale:
             return False
         for j, x in row.items():
+            if x <= 0 or not 0 <= j < k:
+                return False
             totals[j] += x
-    return totals.count(scale) == len(rows)
+    return totals.count(scale) == k
 
 
 def _augment(adjacency: Sequence[Sequence[int]], row: int, match_col: list[int],
@@ -80,9 +71,10 @@ def _augment(adjacency: Sequence[Sequence[int]], row: int, match_col: list[int],
 
 
 def _complete_matching(adjacency: Sequence[Sequence[int]], match_col: list[int],
-                       rows_to_match: Sequence[int]) -> list[int] | None:
+                       rows_to_match: Sequence[int]) -> list[int]:
     """Match ``rows_to_match`` too, along augmenting paths; the columns
-    whose row it set, in order, or None when some row cannot be matched."""
+    whose row it set, in order.  A row that cannot be matched raises
+    ``ValueError``."""
     k = len(adjacency)
     changed: list[int] = []
     deferred = []
@@ -99,49 +91,40 @@ def _complete_matching(adjacency: Sequence[Sequence[int]], match_col: list[int],
     for row in deferred:
         visited = [False] * k
         if not _augment(adjacency, row, match_col, visited, changed):
-            return None
+            raise ValueError("no perfect matching: input was not bistochastic")
     return changed
 
 
-def birkhoff_decompose(matrix: Matrix) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """Express a bistochastic matrix as sum of weight * permutation.
+def birkhoff_decompose(rows: Sequence[Mapping[int, int]], scale: int
+                       ) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """Express the bistochastic matrix whose rows times ``scale`` are
+    ``rows`` (column -> positive int) as a sum of weight * permutation.
 
-    Weights are in (0, 1] and sum to exactly 1; the recomposition equals
-    the input structurally; the number of parts is at most k^2 - 2k + 2.
+    Each part is its weight and its holders: ``holders[j]`` is the row
+    matched to column j.  Weights are in (0, 1] and sum to exactly 1; the
+    recomposition equals the input; the number of parts is at most
+    k^2 - 2k + 2.
     """
-    labels = tuple(range(len(matrix)))
-    try:  # square, entries in [0, 1], columns summing to 1; _extract checks rows
-        scaled = RandomAllocation(labels, labels, tuple(map(tuple, matrix))).integer_form()
-    except ValueError:
-        raise ValueError("matrix is not bistochastic") from None
-    return [(weight, tuple(perm)) for weight, perm, _ in _extract(*scaled)]
-
-
-def _extract(rows: Sequence[Mapping[int, int]], scale: int) -> Iterator[tuple]:
-    """``birkhoff_decompose`` of the matrix whose rows times ``scale``
-    are ``rows`` (column -> positive int): each part as its weight, its
-    permutation and the permutation's inverse (column -> row).  The two
-    lists change for the next part, so a caller copies what it keeps."""
     if not _balanced(rows, scale):
         raise ValueError("matrix is not bistochastic")
     residual = [dict(row) for row in rows]
     k = len(residual)
     adjacency = [sorted(row) for row in residual]
     match_col = [-1] * k
-    if _complete_matching(adjacency, match_col, range(k)) is None:
-        raise ValueError("no perfect matching: input was not bistochastic")
+    _complete_matching(adjacency, match_col, range(k))
 
     # The residual is exact except at matched cells, which run out when
     # the extracted total ``done`` reaches ``ends[row]``.
     perm = sorted(range(k), key=match_col.__getitem__)  # perm[row] = column
     ends = [residual[r][c] for r, c in enumerate(perm)]
     done = 0
+    parts = []
     while True:
         end = min(ends)
         weight = end - done
         if weight <= 0:
             raise AssertionError("matched entry is not positive")
-        yield Fraction(weight, scale), perm, match_col
+        parts.append((Fraction(weight, scale), tuple(match_col)))
         done = end
         dead_rows = []
         r = -1
@@ -158,8 +141,6 @@ def _extract(rows: Sequence[Mapping[int, int]], scale: int) -> Iterator[tuple]:
         for r in dead_rows:
             match_col[perm[r]] = -1
         changed = _complete_matching(adjacency, match_col, dead_rows)
-        if changed is None:
-            raise ValueError("no perfect matching: input was not bistochastic")
         # A row the repair moved is the final match of a changed column.
         for c in changed:
             r = match_col[c]
@@ -171,3 +152,4 @@ def _extract(rows: Sequence[Mapping[int, int]], scale: int) -> Iterator[tuple]:
 
     if any(residual):
         raise AssertionError("residual nonzero after full decomposition")
+    return parts

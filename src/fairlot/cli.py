@@ -89,13 +89,16 @@ def _load_json(path: str, what: str) -> dict:
         ) from None
 
 
-def _load_instance(path: str) -> Instance:
-    return fileio.instance_from_obj(_load_json(path, "instance file"))
+def _load_instance(path: str, skip_zero: bool = False) -> Instance:
+    instance = fileio.instance_from_obj(_load_json(path, "instance file"))
+    if skip_zero and not instance.is_binary():
+        raise FormatError(f"instance file {path}: --skip-zero needs binary (0/1) utilities")
+    return instance
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
     _need("eps", "pslottery")
-    instance = _load_instance(args.input)
+    instance = _load_instance(args.input, args.skip_zero)
     outcome = plan(instance, args.rule, args.skip_zero).expected
     extra = {}
     if args.skip_zero:
@@ -105,7 +108,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_lottery(args: argparse.Namespace) -> tuple[int, str]:
     _need("eps", "pslottery")
-    instance = _load_instance(args.input)
+    instance = _load_instance(args.input, args.skip_zero)
     planned = plan(instance, args.rule, args.skip_zero)
     lottery = implement(planned)
     if args.reduce:

@@ -237,6 +237,8 @@ def lottery_to_obj(
 def lottery_from_obj(obj: Mapping) -> tuple[Lottery, RandomAllocation, dict]:
     agents = tuple(_strings(_require(obj, "agents", "lottery"), "lottery.agents"))
     items = tuple(_strings(_require(obj, "items", "lottery"), "lottery.items"))
+    if len(set(agents)) < len(agents):
+        raise FormatError("lottery: duplicate agent ids")
     item_set = set(items)
     if len(item_set) < len(items):
         raise FormatError("lottery: duplicate item ids")

@@ -1,8 +1,10 @@
-"""End-to-end lottery construction: run an eating rule on the instance,
-pad it with dummy items and fill every bundle up with dummy mass, re-eat
-each bundle into a square bistochastic matrix over agent
-representatives, decompose it into permutations, and project the
-permutations back to deterministic allocations of the real items.
+"""End-to-end lottery construction, in the stages ``implement`` calls:
+``plan`` runs an eating rule on the instance, pads it with dummy items
+and fills every bundle up with dummy mass; ``re_eat`` turns the bundles
+into a square bistochastic matrix over agent representatives, on one
+integer scale; ``birkhoff_decompose`` splits it into permutations; and
+``project`` maps each permutation back to a deterministic allocation of
+the real items.
 
 The lottery's expectation reproduces the eating outcome exactly, and every
 support allocation is a picking-sequence outcome under a recursively
@@ -18,8 +20,7 @@ from math import ceil, gcd, lcm
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-# birkhoff_decompose is not called here: benchmarks/spans.py wraps it on this module.
-from .birkhoff import _extract, birkhoff_decompose
+from .birkhoff import birkhoff_decompose
 from .eps import eps_outcome
 from .model import (
     DeterministicAllocation,
@@ -60,7 +61,8 @@ class PaddedInstance:
 
     ``orders[agent]`` is the agent's re-eating order: the real items best
     first, ties broken lexicographically (smaller item id preferred), then
-    the dummies.  Representatives are (agent, k) pairs with k in 1..c.
+    the dummies.  Representatives are (agent, k) pairs with k in 1..c, and
+    ``agent_of[r]`` is the agent of representative r.
     """
 
     def __init__(self, instance: Instance, c: int) -> None:
@@ -73,6 +75,8 @@ class PaddedInstance:
         self.representatives = tuple(
             (agent, k) for agent in instance.agents for k in range(1, c + 1)
         )
+        # One None per representative follows, so a negative index names no agent.
+        self.agent_of = tuple(a for a, _ in self.representatives) + (None,) * c * instance.n
         tiers = ordinal_from_utilities(instance).tiers
         self.orders = {
             a: tuple(chain.from_iterable(tiers[a])) + self.dummies for a in instance.agents
@@ -86,12 +90,15 @@ def pad_with_dummies(instance: Instance, c: int) -> PaddedInstance:
     return PaddedInstance(instance, c)
 
 
-def _re_eat_scaled(
+def re_eat(
     bundles: Mapping[str, Mapping[str, Fraction]], padded: PaddedInstance
 ) -> tuple[list[dict[int, int]], int]:
-    """``re_eat`` on one integer scale: the rows of its matrix times L, the
-    lcm of the bundle entries' denominators, as sparse rows (column ->
-    positive int), and L.  A window of L units feeds one representative."""
+    """Let each agent re-eat its bundle at unit speed in its re-eating
+    order; representative k receives what was eaten during [k-1, k].  The
+    (cn) x (cn) bistochastic matrix this gives, indexed by
+    ``padded.representatives`` and ``padded.items``, comes as its rows
+    times L, the lcm of the bundle denominators, in sparse form (column ->
+    positive int), and L: a window of L units feeds one representative."""
     c = padded.c
     col = {o: j for j, o in enumerate(padded.items)}
     scale = lcm(*(v.denominator for bundle in bundles.values() for v in bundle.values()))
@@ -106,49 +113,34 @@ def _re_eat_scaled(
         if min(row.values()) < 0:
             raise ValueError("negative bundle entry")
         reps: list[dict[int, int]] = [{} for _ in range(c)]
-        clock = 0
+        window, room = 0, scale  # the window being fed, and what it still takes
         for o in filter(row.__contains__, padded.orders[agent]):
-            amount = row[o]
-            while amount:
-                # An item is eaten in one stretch: one bite per window.
-                window, eaten = divmod(clock, scale)
-                bite = min(amount, scale - eaten)
-                reps[window][col[o]] = bite
-                clock += bite
-                amount -= bite
+            j, amount = col[o], row[o]
+            # An item is eaten in one stretch: one bite per window.
+            while amount >= room:
+                reps[window][j] = room
+                window, room, amount = window + 1, scale, amount - room
+            if amount:
+                reps[window][j] = amount
+                room -= amount
         rows += reps
     return rows, scale
 
 
-def re_eat(
-    bundles: Mapping[str, Mapping[str, Fraction]], padded: PaddedInstance
-) -> list[list[Fraction]]:
-    """Let each agent re-eat its bundle at unit speed in its strict
-    preference order; representative k receives what was eaten during
-    [k-1, k].  The result is a (cn) x (cn) bistochastic matrix indexed by
-    ``padded.representatives`` and ``padded.items``: the ``Fraction``
-    view of the integer re-eat that ``implement`` decomposes.
-    """
-    rows, scale = _re_eat_scaled(bundles, padded)
-    return [[Fraction(row.get(j, 0), scale) for j in range(len(rows))] for row in rows]
-
-
-def project(
-    permutation: Sequence[int], padded: PaddedInstance
-) -> DeterministicAllocation:
-    """Turn a permutation of the padded universe into an allocation of the
-    real items: agent i owns whatever its representatives were matched to,
-    dummy items are dropped.
-    """
+def project(holders: Sequence[int], padded: PaddedInstance) -> DeterministicAllocation:
+    """Turn a permutation of the padded universe, given by the
+    representative that holds each padded item, into an allocation of the
+    real items: each goes to its holder's agent, and the dummies, which
+    follow them, are dropped.  The holders are not checked to form a
+    permutation, only to be representatives."""
     instance = padded.instance
-    agents, m, c = instance.agents, instance.m, padded.c
-    owners: list[str | None] = [None] * m  # dummies follow the real items
-    for idx, col in enumerate(permutation):
-        if col < m:
-            owners[col] = agents[idx // c]  # representative idx is (agents[idx // c], k)
-    if None in owners:
-        raise ValueError("permutation does not cover every real item")
-    return DeterministicAllocation(agents, instance.items, tuple(owners))
+    m = instance.m
+    try:  # an index past agent_of, or one of its Nones as an owner
+        owners = itemgetter(*holders[:m])(padded.agent_of)
+        return DeterministicAllocation(instance.agents, instance.items,
+                                       owners if m > 1 else (owners,))
+    except (IndexError, ValueError):
+        raise ValueError("holder is not a representative") from None
 
 
 def support_bound(c: int, n: int) -> int:
@@ -230,19 +222,10 @@ def plan(instance: Instance, rule: str = "ps", skip_zero: bool = False) -> Plan:
 
 def implement(planned: Plan) -> Lottery:
     """Re-eat the planned bundles, decompose, project and merge: a lottery
-    whose expectation is exactly ``planned.expected``.  A part's inverse
-    permutation names the representative, hence the agent, that owns each
-    real item (the dummies follow them)."""
+    whose expectation is exactly ``planned.expected``."""
     padded = planned.padded
-    agents, items = padded.instance.agents, padded.instance.items
-    owner = tuple(agent for agent, _ in padded.representatives)
-    m = len(items)
-    entries = []
-    for weight, _, match in _extract(*_re_eat_scaled(planned.bundles, padded)):
-        owners = itemgetter(*match[:m])(owner)
-        entries.append((weight, DeterministicAllocation(
-            agents, items, owners if m > 1 else (owners,))))
-    return Lottery(tuple(entries)).merged()
+    parts = birkhoff_decompose(*re_eat(planned.bundles, padded))
+    return Lottery(tuple((weight, project(holders, padded)) for weight, holders in parts)).merged()
 
 
 def ps_lottery(

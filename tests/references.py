@@ -4,8 +4,8 @@ optimum of a binary instance, all over the package's exact simplex; the
 stochastic-dominance relation of two ``Fraction`` rows; and the
 re-eating loop on a dense ``Fraction`` matrix, as the library ran it
 before it re-ate on one integer scale.  Also views the library does not
-need: an allocation's 0/1 matrix, a trace's totals per agent, and the
-bistochastic test.
+need: an allocation's 0/1 matrix, a trace's totals per agent, a
+``Fraction`` matrix on one integer scale, and the bistochastic test.
 """
 
 from __future__ import annotations
@@ -104,15 +104,23 @@ def integrate(trace: EatingTrace) -> dict[str, dict[str, Fraction]]:
     return rows
 
 
-def is_bistochastic(matrix: Sequence[Sequence[Fraction]]) -> bool:
-    """Square, entries in [0, 1], every row and column sums to exactly 1;
-    tested on one integer scale, as ``birkhoff_decompose`` tests its input."""
+def scaled_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[tuple[dict[int, int], ...], int]:
+    """A square ``Fraction`` matrix as ``birkhoff_decompose`` takes it: its
+    rows times L, the lcm of its denominators, in sparse form, and L.  A
+    matrix that is not square, or has an entry outside [0, 1] or a column
+    that does not sum to 1, raises ``ValueError``."""
     labels = tuple(range(len(matrix)))
+    return RandomAllocation(labels, labels, tuple(map(tuple, matrix))).integer_form()
+
+
+def is_bistochastic(matrix: Sequence[Sequence[Fraction]]) -> bool:
+    """Square, entries in [0, 1], every row and column sums to exactly 1:
+    the matrix's ``scaled_rows`` pass the check that ``birkhoff_decompose``
+    runs on its integer rows."""
     try:
-        scaled = RandomAllocation(labels, labels, tuple(map(tuple, matrix))).integer_form()
+        return _balanced(*scaled_rows(matrix))
     except ValueError:
         return False
-    return _balanced(*scaled)
 
 
 def pareto_improvement_exists(

@@ -42,7 +42,7 @@ from fairlot.oracle import (
     sd_improvement_exists,
 )
 from conftest import binary_instance, consistent_utilities, strict_instance, weak_instance
-from references import is_bistochastic, leximin_bruteforce, utility_of_bundle
+from references import is_bistochastic, leximin_bruteforce, scaled_rows, utility_of_bundle
 
 EXAMPLE = {
     "agents": ["1", "2"],
@@ -364,15 +364,15 @@ def test_criterion_09_birkhoff_suite():
         for w, perm in zip(weights, permutations):
             for r in range(k):
                 matrix[r][perm[r]] += w
-        parts = birkhoff_decompose(matrix)
+        parts = birkhoff_decompose(*scaled_rows(matrix))
         assert len(parts) <= max(1, k * k - 2 * k + 2)
         residual = [list(row) for row in matrix]
         left = F(1)
         recomposed = [[F(0)] * k for _ in range(k)]
-        for w, perm in parts:
-            for r in range(k):
-                residual[r][perm[r]] -= w
-                recomposed[r][perm[r]] += w
+        for w, holders in parts:
+            for c, r in enumerate(holders):
+                residual[r][c] -= w
+                recomposed[r][c] += w
             left -= w
             if left > 0:
                 scaled = tuple(tuple(v / left for v in row) for row in residual)

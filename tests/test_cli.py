@@ -14,7 +14,7 @@ from fairlot import Instance, fileio, ordinal_from_utilities
 from fairlot.model import _MAX_DIGITS, _MAX_LITERAL, format_rational, rational
 from fairlot.cli import main
 from references import SdRelation, sd_compare
-from test_golden import checking_inputs, hand_files
+from test_golden import HAND, checking_inputs, hand_files
 
 EXAMPLE = {
     "agents": ["1", "2"],
@@ -92,9 +92,13 @@ def test_solve_skip_zero(tmp_path):
     assert doc["padded_items"] == []
 
 
-def test_solve_skip_zero_rejects_cardinal(example_file):
-    code, _ = run(["solve", "--rule", "eps", "--skip-zero", "--input", example_file])
-    assert code == 2
+@pytest.mark.parametrize("command", [["solve"], ["lottery", "--out", "-"]])
+def test_skip_zero_rejects_cardinal(example_file, capsys, command):
+    # The fault lies in the instance, so the message names its file.
+    code, out = run([*command, "--rule", "eps", "--skip-zero", "--input", example_file])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"fairlot: error: instance file {example_file}: --skip-zero needs binary (0/1) utilities\n")
 
 
 def test_lottery_worked_example(tmp_path, example_file):
@@ -495,6 +499,21 @@ def test_verify_rejects_duplicate_lottery_items(tmp_path, capsys):
     instance, lottery, _ = _one_item_files(tmp_path, ["x"])
     assert run(["verify", "--property", "ef", "--input", str(instance),
                 "--lottery", str(lottery)])[0] == 0
+
+
+def test_verify_rejects_duplicate_lottery_agents(tmp_path, capsys):
+    # Reported against the agents field, not against the expected matrix
+    # the repeated id would later label twice.
+    instance, lottery = tmp_path / "instance.json", tmp_path / "lottery.json"
+    instance.write_text(json.dumps(EXAMPLE))
+    lottery.write_text(json.dumps({
+        "agents": ["1", "1"], "items": ["a", "b", "c", "d"],
+        "expected": [["1", "1", "1", "1"], ["0", "0", "0", "0"]],
+        "support": [{"weight": "1", "assignment": dict.fromkeys("abcd", "1")}]}))
+    code, out = run(["verify", "--property", "ef", "--input", str(instance),
+                     "--lottery", str(lottery)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "fairlot: error: lottery: duplicate agent ids\n"
 
 
 def _three_part_lottery():
@@ -1044,6 +1063,50 @@ def test_verify_survives_mutated_documents(tmp_path, data):
     event(f"exit {code}")
     if code in (0, 1):
         assert json.loads(out.getvalue())["verdict"] == ("PASS" if code == 0 else "FAIL")
+        assert err.getvalue() == ""
+        return
+    assert code == 2 and out.getvalue() == ""
+    line, = err.getvalue().splitlines()
+    assert line.startswith(("fairlot: error: ", "fairlot: refused: "))
+    assert target.stem in line, line
+
+
+BINARY = {"agents": ["1", "2"], "items": ["a", "b", "c"],
+          "utilities": {"1": {"a": "1", "b": "0", "c": "1"}, "2": {"a": "1", "b": "1", "c": "0"}}}
+
+
+@settings(max_examples=240, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_commands_survive_mutated_inputs(tmp_path, data):
+    # solve and lottery on a mutated instance, oracle on a mutated instance
+    # or target matrix: exit 0 or 1 with a document, or 2 with one located
+    # line; no exception escapes main.
+    instance, matrix = tmp_path / "instance.json", tmp_path / "matrix.json"
+    doc = data.draw(st.sampled_from([EXAMPLE, BINARY, json.loads(json.dumps(HAND))]))
+    instance.write_text(json.dumps(doc))
+    code, out = run(["solve", "--rule", "ps", "--input", str(instance)])
+    assert code == 0
+    docs = {instance: doc, matrix: json.loads(out)}
+    command = data.draw(st.sampled_from(["solve", "lottery", "oracle"]))
+    target = instance if command != "oracle" else data.draw(st.sampled_from(list(docs)))
+    for path, valid in docs.items():
+        path.write_text(data.draw(mutated_text(valid)) if path == target else json.dumps(valid))
+    if command == "oracle":
+        argv = ["oracle", "--filter", data.draw(st.sampled_from(["none", "ef1-po", "balanced-po"])),
+                "--input", str(instance), "--allocation", str(matrix)]
+    else:
+        rule = data.draw(st.sampled_from([["ps"], ["eps"], ["eps", "--skip-zero"]]))
+        argv = [command, "--rule", *rule, "--input", str(instance)]
+        argv += ["--out", "-"] if command == "lottery" else []
+    event(command)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}")
+    if code in (0, 1):
+        answer = json.loads(out.getvalue())
+        assert code == 0 or answer["feasible"] is False
         assert err.getvalue() == ""
         return
     assert code == 2 and out.getvalue() == ""

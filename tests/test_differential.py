@@ -72,22 +72,19 @@ from fairlot.model import (
     rational,
 )
 from fairlot.oracle import enumerate_allocations, sd_improvement_exists
-from fairlot.birkhoff import _extract
 from fairlot.pslottery import (
     _find_affine_dependency,
     _fresh_dummy_ids,
     _independent_mod2,
     _last_users_cover,
-    _re_eat_scaled,
     implement,
     plan,
-    project,
     re_eat,
 )
 from fairlot.simplex import solve_lp, verify_farkas
 from conftest import max_eating_duration, strict_instance
-from references import (SdRelation, fraction_re_eat, is_bistochastic, sd_compare, sd_relation,
-                        tier_prefixes, utility_of_bundle)
+from references import (SdRelation, fraction_re_eat, is_bistochastic, scaled_rows, sd_compare,
+                        sd_relation, tier_prefixes, utility_of_bundle)
 from test_fairness import slow_efk, slow_sd_ef1
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -815,6 +812,13 @@ def fraction_birkhoff(matrix):
     return parts
 
 
+def holders_of(parts):
+    """Parts with permutations ``perm[row] = column`` as (weight, holders),
+    ``holders[column] = row``, the form ``birkhoff_decompose`` returns."""
+    return [(weight, tuple(sorted(range(len(perm)), key=perm.__getitem__)))
+            for weight, perm in parts]
+
+
 proper = st.integers(2, 60).flatmap(lambda d: st.builds(F, st.integers(1, d - 1), st.just(d)))
 
 
@@ -840,7 +844,7 @@ def bistochastic(draw):
 @SETTINGS
 @given(bistochastic())
 def test_birkhoff_matches_fraction_loop(matrix):
-    assert birkhoff_decompose(matrix) == fraction_birkhoff(matrix)
+    assert birkhoff_decompose(*scaled_rows(matrix)) == holders_of(fraction_birkhoff(matrix))
 
 
 @st.composite
@@ -885,11 +889,7 @@ def perturbed(draw):
 @SETTINGS
 @given(perturbed())
 def test_is_bistochastic_matches_fraction_definition(matrix):
-    expected = fraction_is_bistochastic(matrix)
-    assert is_bistochastic(matrix) == expected
-    if not expected:
-        with pytest.raises(ValueError, match="^matrix is not bistochastic$"):
-            birkhoff_decompose(matrix)
+    assert is_bistochastic(matrix) == fraction_is_bistochastic(matrix)
 
 
 def assert_integer_form(matrix, rows, scale):
@@ -2085,13 +2085,12 @@ def test_plan_matches_pad_first_reference(case):
 # and the projection of each permutation.
 def assert_re_eat_matches(planned):
     bundles, padded = planned.bundles, planned.padded
-    rows, scale = _re_eat_scaled(bundles, padded)
+    rows, scale = re_eat(bundles, padded)
     dense = fraction_re_eat(bundles, padded)
     assert scale == lcm(*(v.denominator for bundle in bundles.values() for v in bundle.values()))
     assert all(x > 0 for row in rows for x in row.values())
     assert [{j: F(x, scale) for j, x in row.items()} for row in rows] == [
         {j: v for j, v in enumerate(row) if v} for row in dense]
-    assert re_eat(bundles, padded) == dense
     return rows, scale, dense
 
 
@@ -2100,12 +2099,14 @@ def assert_re_eat_matches(planned):
 def test_integer_re_eat_matches_fraction_loop(case):
     planned = plan(*case)
     rows, scale, dense = assert_re_eat_matches(planned)
-    parts = [(weight, tuple(perm), tuple(match)) for weight, perm, match in _extract(rows, scale)]
-    reference = fraction_birkhoff(dense)
-    assert [(weight, perm) for weight, perm, _ in parts] == reference
-    for _, perm, match in parts:
-        assert [match[c] for c in perm] == list(range(len(perm)))
-    entries = tuple((weight, project(perm, planned.padded)) for weight, perm in reference)
+    reference = holders_of(fraction_birkhoff(dense))
+    assert birkhoff_decompose(rows, scale) == reference
+    # Representative r is agent r // c's; the dummies follow the real items.
+    instance, c = planned.padded.instance, planned.padded.c
+    agents, items = instance.agents, instance.items
+    entries = tuple((weight, DeterministicAllocation(
+        agents, items, tuple(agents[r // c] for r in holders[:len(items)])))
+        for weight, holders in reference)
     assert implement(planned) == Lottery(entries).merged()
 
 
@@ -2123,15 +2124,21 @@ def test_integer_re_eat_crosses_windows_at_c_4():
 @st.composite
 def scaled_matrices(draw):
     """A bistochastic matrix and its sparse rows on a multiple of its lcm
-    scale L, untouched or unbalanced one way: an entry moved to another
-    row of its column (row sums break), to another column of its row
-    (column sums break), or raised by one unit (both break)."""
+    scale L, untouched or broken one way: an entry moved to another row of
+    its column (row sums break), to another column of its row (column sums
+    break), or raised by one unit (both break); a zero entry added, or a
+    negative one whose rows and columns keep their sums; an entry moved to
+    column k of a k x k matrix, or from column k - 1 to column -1 (which
+    would wrap around to it, and all sums hold)."""
     matrix = draw(bistochastic())
     k = len(matrix)
     scale = lcm(*(v.denominator for row in matrix for v in row)) * draw(st.integers(1, 3))
     rows = [{j: v.numerator * scale // v.denominator for j, v in enumerate(row) if v}
             for row in matrix]
-    how = draw(st.sampled_from(["none", "column", "row", "unit"] if k > 1 else ["none", "unit"]))
+    free = [(r, j) for r in range(k) for j in range(k) if j not in rows[r]]
+    how = draw(st.sampled_from(
+        ["none", "unit", "outside", "wrap"] + ["column", "row", "negative"] * (k > 1)
+        + ["zero"] * bool(free)))
     r = draw(st.integers(0, k - 1))
     j = draw(st.sampled_from(sorted(rows[r])))
     if how == "column":
@@ -2140,6 +2147,19 @@ def scaled_matrices(draw):
         rows[r][(j + 1) % k] = rows[r].get((j + 1) % k, 0) + rows[r].pop(j)
     elif how == "unit":
         rows[r][j] += 1
+    elif how == "zero":
+        r, j = draw(st.sampled_from(free))
+        rows[r][j] = 0
+    elif how == "negative":
+        r2, j2 = (r + 1) % k, (j + 1) % k
+        shift = rows[r][j] + draw(st.integers(1, scale))
+        for row, col, sign in ((r, j, -1), (r2, j2, -1), (r, j2, 1), (r2, j, 1)):
+            rows[row][col] = rows[row].get(col, 0) + sign * shift
+    elif how == "outside":
+        rows[r][k] = rows[r].pop(j)
+    elif how == "wrap":
+        r = draw(st.sampled_from([r for r in range(k) if k - 1 in rows[r]]))
+        rows[r][-1] = rows[r].pop(k - 1)
     return matrix, rows, scale, how
 
 
@@ -2150,12 +2170,9 @@ def test_birkhoff_from_scaled_rows_matches_fraction_loop(case):
     event(how)
     if how != "none":
         with pytest.raises(ValueError, match="^matrix is not bistochastic$"):
-            next(_extract(rows, scale))
+            birkhoff_decompose(rows, scale)
         return
-    parts = [(weight, tuple(perm), tuple(match)) for weight, perm, match in _extract(rows, scale)]
-    assert [(weight, perm) for weight, perm, _ in parts] == fraction_birkhoff(matrix)
-    for _, perm, match in parts:
-        assert [match[c] for c in perm] == list(range(len(perm)))
+    assert birkhoff_decompose(rows, scale) == holders_of(fraction_birkhoff(matrix))
 
 
 # The first fault the constructors name, as their cell-by-cell checks

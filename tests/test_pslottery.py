@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -22,8 +23,10 @@ from fairlot import (
     reduce_support,
     support_bound,
 )
+from fairlot.cli import main
 from conftest import binary_instance, strict_instance, weak_instance
 from references import leximin_bruteforce, matrix_of, utility_of_bundle
+from test_benchmark_bindings import bench  # noqa: F401  (fixture)
 
 
 def test_padding_counts(example_instance):
@@ -72,31 +75,34 @@ def test_padded_preferences():
     assert padded2.orders["1"] == ("a", "x", d1, d2)
 
 
+def named_rows(padded, rows):
+    """Re-eaten rows by representative, their columns by item id."""
+    return {rep: {padded.items[j]: x for j, x in row.items()}
+            for rep, row in zip(padded.representatives, rows)}
+
+
 def test_re_eat_example_rows(example_instance):
     padded = pad_with_dummies(example_instance, c=2)
     bundles = {
         "1": {"a": F(1, 2), "b": F(1), "d": F(1, 2)},
         "2": {"a": F(1, 2), "c": F(1), "d": F(1, 2)},
     }
-    matrix = re_eat(bundles, padded)
-    rows = {rep: row for rep, row in zip(padded.representatives, matrix)}
-    col = {o: j for j, o in enumerate(padded.items)}
-    assert rows[("1", 1)][col["a"]] == F(1, 2) and rows[("1", 1)][col["b"]] == F(1, 2)
-    assert rows[("1", 2)][col["b"]] == F(1, 2) and rows[("1", 2)][col["d"]] == F(1, 2)
-    assert rows[("2", 1)][col["a"]] == F(1, 2) and rows[("2", 1)][col["c"]] == F(1, 2)
-    assert rows[("2", 2)][col["c"]] == F(1, 2) and rows[("2", 2)][col["d"]] == F(1, 2)
+    rows, scale = re_eat(bundles, padded)
+    assert scale == 2
+    assert named_rows(padded, rows) == {
+        ("1", 1): {"a": 1, "b": 1}, ("1", 2): {"b": 1, "d": 1},
+        ("2", 1): {"a": 1, "c": 1}, ("2", 2): {"c": 1, "d": 1},
+    }
 
 
 def test_re_eat_integral_bundles(example_instance):
     padded = pad_with_dummies(example_instance, c=2)
     bundles = {"1": {"a": F(1), "b": F(1)}, "2": {"c": F(1), "d": F(1)}}
-    matrix = re_eat(bundles, padded)
-    rows = {rep: row for rep, row in zip(padded.representatives, matrix)}
-    col = {o: j for j, o in enumerate(padded.items)}
-    assert rows[("1", 1)][col["a"]] == 1
-    assert rows[("1", 2)][col["b"]] == 1
-    assert rows[("2", 1)][col["c"]] == 1
-    assert rows[("2", 2)][col["d"]] == 1
+    rows, scale = re_eat(bundles, padded)
+    assert scale == 1
+    assert named_rows(padded, rows) == {
+        ("1", 1): {"a": 1}, ("1", 2): {"b": 1}, ("2", 1): {"c": 1}, ("2", 2): {"d": 1},
+    }
 
 
 def test_re_eat_rejects_bad_mass(example_instance):
@@ -113,7 +119,7 @@ def test_project_example(example_instance):
     padded = pad_with_dummies(example_instance, c=2)
     first = project((0, 1, 2, 3), padded)
     assert first.bundle("1") == ("a", "b") and first.bundle("2") == ("c", "d")
-    second = project((1, 3, 0, 2), padded)
+    second = project((2, 0, 3, 1), padded)  # a and c to the representatives of 2
     assert second.bundle("1") == ("b", "d") and second.bundle("2") == ("a", "c")
 
 
@@ -127,10 +133,52 @@ def test_project_drops_dummies():
     assert alloc.bundle("1") == ("x",) and alloc.bundle("2") == ()
 
 
-def test_project_rejects_a_permutation_that_misses_an_item(example_instance):
+@pytest.mark.parametrize("stray", [4, 8, -1, -9])
+def test_project_rejects_a_holder_that_is_not_a_representative(example_instance, stray):
     padded = pad_with_dummies(example_instance, c=2)
-    with pytest.raises(ValueError, match="^permutation does not cover every real item$"):
-        project((0, 0, 1, 2), padded)
+    with pytest.raises(ValueError, match="^holder is not a representative$"):
+        project((0, 1, stray, 3), padded)
+
+
+def test_lottery_calls_every_traced_stage(bench, monkeypatch, capsys, tmp_path):
+    # benchmarks/spans.py times a build through the names it wraps on
+    # fairlot.pslottery, so the build must call each of them: project once
+    # per part that birkhoff_decompose returns.  Counting changes no byte.
+    import fairlot.pslottery as pslottery
+
+    inputs = bench("inputs")
+    strict, tied = tmp_path / "strict.json", tmp_path / "tied.json"
+    strict.write_text(inputs.strict(7, 40, 150))  # c = 4
+    tied.write_text(inputs.tied(7, 10, 30, 3))
+    runs = [["--rule", "ps", "--input", str(strict)], ["--rule", "eps", "--input", str(tied)]]
+
+    def documents():
+        written = []
+        for args in runs:
+            assert main(["lottery", *args, "--out", "-"]) == 0
+            written.append(capsys.readouterr().out)
+        return written
+
+    unwrapped = documents()
+    calls, parts = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = fn(*args, **kwargs)
+            if name == "birkhoff_decompose":
+                parts.append(len(result))
+            return result
+        return wrapper
+
+    names = {dotted for module, dotted, *_ in bench("spans").WRAPS if module == "fairlot.pslottery"}
+    assert {"re_eat", "birkhoff_decompose", "project"} <= names
+    for name in names:
+        monkeypatch.setattr(pslottery, name, counted(name, getattr(pslottery, name)))
+    assert documents() == unwrapped
+    assert set(calls) == names
+    assert calls["re_eat"] == calls["birkhoff_decompose"] == len(runs)
+    assert calls["project"] == sum(parts) > 0
 
 
 def test_ps_lottery_worked_example(example_instance):
