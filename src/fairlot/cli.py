@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from importlib import import_module
 from typing import Sequence
 
 from . import _EXPORTS, fileio
-from .fileio import FormatError, dumps
-from .model import (BudgetExceeded, Instance, _check_budget, format_rational,
-                    ordinal_from_utilities)
+from .fileio import FormatError, dumps, load_json as _load_json  # traced runs wrap this name
+from .model import BudgetExceeded, Instance, _check_budget, ordinal_from_utilities
 
 
 def _need(*modules: str) -> None:
@@ -53,42 +51,6 @@ EX_FAIL = 1
 EX_USAGE = 2
 
 
-def _load_json(path: str, what: str) -> dict:
-    def unique_keys(pairs: list) -> dict:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            seen = set()
-            for key, _ in pairs:
-                if key in seen:
-                    raise FormatError(f"{what} {path}: duplicate key {key!r}")
-                seen.add(key)
-        return obj
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, object_pairs_hook=unique_keys)
-    except FormatError:
-        raise
-    except OSError as exc:
-        raise FormatError(f"{what} {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(
-            f"{what} {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{what} {path}: {exc}") from None
-    except RecursionError:
-        # json's decoder recurses once per nested array or object.
-        raise FormatError(f"{what} {path}: JSON nested too deeply to read") from None
-    except ValueError:
-        # json.load converts integer literals with int(), which refuses more
-        # digits than Python's limit and names no position.
-        raise FormatError(
-            f"{what} {path}: a JSON number has more than "
-            f"{sys.get_int_max_str_digits()} digits; write it as a string"
-        ) from None
-
-
 def _load_instance(path: str, skip_zero: bool = False) -> Instance:
     instance = fileio.instance_from_obj(_load_json(path, "instance file"))
     if skip_zero and not instance.is_binary():
@@ -97,6 +59,8 @@ def _load_instance(path: str, skip_zero: bool = False) -> Instance:
 
 
 def cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
+    if args.skip_zero and args.rule != "eps":
+        raise FormatError("--skip-zero needs --rule eps")
     _need("eps", "pslottery")
     instance = _load_instance(args.input, args.skip_zero)
     outcome = plan(instance, args.rule, args.skip_zero).expected
@@ -107,6 +71,8 @@ def cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_lottery(args: argparse.Namespace) -> tuple[int, str]:
+    if args.skip_zero and args.rule != "eps":
+        raise FormatError("--skip-zero needs --rule eps")
     _need("eps", "pslottery")
     instance = _load_instance(args.input, args.skip_zero)
     planned = plan(instance, args.rule, args.skip_zero)
@@ -151,6 +117,14 @@ _PROPERTIES = {
 }
 
 
+def _document(report, **extra) -> dict:
+    """A report as ``verify`` writes it: a PASS with its witness, a FAIL
+    with its violation, and the keys of ``extra``."""
+    if report.ok:
+        return {"property": report.prop, "verdict": "PASS", "witness": report.witness, **extra}
+    return {"property": report.prop, "verdict": "FAIL", "violation": report.violation, **extra}
+
+
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     prop = args.property
     if prop == "efk" and (args.k is None or args.k < 0):
@@ -170,13 +144,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
     if ex_ante:
         report = check(expected, table, args.k)
-        return (EX_OK if report.ok else EX_FAIL), dumps(report.to_json())
+        return (EX_OK if report.ok else EX_FAIL), dumps(_document(report))
 
-    reports = []
-    for weight, allocation in lottery.entries:
-        entry = check(allocation, table, args.k).to_json()
-        entry["weight"] = format_rational(weight)
-        reports.append(entry)
+    reports = [_document(check(allocation, table, args.k), weight=weight)
+               for weight, allocation in lottery.entries]
     ok = all(r["verdict"] == "PASS" for r in reports)
     verdict = {"property": prop, "verdict": "PASS" if ok else "FAIL", "support": reports}
     return (EX_OK if ok else EX_FAIL), dumps(verdict)
@@ -209,7 +180,7 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[int, str]:
     if feasible:
         answer["lottery"] = fileio.lottery_to_obj(result)
     else:
-        answer["farkas"] = [format_rational(v) for v in result.farkas]
+        answer["farkas"] = result.farkas
         answer["certificate_verified"] = result.verify()
     return (EX_OK if feasible else EX_FAIL), dumps(answer)
 

@@ -369,15 +369,19 @@ def _eat(
                             pooled[o] = pooled.get(o, _ZERO) + v
                     for a in members:
                         flow[a] = {o: v / len(members) for o, v in pooled.items()}
+                # A tight eater's shares all lie on the items it exhausts.
+                eaten = dict.fromkeys(gone, _ZERO)
+                for a in tight:
+                    for o, v in flow[a].items():
+                        eaten[o] += v
                 for o in gone:
-                    if sum(flow[a].get(o, _ZERO) for a in tight) != 1:
+                    if eaten[o] != 1:
                         raise AssertionError(f"tight item {o!r} not exactly exhausted")
             for a in tight:
                 clock = start[a]
                 for o, v in sorted(flow[a].items()):
                     rows[a][o] = v
-                    segments[a].append(TraceSegment(o, clock, clock + v, v))
-                    clock += v
+                    segments[a].append(TraceSegment(o, clock, clock := clock + v, v))
                 if clock != t:
                     raise AssertionError("pinned window does not match its duration")
             live.difference_update(gone)
@@ -406,8 +410,7 @@ def _eat(
             clock = max(horizon, segs[-1].end if segs else _ZERO)
             for o in leftovers:
                 rows[a][o] = share
-                segs.append(TraceSegment(o, clock, clock + share, share))
-                clock += share
+                segs.append(TraceSegment(o, clock, clock := clock + share, share))
     else:
         if live:
             raise AssertionError("standard mode must consume every item")

@@ -1,7 +1,7 @@
 """Verifiers for the fairness and efficiency notions used by the lottery
-pipeline.  Every checker returns a report carrying a machine-readable
-certificate: a witness of satisfaction or a concrete violating pair/set
-that re-fails when replayed in isolation.
+pipeline.  Every checker returns a report carrying a certificate, which
+``fileio.dumps`` writes: a witness of satisfaction or a concrete
+violating pair/set that re-fails when replayed in isolation.
 
 The ex-ante checkers take a ``RandomAllocation``, the ex-post ones a
 ``DeterministicAllocation``.  All compare exact integers or ranks; none
@@ -29,7 +29,6 @@ import operator
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
-from .fileio import matrix_to_obj
 from .model import (
     BudgetExceeded,
     DeterministicAllocation,
@@ -38,7 +37,6 @@ from .model import (
     RandomAllocation,
     _check_budget,
     _Frozen,
-    format_rational,
     ordinal_from_utilities,
 )
 
@@ -63,8 +61,8 @@ class Report(_Frozen):
 
     ``ok`` is True/False for a decided check; ``witness`` documents why it
     passed, ``violation`` why it failed.  Both are plain dict/list/str
-    payloads, except that a ``RandomAllocation`` in them serializes as a
-    matrix document.
+    payloads that may hold ``Fraction``s and ``RandomAllocation``s, which
+    ``fileio.dumps`` writes as rational strings and matrix documents.
     """
 
     _fields = ("prop", "ok", "witness", "violation")
@@ -72,27 +70,6 @@ class Report(_Frozen):
     def __init__(self, prop: str, ok: bool, witness: Any = None, violation: Any = None) -> None:
         d = self.__dict__
         d["prop"], d["ok"], d["witness"], d["violation"] = prop, ok, witness, violation
-
-    def to_json(self) -> dict:
-        def encode(value):
-            if type(value) is str:  # most witness entries are item or agent ids
-                return value
-            if isinstance(value, Fraction):
-                return format_rational(value)
-            if isinstance(value, RandomAllocation):
-                return matrix_to_obj(value)
-            if isinstance(value, dict):
-                return {str(k): encode(v) for k, v in value.items()}
-            if isinstance(value, (list, tuple)):
-                return [encode(v) for v in value]
-            return value
-
-        payload = {"property": self.prop, "verdict": "PASS" if self.ok else "FAIL"}
-        if self.witness is not None:
-            payload["witness"] = encode(self.witness)
-        if self.violation is not None:
-            payload["violation"] = encode(self.violation)
-        return payload
 
 
 def check_ef(p: RandomAllocation, instance: Instance) -> Report:

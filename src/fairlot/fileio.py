@@ -1,14 +1,16 @@
-"""Stable machine-readable file formats: instances, allocation matrices
-and lotteries as JSON with rationals written as strings ("3/2", "1"),
-never floats.  Serialization is deterministic (sorted keys, fixed
-indentation) and loading validates the documents' internal invariants, so
-round trips are lossless: parse(serialize(x)) == x.
+"""Stable machine-readable file formats: instances, allocation matrices,
+lotteries and reports as JSON with rationals written as strings ("3/2",
+"1"), never floats; no other module reads or writes JSON text.
+Serialization is deterministic (sorted keys, fixed indentation) and
+loading validates the documents' internal invariants, so round trips are
+lossless: parse(serialize(x)) == x.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, itemgetter
@@ -28,6 +30,7 @@ from .model import (
 __all__ = [
     "FormatError",
     "dumps",
+    "load_json",
     "instance_to_obj",
     "instance_from_obj",
     "matrix_to_obj",
@@ -45,8 +48,9 @@ def dumps(obj: Any) -> str:
     """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
     writes it, byte for byte, without json's pure-Python indented encoder.
 
-    Only str, int, bool, None, lists, tuples and str-keyed dicts are
-    written; anything else raises ``TypeError``.
+    It writes str, int, bool, None, lists, tuples and str-keyed dicts,
+    a ``Fraction`` as ``format_rational`` does and a ``RandomAllocation``
+    as its ``matrix_to_obj`` document; anything else raises ``TypeError``.
     """
     return _encode(obj, "\n", {}, _Quoted()) + "\n"
 
@@ -94,6 +98,11 @@ def _encode(value: Any, newline: str, layouts: dict, quoted: _Quoted) -> str:
         return "false"
     elif isinstance(value, int):
         return int.__repr__(value)
+    # Never through ``quoted``: Fraction(1), 1 and True are one dict key.
+    elif isinstance(value, Fraction):
+        return _string(format_rational(value))
+    elif isinstance(value, RandomAllocation):
+        return _encode(matrix_to_obj(value), newline, layouts, quoted)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     try:
@@ -103,6 +112,44 @@ def _encode(value: Any, newline: str, layouts: dict, quoted: _Quoted) -> str:
     if template is None:
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
     return template % parts
+
+
+def load_json(path: str, what: str) -> dict:
+    """The JSON document in file ``path``; every fault is a ``FormatError``
+    that names ``what`` and the path, and a duplicate key is one."""
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise FormatError(f"{what} {path}: duplicate key {key!r}")
+                seen.add(key)
+        return obj
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle, object_pairs_hook=unique_keys)
+    except FormatError:
+        raise
+    except OSError as exc:
+        raise FormatError(f"{what} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(
+            f"{what} {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} {path}: {exc}") from None
+    except RecursionError:
+        # json's decoder recurses once per nested array or object.
+        raise FormatError(f"{what} {path}: JSON nested too deeply to read") from None
+    except ValueError:
+        # json.load converts integer literals with int(), which refuses more
+        # digits than Python's limit and names no position.
+        raise FormatError(
+            f"{what} {path}: a JSON number has more than "
+            f"{sys.get_int_max_str_digits()} digits; write it as a string"
+        ) from None
 
 
 def _require(obj: Mapping, key: str, where: str):

@@ -101,6 +101,15 @@ def test_skip_zero_rejects_cardinal(example_file, capsys, command):
         f"fairlot: error: instance file {example_file}: --skip-zero needs binary (0/1) utilities\n")
 
 
+@pytest.mark.parametrize("command", [["solve"], ["lottery", "--out", "-"]])
+def test_skip_zero_with_ps_names_the_flags(tmp_path, capsys, command):
+    # Refused from the flags alone: the instance file is never opened.
+    missing = tmp_path / "missing.json"
+    code, out = run([*command, "--rule", "ps", "--skip-zero", "--input", str(missing)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "fairlot: error: --skip-zero needs --rule eps\n"
+
+
 def test_lottery_worked_example(tmp_path, example_file):
     out_path = tmp_path / "lot.json"
     code, _ = run(["lottery", "--rule", "ps", "--input", example_file,

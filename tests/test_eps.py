@@ -154,19 +154,26 @@ def test_equal_agents_get_equal_rows(mode, data):
             assert out.row(a) == out.row(b)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_eating_is_anonymous_and_neutral_on_strict_profiles(data):
-    # Reordering the agents and renaming the items (the new names sort in
-    # another order) permutes the ps and eps outcomes and traces alike.
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    inst = strict_instance(rng, data.draw(st.integers(1, 8)), data.draw(st.integers(1, 16)))
+def reordered_and_renamed(data, inst):
+    """``inst`` with its agents reordered and its items renamed (the new
+    names sort in another order), and the renaming."""
     agents = tuple(data.draw(st.permutations(inst.agents)))
     names = dict(zip(inst.items, data.draw(st.permutations([f"x{j:02d}" for j in range(inst.m)]))))
     items = tuple(data.draw(st.permutations([names[o] for o in inst.items])))
     renamed = Instance.from_utilities(
         {a: {names[o]: v for o, v in inst.utility_row(a).items()} for a in agents},
         agents=agents, items=items)
+    return renamed, names
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_eating_is_anonymous_and_neutral_on_strict_profiles(data):
+    # Reordering the agents and renaming the items permutes the ps and eps
+    # outcomes and traces alike.
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    inst = strict_instance(rng, data.draw(st.integers(1, 8)), data.draw(st.integers(1, 16)))
+    renamed, names = reordered_and_renamed(data, inst)
     for eat in (
         lambda i: ps_outcome(i.agents, i.items, ordinal_from_utilities(i)),
         lambda i: eps_outcome(i, mode="standard"),
@@ -177,6 +184,38 @@ def test_eating_is_anonymous_and_neutral_on_strict_profiles(data):
             assert out2.row(a) == {names[o]: v for o, v in out.row(a).items()}
             assert trace2.segments[a] == tuple(
                 TraceSegment(names[s.item], s.start, s.end, s.amount) for s in trace.segments[a])
+
+
+@pytest.mark.parametrize("mode", ["standard", "skip_zero"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_eating_is_anonymous_and_neutral_on_tier_totals(mode, data):
+    # On weak-order profiles (standard mode) and binary ones (skip-zero),
+    # reordering the agents and renaming the items keeps each agent's
+    # total on each tier (skip-zero: its liked set, and each other item
+    # alone, 0 or 1/n of a leftover), and equal agents get equal rows.
+    # Whole rows may change: on a1 = (1, 3, 1), a2 = (2, 1, 2) over
+    # o01..o03, renaming o03 to sort first swaps which of o01 and o03 a2
+    # gets whole, as the max-flow that pins a tied window follows item order.
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 16))
+    inst = (weak_instance if mode == "standard" else binary_instance)(rng, n, m)
+    renamed, names = reordered_and_renamed(data, inst)
+    if mode == "standard":
+        tiers = ordinal_from_utilities(inst).tiers
+    else:
+        rows = {a: inst.utility_row(a) for a in inst.agents}
+        tiers = {a: [[o for o, v in row.items() if v == 1], *([o] for o, v in row.items() if v == 0)]
+                 for a, row in rows.items()}
+    out, _ = eps_outcome(inst, mode)
+    out2, _ = eps_outcome(renamed, mode)
+    for a in inst.agents:
+        row, row2 = out.row(a), out2.row(a)
+        for tier in tiers[a]:
+            assert sum(row2[names[o]] for o in tier) == sum(row[o] for o in tier)
+    for a, b in combinations(inst.agents, 2):
+        if list(map(sorted, tiers[a])) == list(map(sorted, tiers[b])):
+            assert out2.row(a) == out2.row(b)
 
 
 def test_sd_efficiency_fuzz():
