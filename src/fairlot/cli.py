@@ -58,24 +58,26 @@ def _load_instance(path: str, skip_zero: bool = False) -> Instance:
     return instance
 
 
-def cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
-    if args.skip_zero and args.rule != "eps":
-        raise FormatError("--skip-zero needs --rule eps")
-    _need("eps", "pslottery")
-    instance = _load_instance(args.input, args.skip_zero)
-    outcome = plan(instance, args.rule, args.skip_zero).expected
-    extra = {}
-    if args.skip_zero:
-        extra["padded_items"] = list(globally_unwanted(instance))
-    return EX_OK, dumps(fileio.matrix_to_obj(outcome, extra))
-
-
-def cmd_lottery(args: argparse.Namespace) -> tuple[int, str]:
+def _plan(args: argparse.Namespace) -> tuple[Instance, Plan, dict]:
+    """The eating run of ``solve`` and ``lottery``: the instance, its plan
+    and the document keys a ``--skip-zero`` run adds.  A ``--skip-zero``
+    without ``--rule eps`` is refused before the instance is read."""
     if args.skip_zero and args.rule != "eps":
         raise FormatError("--skip-zero needs --rule eps")
     _need("eps", "pslottery")
     instance = _load_instance(args.input, args.skip_zero)
     planned = plan(instance, args.rule, args.skip_zero)
+    extra = {"padded_items": list(globally_unwanted(instance))} if args.skip_zero else {}
+    return instance, planned, extra
+
+
+def cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
+    _, planned, extra = _plan(args)
+    return EX_OK, dumps(fileio.matrix_to_obj(planned.expected, extra))
+
+
+def cmd_lottery(args: argparse.Namespace) -> tuple[int, str]:
+    instance, planned, extra = _plan(args)
     lottery = implement(planned)
     if args.reduce:
         lottery = reduce_support(lottery)
@@ -86,9 +88,8 @@ def cmd_lottery(args: argparse.Namespace) -> tuple[int, str]:
         "reduced": bool(args.reduce),
         "tie_break": {a: list(padded.orders[a]) for a in instance.agents},
         "support_bound": support_bound(padded.c, instance.n),
+        **extra,
     }
-    if args.skip_zero:
-        metadata["padded_items"] = list(globally_unwanted(instance))
     document = dumps(fileio.lottery_to_obj(lottery, planned.expected, metadata))
     if args.out == "-":
         return EX_OK, document

@@ -39,7 +39,6 @@ from collections import deque
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count, repeat
-from math import lcm
 from typing import Mapping, Sequence
 
 from .model import (
@@ -47,6 +46,7 @@ from .model import (
     Instance,
     RandomAllocation,
     TraceSegment,
+    _on_one_scale,
     ordinal_from_utilities,
 )
 
@@ -150,14 +150,13 @@ def _network(
     eater with supply left that reaches an item with room left, and its
     first such item; no supply or room grows while paths have length 3.
     """
-    scale = lcm(*(d.denominator for d in totals))
+    supply, scale = _on_one_scale(totals)
     n = len(links)
     net = _Flow(2 + n + width)
     # No augmenting path can fill an edge of more than the whole sink
     # capacity, so eater-item edges never bound or cut a flow.
     big = width * scale + 1
     room = [scale] * width
-    supply = [d.numerator * (scale // d.denominator) for d in totals]
     pushed = 0
     for i, (units, columns) in enumerate(zip(supply, links)):
         left = units

@@ -66,10 +66,7 @@ class Report(_Frozen):
     """
 
     _fields = ("prop", "ok", "witness", "violation")
-
-    def __init__(self, prop: str, ok: bool, witness: Any = None, violation: Any = None) -> None:
-        d = self.__dict__
-        d["prop"], d["ok"], d["witness"], d["violation"] = prop, ok, witness, violation
+    _defaults = (None, None)
 
 
 def check_ef(p: RandomAllocation, instance: Instance) -> Report:
@@ -487,10 +484,11 @@ def check_sd_efficient(p: RandomAllocation, prefs: OrdinalProfile) -> Report:
 
 def pareto_front(
     instance: Instance,
-) -> tuple[list[DeterministicAllocation], list[tuple[int, ...]], set[tuple[int, ...]]]:
-    """The Pareto-optimal allocations (``enumerate_allocations`` order), their
-    utility vectors (each agent's in its ``integer_rows`` scale) and the set
-    of maximal vectors, once per instance; the budget is checked every call.
+) -> tuple[list[DeterministicAllocation], set[tuple[int, ...]]]:
+    """The Pareto-optimal allocations (``enumerate_allocations`` order) and
+    the set of maximal utility vectors (each agent's utility in its
+    ``integer_rows`` scale), once per instance; the budget is checked every
+    call.
 
     Composed item by item, as Nemhauser and Ullmann build knapsack Pareto
     sets: giving item j to agent i adds i's value of j to coordinate i.  A
@@ -522,11 +520,10 @@ def pareto_front(
                     bits = masks[x] = bits | masks[x]
                 above = [a & masks[x] for a, x in zip(above, coordinate)]
             reached = {v: grown[v] for t, v in enumerate(vectors) if above[t] == 1 << t}
-        ranked = sorted((t, w) for w, owners in reached.items() for t in owners)
+        ranked = sorted(t for owners in reached.values() for t in owners)
         front = instance.__dict__["_pareto"] = (
             [DeterministicAllocation(agents, instance.items, tuple(map(agents.__getitem__, t)))
-             for t, _ in ranked],
-            [w for _, w in ranked],
+             for t in ranked],
             set(reached),
         )
     return front
@@ -540,7 +537,7 @@ def check_po_bruteforce(allocation: DeterministicAllocation, instance: Instance)
     Refuses (raises BudgetExceeded) when n^m exceeds the enumeration
     budget rather than silently sampling.
     """
-    _, _, maximal = pareto_front(instance)
+    _, maximal = pareto_front(instance)
     rows = instance.integer_rows()
 
     def vector(owners: Iterable[int]) -> tuple[int, ...]:

@@ -106,9 +106,11 @@ def _encode(value: Any, newline: str, layouts: dict, quoted: _Quoted) -> str:
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     try:
-        parts = tuple(map(quoted.__getitem__, members))
+        "".join(members)  # a C-level test that every member is a str; hashes none
     except TypeError:
         parts = tuple(_encode(v, inner, layouts, quoted) for v in members)
+    else:
+        parts = tuple(map(quoted.__getitem__, members))
     if template is None:
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
     return template % parts

@@ -193,17 +193,35 @@ class _Frozen:
     """Base of the package's immutable value types (``TraceSegment``, a
     named tuple, is the one that is not a subclass).
 
-    ``_fields`` names a subclass's fields in constructor order; its
-    ``__init__`` checks them and binds them in the instance ``__dict__``.
-    Objects are equal when they are of one class with equal field values,
-    and hash as those values.  Assigning or deleting any attribute raises
-    ``AttributeError``.  Derived data that is not a field (the integer
-    forms, ``integer_columns``, the index maps, the tier ranks, the
-    ordinal profile, the Pareto front) is kept in the ``__dict__`` too and
-    takes no part in equality, hashing or ``repr``.
+    ``_fields`` names a subclass's fields in constructor order and
+    ``_defaults`` the values of its trailing optional ones; ``__init__``
+    binds them, by position or keyword, in the instance ``__dict__``, and
+    a validating type overrides it to check them first.  Objects are
+    equal when they are of one class with equal field values, and hash
+    as those values.  Assigning or deleting any attribute raises
+    ``AttributeError``.  Derived data that is not a field (integer forms,
+    ``integer_columns``, index maps, tier ranks, the ordinal profile, the
+    Pareto front) is kept in the ``__dict__`` too and takes no part in
+    equality, hashing or ``repr``.
     """
 
     _fields: tuple[str, ...]
+    _defaults: tuple = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        name, fields, defaults = type(self).__name__, self._fields, self._defaults
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, {len(args)} given")
+        for field in kwargs:
+            if field not in fields[len(args):]:
+                problem = "given twice" if field in fields else "unknown"
+                raise TypeError(f"{name} field {field!r} is {problem}")
+        values = dict(zip(fields[len(fields) - len(defaults):], defaults))
+        values.update(zip(fields, args), **kwargs)
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name} field {field!r} is missing")
+        self.__dict__.update((field, values[field]) for field in fields)
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -545,7 +563,7 @@ class Lottery(_Frozen):
         total = Fraction(sum(weights), scale)
         if total != 1:
             raise ValueError(f"weights sum to {total}, expected 1")
-        self.__dict__["entries"] = entries
+        self.__dict__["entries"], self.__dict__["_int"] = entries, (weights, scale)
 
     @property
     def agents(self) -> tuple[str, ...]:
@@ -586,22 +604,12 @@ class EatingTrace(_Frozen):
 
     _fields = ("agents", "items", "segments", "horizon")
 
-    def __init__(
-        self,
-        agents: tuple[str, ...],
-        items: tuple[str, ...],
-        segments: Mapping[str, tuple[TraceSegment, ...]],
-        horizon: Fraction,
-    ) -> None:
-        d = self.__dict__
-        d["agents"], d["items"], d["segments"], d["horizon"] = agents, items, segments, horizon
-
 
 def _support_totals(lottery: Lottery) -> tuple[dict[str, list[int]], int]:
     """The weighted sum of the support's 0/1 matrices on one integer
     scale: per agent, its row of totals t over L, the lcm of the weight
     denominators, so entry (a, o) is t / L."""
-    weights, scale = _on_one_scale(tuple(map(operator.itemgetter(0), lottery.entries)))
+    weights, scale = lottery._int
     totals = {a: [0] * len(lottery.items) for a in lottery.agents}
     for w, (_, allocation) in zip(weights, lottery.entries):
         for j, owner in enumerate(allocation.owners):

@@ -53,15 +53,6 @@ class InfeasibilityCertificate(_Frozen):
 
     _fields = ("farkas", "rows", "rhs")
 
-    def __init__(
-        self,
-        farkas: tuple[Fraction, ...],
-        rows: tuple[tuple[Fraction, ...], ...],
-        rhs: tuple[Fraction, ...],
-    ) -> None:
-        d = self.__dict__
-        d["farkas"], d["rows"], d["rhs"] = farkas, rows, rhs
-
     def verify(self) -> bool:
         return verify_farkas(self.rows, self.rhs, self.farkas)
 

@@ -161,15 +161,6 @@ class Plan(_Frozen):
 
     _fields = ("expected", "padded", "bundles")
 
-    def __init__(
-        self,
-        expected: RandomAllocation,
-        padded: PaddedInstance,
-        bundles: Mapping[str, Mapping[str, Fraction]],
-    ) -> None:
-        d = self.__dict__
-        d["expected"], d["padded"], d["bundles"] = expected, padded, bundles
-
 
 def plan(instance: Instance, rule: str = "ps", skip_zero: bool = False) -> Plan:
     """Run the eating rule on the instance, then pad it to match.

@@ -24,16 +24,7 @@ class LpResult(_Frozen):
     carries ``x`` and ``objective``, an infeasible system ``farkas``."""
 
     _fields = ("status", "x", "objective", "farkas")
-
-    def __init__(
-        self,
-        status: str,
-        x: tuple[Fraction, ...] | None = None,
-        objective: Fraction | None = None,
-        farkas: tuple[Fraction, ...] | None = None,
-    ) -> None:
-        d = self.__dict__
-        d["status"], d["x"], d["objective"], d["farkas"] = status, x, objective, farkas
+    _defaults = (None, None, None)
 
 
 def verify_farkas(

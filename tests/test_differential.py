@@ -390,9 +390,8 @@ def tied_instances(draw):
 @given(tied_instances(), st.data())
 def test_pareto_flags_match_definition(inst, data):
     allocations, vectors, maximal = reference_pareto_front(inst)
-    front, scaled, maxima = pareto_front(inst)
-    assert [(a, v) for a, v in zip(allocations, vectors) if v in maximal] == list(
-        zip(front, scaled))
+    front, maxima = pareto_front(inst)
+    assert [a for a, v in zip(allocations, vectors) if v in maximal] == front
     assert maxima == maximal
     assert pareto_front(inst)[0] is front  # computed once per instance
     event("some allocation dominated" if len(front) < len(allocations) else "all optimal")
@@ -2013,6 +2012,22 @@ def test_dumps_writes_rationals_and_matrices():
         ["1", 1, True, {"x": "-1/2"}, {"x": 1}])
     p = RandomAllocation(("a", "b"), ("x", "y"), ((F(1, 3), F(2, 3)), (F(2, 3), F(1, 3))))
     assert dumps({"m": p, "w": [p]}) == dumps({"m": matrix_to_obj(p), "w": [matrix_to_obj(p)]})
+
+
+def test_dumps_writes_a_matrix_without_hashing_it(monkeypatch):
+    # Two agents who rank x and y oppositely, holding half of each: the
+    # sdeff violation carries the dominating matrix among its members.
+    inst = Instance.from_utilities({"1": {"x": 2, "y": 1}, "2": {"x": 1, "y": 2}})
+    half = RandomAllocation(inst.agents, inst.items, ((F(1, 2),) * 2,) * 2)
+    violation = check_sd_efficient(half, ordinal_from_utilities(inst)).violation
+    plain = {**violation, "dominating_allocation": matrix_to_obj(
+        violation["dominating_allocation"])}
+
+    def refuse(self):
+        raise AssertionError("a RandomAllocation was hashed")
+
+    monkeypatch.setattr(RandomAllocation, "__hash__", refuse)
+    assert dumps(violation) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
 # The lottery plan as the library built it before eating moved ahead of

@@ -389,8 +389,8 @@ def test_pareto_front_builds_only_its_allocations(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(DeterministicAllocation, "__init__", counting)
-    front, vectors, maximal = pareto_front(inst)
-    assert len(built) == len(front) == len(vectors) == 368
+    front, maximal = pareto_front(inst)
+    assert len(built) == len(front) == 368
     assert len(maximal) == 90
 
 

@@ -119,6 +119,26 @@ def test_defaults():
     assert LpResult("infeasible") == LpResult("infeasible", None, None, None)
 
 
+RECORDS = [case for case in CASES
+           if case[0] in (EatingTrace, Report, InfeasibilityCertificate, LpResult, Plan)]
+
+
+@pytest.mark.parametrize("cls, fields, variant, hashable", RECORDS,
+                         ids=[case[0].__name__ for case in RECORDS])
+def test_records_share_one_checked_constructor(cls, fields, variant, hashable):
+    assert "__init__" not in vars(cls)
+    values = list(fields.values())
+    first, *rest = fields
+    with pytest.raises(TypeError, match=f"takes {len(values)} fields, {len(values) + 1} given"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="field 'extra' is unknown"):
+        cls(*values, extra=None)
+    with pytest.raises(TypeError, match=f"field '{first}' is given twice"):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError, match=f"field '{first}' is missing"):
+        cls(**{name: fields[name] for name in rest})
+
+
 def message(exc_type, build):
     with pytest.raises(exc_type) as caught:
         build()
